@@ -133,12 +133,16 @@ class Assessor:
             parent_scanned=observation.scanned(self.parent_side),
             step=observation.step,
         )
+        child_scanned = result_observation.child_scanned
         outlier_probability = (
             self.model.observation_probability(result_observation)
-            if result_observation.child_scanned > 0
+            if child_scanned > 0
             else 1.0
         )
-        sigma = self.model.is_outlier(result_observation)
+        # Eq. 1 on this probability: ``model.is_outlier`` would recompute the CDF.
+        sigma = (
+            child_scanned > 0 and outlier_probability <= self.model.outlier_threshold
+        )
         shortfall = self.model.shortfall(result_observation)
 
         mu_threshold = self.thresholds.current_perturbation_fraction

@@ -4,19 +4,17 @@ The assessor's outlier test (Eq. 1 of the paper) requires the cumulative
 distribution function of a binomial random variable whose parameters change
 at every assessment step.  We implement the distribution from first
 principles (log-space for numerical stability) so the core library has no
-hard dependency on scipy; tests cross-check against ``scipy.stats.binom``
-when scipy is available.
+hard dependency on scipy; tests cross-check against exact rational sums.
 
-For the large ``n`` reached late in a join (tens of thousands of trials), an
-exact summation of the CDF is still affordable because the assessment only
-runs every ``δ_adapt`` steps, but a normal approximation with continuity
-correction is provided and used automatically above a configurable cut-off.
+The exact CDF evaluates one ``lgamma`` term at the boundary of the smaller
+tail and walks outward by the PMF ratio recurrence: O(√(n·p·(1-p))) terms
+instead of O(k).  Above a configurable cut-off a normal approximation with
+continuity correction is used instead.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 #: Number of trials above which :func:`binomial_cdf` switches to the normal
 #: approximation by default.  The approximation error is far below the
@@ -24,7 +22,6 @@ from functools import lru_cache
 NORMAL_APPROXIMATION_CUTOFF = 20_000
 
 
-@lru_cache(maxsize=200_000)
 def log_binomial_coefficient(n: int, k: int) -> float:
     """Natural log of the binomial coefficient C(n, k).
 
@@ -82,16 +79,26 @@ def binomial_cdf(
         return 0.0
     if n > exact_cutoff:
         return normal_approx_cdf(k, n, p)
-    # Exact summation.  Sum the smaller tail for accuracy and speed.
-    mean = n * p
-    if k <= mean:
-        total = 0.0
-        for i in range(0, k + 1):
-            total += binomial_pmf(i, n, p)
+    # Walk the smaller tail away from the mode, so each term is smaller than
+    # the last, until a term can no longer change the total in double
+    # precision.  A boundary term that underflows makes the tail 0, as a
+    # term-by-term sum would.
+    if k <= n * p:
+        i = k
+        term = total = binomial_pmf(i, n, p)
+        odds = (1.0 - p) / p
+        while i > 0 and term > total * 1e-17:
+            term *= i * odds / (n - i + 1)
+            total += term
+            i -= 1
         return min(total, 1.0)
-    total = 0.0
-    for i in range(k + 1, n + 1):
-        total += binomial_pmf(i, n, p)
+    i = k + 1
+    term = total = binomial_pmf(i, n, p)
+    odds = p / (1.0 - p)
+    while i < n and term > total * 1e-17:
+        term *= (n - i) * odds / (i + 1)
+        total += term
+        i += 1
     return max(0.0, 1.0 - total)
 
 

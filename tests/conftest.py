@@ -8,12 +8,71 @@ suite instead.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from repro.datagen.testcases import TestCaseSpec, generate_test_case
 from repro.engine.table import Table
 from repro.engine.tuples import Record, Schema
+from repro.stats.binomial import (
+    NORMAL_APPROXIMATION_CUTOFF,
+    binomial_pmf,
+    normal_approx_cdf,
+)
+
+
+def _exact_binomial_cdf(k: int, n: int, p: float) -> float:
+    """P(X <= k) for X ~ bin(n, p), 0 <= p < 1, in exact rational arithmetic.
+
+    With ``p = a / d`` exactly, the sum is ``Σ C(n, i) a^i (d-a)^(n-i) / d^n``;
+    its integer terms follow from one another by exact division, and the
+    final integer quotient is correctly rounded to the nearest float.
+    """
+    if k < 0:
+        return 0.0
+    if k >= n:
+        return 1.0
+    ratio = Fraction(p)
+    a, d = ratio.numerator, ratio.denominator
+    b = d - a
+    term = b**n
+    total = term
+    for i in range(k):
+        term = term * (n - i) * a // ((i + 1) * b)
+        total += term
+    return total / d**n
+
+
+def _summed_binomial_cdf(
+    k: int, n: int, p: float, exact_cutoff: int = NORMAL_APPROXIMATION_CUTOFF
+) -> float:
+    """The term-by-term ``binomial_cdf``: one ``binomial_pmf`` per tail term."""
+    if k < 0:
+        return 0.0
+    if k >= n:
+        return 1.0
+    if p == 0.0:
+        return 1.0
+    if p == 1.0:
+        return 0.0
+    if n > exact_cutoff:
+        return normal_approx_cdf(k, n, p)
+    if k <= n * p:
+        return min(sum(binomial_pmf(i, n, p) for i in range(k + 1)), 1.0)
+    return max(0.0, 1.0 - sum(binomial_pmf(i, n, p) for i in range(k + 1, n + 1)))
+
+
+@pytest.fixture(scope="session")
+def reference_binomial_cdf():
+    """An exact binomial CDF ``(k, n, p) -> float`` for cross-checks."""
+    return _exact_binomial_cdf
+
+
+@pytest.fixture(scope="session")
+def summed_binomial_cdf():
+    """The O(k) term-by-term binomial CDF the tail walk replaced."""
+    return _summed_binomial_cdf
 
 
 @pytest.fixture

@@ -6,6 +6,8 @@ from repro.core.assessor import Assessor
 from repro.core.monitor import Observation
 from repro.core.thresholds import Thresholds
 from repro.joins.base import JoinSide
+from repro.stats import completeness
+from repro.stats.binomial import binomial_cdf
 
 
 def observation(
@@ -79,6 +81,24 @@ class TestSigmaPredicate:
             observation(observed_matches=0, left_scanned=10, right_scanned=0)
         )
         assert result.sigma is False
+
+    @pytest.mark.parametrize("right_scanned,expected_calls", [(400, 1), (0, 0)])
+    def test_one_cdf_per_assessment_and_none_without_children(
+        self, monkeypatch, right_scanned, expected_calls
+    ):
+        calls = []
+
+        def counting_cdf(*args):
+            calls.append(args)
+            return binomial_cdf(*args)
+
+        monkeypatch.setattr(completeness, "binomial_cdf", counting_cdf)
+        make_assessor().assess(
+            observation(
+                observed_matches=150, left_scanned=500, right_scanned=right_scanned
+            )
+        )
+        assert len(calls) == expected_calls
 
     def test_parent_side_can_be_right(self):
         assessor = Assessor(Thresholds(), parent_size=1000, parent_side=JoinSide.RIGHT)
