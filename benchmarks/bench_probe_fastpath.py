@@ -10,11 +10,6 @@ Measures, at several input scales (default 5k and 20k total tuples):
   return byte-identical match sets;
 * the **length-filter ablation** — the fast probe with the Jaccard length
   filter on vs. off;
-* the **verification-mode sweep** — the same index + probe workload under
-  every fixed ``gram_verification`` mode (``bitset``, ``array`` and, when
-  numpy is importable, the columnar ``numpy-*`` kernels), asserting all
-  return the identical match list and reporting the kernel speedup over
-  the naive reference;
 * **end-to-end runs** — exact (SHJoin), approximate (SSHJoin) and adaptive
   joins over the same generated dataset;
 * the **session overhead** — the runtime layer's tax: the same all-exact
@@ -52,11 +47,6 @@ from repro.joins.base import JoinAttribute, JoinSide, SideState
 from repro.joins.engine import SymmetricJoinEngine
 from repro.joins.fastpath import NaiveQGramProber
 from repro.joins.shjoin import SHJoin
-from repro.kernels import (
-    NUMPY_GRAM_VERIFICATION_MODES,
-    numpy_available,
-    resolve_gram_verification,
-)
 from repro.joins.sshjoin import SSHJoin
 from repro.runtime.config import RunConfig
 from repro.runtime.session import JoinSession
@@ -80,19 +70,16 @@ def bench_probe_path(
     """Index + probe timings: fast path (filter on/off) vs. naive reference."""
     records = _probe_records(stored_values)
 
-    def run_fast(mode: str, use_length_filter: bool = True):
+    def run_fast(use_length_filter: bool = True):
         """Index + probe with phases timed separately.
 
-        The indexing work (tokenise + bucket appends) is identical across
-        verification modes, so per-mode comparisons — in particular the
-        kernel-vs-naive probe speedup — are made on the probe phase alone;
-        the combined total (indexing + first probe pass) is still reported
-        for trajectory continuity.  The probe phase is the best of two
-        identical passes — the second runs with warm probe-plan caches, so
-        the figure reflects steady-state probing and suppresses load noise
-        (the naive reference gets the same two-pass treatment).
+        The combined total (indexing + first probe pass) is reported for
+        trajectory continuity, the probe phase on its own as the best of
+        two identical passes — the second runs with warm probe-plan
+        caches, so the figure reflects steady-state probing and suppresses
+        load noise (the naive reference gets the same two-pass treatment).
         """
-        side = SideState(JoinSide.LEFT, "value", gram_verification=mode)
+        side = SideState(JoinSide.LEFT, "value")
         for record in records:
             side.add(record)
         started = time.perf_counter()
@@ -117,12 +104,10 @@ def bench_probe_path(
             )
         return indexed - started, first_probe, probe_seconds, pairs, side
 
-    fast_index, fast_probe, fast_best_probe, fast_pairs, fast_side = run_fast(
-        "auto"
-    )
+    fast_index, fast_probe, fast_best_probe, fast_pairs, fast_side = run_fast()
     fast_seconds = fast_index + fast_probe
     nofilter_index, nofilter_probe, _, nofilter_pairs, _ = run_fast(
-        "auto", use_length_filter=False
+        use_length_filter=False
     )
     nofilter_seconds = nofilter_index + nofilter_probe
 
@@ -149,26 +134,6 @@ def bench_probe_path(
             "fast-path probe diverged from the naive reference "
             f"({len(fast_pairs)}/{len(nofilter_pairs)}/{len(naive_pairs)} matches)"
         )
-
-    # Verification-mode sweep: every fixed mode must return the identical
-    # match list; the numpy modes additionally feed the kernel-vs-naive
-    # probe-speedup figure.
-    mode_probe_seconds: Dict[str, float] = {}
-    kernel_probe = None
-    for mode in ("bitset", "array") + tuple(NUMPY_GRAM_VERIFICATION_MODES):
-        _, _, probe_seconds, pairs, _ = run_fast(mode)
-        if pairs != naive_pairs:
-            raise AssertionError(
-                f"gram_verification={mode!r} diverged from the naive "
-                f"reference ({len(pairs)} vs {len(naive_pairs)} matches)"
-            )
-        mode_probe_seconds[mode] = round(probe_seconds, 4)
-        if resolve_gram_verification(mode) == mode and mode.startswith("numpy"):
-            kernel_probe = (
-                probe_seconds
-                if kernel_probe is None
-                else min(kernel_probe, probe_seconds)
-            )
     return {
         "stored": len(stored_values),
         "probes": len(probe_values),
@@ -180,10 +145,6 @@ def bench_probe_path(
         "naive_seconds": round(naive_seconds, 4),
         "naive_probe_seconds": round(naive_probe, 4),
         "speedup": round(naive_seconds / fast_seconds, 2) if fast_seconds else None,
-        "mode_probe_seconds": mode_probe_seconds,
-        "kernel_probe_speedup": (
-            round(naive_probe / kernel_probe, 2) if kernel_probe else None
-        ),
         "length_filter_disabled": fast_side.length_filter_disabled,
     }
 
@@ -282,9 +243,8 @@ def run_benchmark(sizes, probe_sample: int) -> Dict[str, object]:
             f"[{total_size:>6} tuples] probe path: fast={probe['fast_seconds']}s "
             f"naive={probe['naive_seconds']}s speedup={probe['speedup']}x "
             f"(no-length-filter={probe['fast_no_length_filter_seconds']}s); "
-            f"probe phase: {probe['mode_probe_seconds']} vs "
-            f"naive={probe['naive_probe_seconds']}s "
-            f"kernel-probe-speedup={probe['kernel_probe_speedup']}x; "
+            f"probe phase: fast={probe['fast_probe_seconds']}s "
+            f"naive={probe['naive_probe_seconds']}s; "
             f"end-to-end: {entry['end_to_end']}; "
             f"session overhead: {overhead['overhead_fraction']} "
             f"(engine={overhead['engine_seconds']}s "
@@ -293,11 +253,6 @@ def run_benchmark(sizes, probe_sample: int) -> Dict[str, object]:
     return {
         "run_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "similarity_threshold": SIMILARITY_THRESHOLD,
-        "numpy_available": numpy_available(),
-        "gram_verification_modes": {
-            mode: resolve_gram_verification(mode)
-            for mode in ("bitset", "array") + tuple(NUMPY_GRAM_VERIFICATION_MODES)
-        },
         "entries": entries,
     }
 

@@ -1,10 +1,7 @@
 """Packaging metadata.
 
-The base install is dependency-free on purpose — the reproduction runs on
-a bare CPython.  The ``[fast]`` extra pulls in numpy for the columnar
-verification kernels (:mod:`repro.kernels`); without it the ``numpy-*``
-``gram_verification`` modes silently fall back to their pure-Python twins
-(identical matches and counters, just slower).
+The install is dependency-free on purpose — the reproduction runs on a
+bare CPython.
 """
 
 from setuptools import find_packages, setup
@@ -19,7 +16,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    extras_require={
-        "fast": ["numpy"],
-    },
 )

@@ -30,8 +30,7 @@ The package is organised in layers, bottom-up:
     loop, the four-state machine (``lex/rex``, ``lap/rex``, ``lex/rap``,
     ``lap/rap``), the cost model and the gain/cost/efficiency metrics of
     Sec. 4.  (The paper-facing ``AdaptiveJoinProcessor`` façade lives in
-    ``repro.runtime.adaptive``; ``repro.core.adaptive`` is a deprecation
-    shim.)
+    ``repro.runtime.adaptive``.)
 
 ``repro.runtime``
     The composition layer: ``RunConfig`` (one declarative description of

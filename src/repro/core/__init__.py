@@ -15,11 +15,9 @@ Secs. 2-3 of the paper on top of the switchable symmetric-join engine of
 * :mod:`repro.core.responder` — mapping of assessments onto state
   transitions.
 * :class:`AdaptiveJoinProcessor` — the paper-facing façade over
-  :class:`repro.runtime.JoinSession` — now lives in
+  :class:`repro.runtime.JoinSession` — lives in
   :mod:`repro.runtime.adaptive` (it *builds* a runtime session, so it
-  belongs above this layer); :mod:`repro.core.adaptive` remains as a
-  deprecation shim and this package forwards the historical re-exports
-  through it.
+  belongs above this layer).
 * :mod:`repro.core.trace` — per-run execution traces (state occupancy,
   transitions, assessments) feeding Figs. 7-8.
 * :mod:`repro.core.cost_model` — the weighted cost model of Sec. 4.3.
@@ -46,28 +44,7 @@ from repro.core.trace import (
     merge_traces,
 )
 
-#: Historical re-exports now living in ``repro.runtime.adaptive``;
-#: forwarded lazily through the :mod:`repro.core.adaptive` shim so the
-#: deprecation warning fires on use, not on ``import repro.core``.
-_MOVED_TO_RUNTIME = (
-    "AdaptiveJoinProcessor",
-    "AdaptiveJoinResult",
-    "AdaptiveSymmetricJoin",
-)
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_RUNTIME:
-        from repro.core import adaptive
-
-        return getattr(adaptive, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "AdaptiveJoinProcessor",
-    "AdaptiveJoinResult",
-    "AdaptiveSymmetricJoin",
     "Assessment",
     "Assessor",
     "CostBudget",

@@ -1,7 +1,7 @@
 """``repro lint`` — the repo's prose contracts as AST-enforced rules.
 
-Eight PRs of guarantees (determinism oracles, import-gated numpy
-kernels, shared-memory lifecycle brackets, pickle-safe process
+Eight PRs of guarantees (determinism oracles, layered imports,
+shared-memory lifecycle brackets, pickle-safe process
 boundaries) lived only in ARCHITECTURE.md prose and in tests that catch
 breakage *after* it ships.  This module turns them into a
 project-specific static-analysis pass: each contract is a registered
@@ -15,19 +15,16 @@ RL001 *determinism*
     No wall-clock or ambient-randomness **calls** (``time.time`` /
     ``time.monotonic`` / ``datetime.now`` / module-level ``random.*`` /
     unseeded ``random.Random()``) in the deterministic layers
-    (``engine``, ``joins``, ``runtime``, ``kernels``, ``core``).
+    (``engine``, ``joins``, ``runtime``, ``core``).
     Injectable clocks (a ``clock=time.perf_counter`` *default*, never a
     hard-wired call driving control flow), ``random.Random(seed)`` and
     ``time.perf_counter()`` wall-time *measurement* stay legal;
     ``datagen`` / ``bench`` are out of scope.
 RL002 *layering*
     Imports must flow down the layer order ``engine/similarity/stats ←
-    datagen/kernels ← joins ← core ← runtime ← jobs ← linkage ←
+    datagen ← joins ← core ← runtime ← jobs ← linkage ←
     server/bench ← cli`` (an arrow means "may be imported by"); upward
     imports are only legal inside ``if TYPE_CHECKING:`` blocks.
-RL003 *numpy gate*
-    ``import numpy`` only inside :mod:`repro.kernels` — the one
-    import-gated optional-dependency boundary (PR 7).
 RL004 *resource lifecycle*
     Every ``SharedMemory(create=True)`` and every zero-argument
     ``.attach()`` handle acquisition must be dominated by a
@@ -118,7 +115,6 @@ LAYER_RANKS: Dict[str, int] = {
     "similarity": 0,
     "stats": 0,
     "datagen": 1,
-    "kernels": 1,
     "joins": 2,
     "core": 3,
     "runtime": 4,
@@ -134,7 +130,6 @@ DETERMINISTIC_LAYERS: Tuple[str, ...] = (
     "repro.engine",
     "repro.joins",
     "repro.runtime",
-    "repro.kernels",
     "repro.core",
 )
 
@@ -495,36 +490,6 @@ def _rule_layering(ctx: FileContext) -> Iterator[Diagnostic]:
                 f"→ server/bench → cli — gate type-only imports behind "
                 f"TYPE_CHECKING or move the shared code down a layer",
             )
-
-
-# -- RL003: numpy gate -----------------------------------------------------------
-
-
-@_register("RL003", "numpy imports only inside repro.kernels")
-def _rule_numpy_gate(ctx: FileContext) -> Iterator[Diagnostic]:
-    module = ctx.module
-    if module is None or not module.startswith("repro."):
-        return
-    if module == "repro.kernels" or module.startswith("repro.kernels."):
-        return
-    for node in ast.walk(ctx.tree):
-        if node in ctx.type_checking:
-            continue
-        targets: List[str] = []
-        if isinstance(node, ast.Import):
-            targets = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            targets = [node.module]
-        for target in targets:
-            if target == "numpy" or target.startswith("numpy."):
-                yield ctx.diagnostic(
-                    node,
-                    "RL003",
-                    f"numpy imported in {module}: repro.kernels is the "
-                    f"only import-gated numpy boundary (the base install "
-                    f"is dependency-free); route columnar work through "
-                    f"repro.kernels",
-                )
 
 
 # -- RL004: resource lifecycle ---------------------------------------------------

@@ -38,32 +38,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.tuples import Record, Schema
-from repro.joins.fastpath import (
-    GramInterner,
-    bits_to_sorted_ids,
-    jaccard_length_bounds,
-    sorted_intersection_count,
-)
-from repro.kernels import create_kernel, resolve_gram_verification
+from repro.joins.fastpath import GramInterner, jaccard_length_bounds
 from repro.similarity.setsim import jaccard_from_shared
 
 #: Upper bound on cached frequency-ordered probe plans per side; the cache
 #: is cleared wholesale when it fills (plans are cheap to rebuild).
 _PLAN_CACHE_LIMIT = 8192
-
-#: Gram-vocabulary size past which ``gram_verification="auto"`` abandons
-#: bitset verification for sorted gram-id array intersections: a bitset
-#: AND costs O(vocabulary / machine word) per candidate, the array walk
-#: O(the two values' gram counts) — the crossover sits around a few
-#: thousand interned grams (huge alphabets, q ≥ 4).
-BITSET_VOCAB_LIMIT = 4096
-
-#: Accepted ``gram_verification`` modes of :class:`SideState`.  The
-#: ``numpy-*`` modes run the columnar kernels of :mod:`repro.kernels`
-#: (falling back to their pure-Python twin when numpy is absent);
-#: ``auto`` deliberately selects between the dependency-free modes only,
-#: so its flip semantics are identical with or without numpy installed.
-GRAM_VERIFICATION_MODES = ("auto", "bitset", "array", "numpy-bitset", "numpy-array")
 
 #: Filtered approximate probes observed before the length filter's
 #: usefulness is judged (see ``SideState._note_filter_outcome``).
@@ -266,15 +246,15 @@ class SideState:
         q: int = 3,
         padded_qgrams: bool = True,
         interner: Optional[GramInterner] = None,
-        gram_verification: str = "auto",
-        bitset_vocab_limit: Optional[int] = None,
+        gram_verification: str = "bitset",
     ) -> None:
         if q <= 0:
             raise ValueError(f"q must be positive, got {q}")
-        if gram_verification not in GRAM_VERIFICATION_MODES:
+        # Gram bitsets are the only verification path; the keyword stays
+        # for callers that still name it and accepts nothing else.
+        if gram_verification != "bitset":
             raise ValueError(
-                f"gram_verification must be one of {GRAM_VERIFICATION_MODES}, "
-                f"got {gram_verification!r}"
+                f"gram_verification must be 'bitset', got {gram_verification!r}"
             )
         self.side = side
         self.attribute = attribute
@@ -303,30 +283,6 @@ class SideState:
         # with one C-level ``(probe_bits & stored_bits).bit_count()``
         # instead of per-gram counter bumping.
         self._gram_bits: Dict[int, int] = {}
-        # Sorted gram-id arrays per ordinal, the array-verification twin of
-        # ``_gram_bits``: exactly one of the two stores is populated at a
-        # time (``_array_verification`` selects which).
-        self._gram_arrays: Dict[int, array] = {}
-        # Verification-mode selection (see PERFORMANCE.md "Known scale
-        # limits"): "bitset" and "array" are fixed; "auto" starts on
-        # bitsets and flips to arrays — converting the stored bitsets —
-        # the first catch-up that finds the interner vocabulary above the
-        # limit.  The flip happens only inside ``catch_up_qgram`` (which
-        # advances the plan-cache stamp), so cached probe plans can never
-        # carry a verify key of the wrong kind for longer than one probe
-        # (the per-plan verify-kind tag guards even that).  The "numpy-*"
-        # modes route verification through a columnar kernel
-        # (:mod:`repro.kernels`); when numpy is missing they resolve to
-        # their pure-Python twins, so requesting them never fails.
-        self.gram_verification = gram_verification
-        self.effective_gram_verification = resolve_gram_verification(
-            gram_verification
-        )
-        self._kernel = create_kernel(self.effective_gram_verification)
-        self._bitset_vocab_limit = (
-            BITSET_VOCAB_LIMIT if bitset_vocab_limit is None else bitset_vocab_limit
-        )
-        self._array_verification = self.effective_gram_verification == "array"
         # Length-filter self-profiling (deterministic, per probe stream):
         # once enough filtered probes accumulate, a filter that rejects too
         # few scanned entries to pay for its bounds tests is switched off
@@ -339,12 +295,10 @@ class SideState:
         # catch-up) — the length filter reads this in the hot loop.
         self._gram_counts: array = array("i")
         # Frequency-ordered probe plans: value → (index stamp, ordered ids,
-        # verify key, key-is-array flag).  A plan's ordering is valid while
-        # the q-gram index has not grown since it was built (the stamp is
-        # the synced-tuple count at build time); the verify key — the gram
-        # bitset, or the sorted id array under array verification — never
-        # goes stale, but is rebuilt if the verification mode flipped.
-        self._plan_cache: Dict[str, Tuple[int, List[int], object, bool]] = {}
+        # probe bitset).  A plan's ordering is valid while the q-gram index
+        # has not grown since it was built (the stamp is the synced-tuple
+        # count at build time); the bitset never goes stale.
+        self._plan_cache: Dict[str, Tuple[int, List[int], int]] = {}
         # Attribute position, resolved once per schema identity.
         self._attr_schema: Optional[Schema] = None
         self._attr_position = 0
@@ -393,23 +347,6 @@ class SideState:
             caught_up += 1
         return caught_up
 
-    def _refresh_verification_mode(self) -> None:
-        """Flip ``auto`` verification to arrays once the vocabulary outgrows bitsets.
-
-        Converts every stored bitset to its sorted id array, so the side
-        is never in a mixed state.  Sticky: once flipped, the side stays
-        on arrays (the vocabulary only grows).
-        """
-        if self._array_verification or self.gram_verification != "auto":
-            return
-        if len(self.interner) <= self._bitset_vocab_limit:
-            return
-        self._array_verification = True
-        gram_arrays = self._gram_arrays
-        for ordinal, bits in self._gram_bits.items():
-            gram_arrays[ordinal] = bits_to_sorted_ids(bits)
-        self._gram_bits.clear()
-
     def catch_up_qgram(self) -> int:
         """Bring the q-gram index up to date; return the number of tuples indexed."""
         caught_up = 0
@@ -417,36 +354,11 @@ class SideState:
         total = len(tuples)
         if self._qgram_synced >= total:
             return 0
-        self._refresh_verification_mode()
         index = self._qgram_index
         gram_bits = self._gram_bits
-        gram_arrays = self._gram_arrays
         gram_counts = self._gram_counts
         counters = self.counters
         intern_value = self.interner.intern_value
-        kernel = self._kernel
-        if kernel is not None:
-            # Columnar kernel: buckets and gram counts update exactly as
-            # below (the candidate stage reads them), but the verify keys
-            # live in the kernel's matrix/CSR buffer instead of
-            # _gram_bits/_gram_arrays.
-            while self._qgram_synced < total:
-                stored = tuples[self._qgram_synced]
-                ordinal = stored.ordinal
-                gram_ids = intern_value(stored.value)
-                counters.qgrams_obtained += len(gram_ids)
-                counters.approx_hash_updates += len(gram_ids)
-                gram_counts.append(len(gram_ids))
-                for gram_id in gram_ids:
-                    bucket = index.get(gram_id)
-                    if bucket is None:
-                        index[gram_id] = bucket = array("i")
-                    bucket.append(ordinal)
-                kernel.append(gram_ids)
-                self._qgram_synced += 1
-                caught_up += 1
-            return caught_up
-        use_arrays = self._array_verification
         while self._qgram_synced < total:
             stored = tuples[self._qgram_synced]
             ordinal = stored.ordinal
@@ -454,22 +366,14 @@ class SideState:
             counters.qgrams_obtained += len(gram_ids)
             counters.approx_hash_updates += len(gram_ids)
             gram_counts.append(len(gram_ids))
-            if use_arrays:
-                for gram_id in gram_ids:
-                    bucket = index.get(gram_id)
-                    if bucket is None:
-                        index[gram_id] = bucket = array("i")
-                    bucket.append(ordinal)
-                gram_arrays[ordinal] = array("i", sorted(gram_ids))
-            else:
-                bits = 0
-                for gram_id in gram_ids:
-                    bits |= 1 << gram_id
-                    bucket = index.get(gram_id)
-                    if bucket is None:
-                        index[gram_id] = bucket = array("i")
-                    bucket.append(ordinal)
-                gram_bits[ordinal] = bits
+            bits = 0
+            for gram_id in gram_ids:
+                bits |= 1 << gram_id
+                bucket = index.get(gram_id)
+                if bucket is None:
+                    index[gram_id] = bucket = array("i")
+                bucket.append(ordinal)
+            gram_bits[ordinal] = bits
             self._qgram_synced += 1
             caught_up += 1
         return caught_up
@@ -491,35 +395,24 @@ class SideState:
             return 0
         return len(self._qgram_index.get(gram_id, ()))
 
-    def _probe_plan(self, value: str) -> Tuple[List[int], object]:
-        """The probe plan for ``value``: ``(ordered gram ids, verify key)``.
+    def _probe_plan(self, value: str) -> Tuple[List[int], int]:
+        """The probe plan for ``value``: ``(ordered gram ids, probe bitset)``.
 
         The ordering is the probe's distinct gram ids sorted by increasing
         bucket length — the reverse-frequency order of Sec. 2.2 — with ties
         broken by first-occurrence position (a stable, deterministic order).
-        The verify key is what the verification loop intersects candidates
-        against: the gram bitset, or the sorted id array under array
-        verification.  Plans are cached per value and reused while the
-        q-gram index has not absorbed new tuples; tokenisation itself is
-        cached in the interner either way, so a stale plan only pays for
-        the re-sort (the verify key never goes stale, but is rebuilt if
-        the verification mode flipped since it was cached).
+        The bitset is what the verification loop ANDs candidates against.
+        Plans are cached per value and reused while the q-gram index has
+        not absorbed new tuples; tokenisation itself is cached in the
+        interner either way, so a stale plan only pays for the re-sort
+        (the bitset never goes stale).
         """
         stamp = self._qgram_synced
-        kernel = self._kernel
-        # The verify-kind tag: a bool for the pure-Python modes, the mode
-        # string for kernel sides (the two never collide, so a plan cached
-        # under one kind is invisible to the other).
-        if kernel is not None:
-            kind: object = self.effective_gram_verification
-        else:
-            kind = self._array_verification
         cached = self._plan_cache.get(value)
-        if cached is not None and cached[0] == stamp and cached[3] == kind:
+        if cached is not None and cached[0] == stamp:
             return cached[1], cached[2]
         gram_ids = self.interner.intern_value(value)
-        index = self._qgram_index
-        get = index.get
+        get = self._qgram_index.get
         # Decorate-sort-undecorate with a (length, position) key: cheaper
         # than a key function calling gram_frequency per element, and the
         # position component reproduces stable-sort tie-breaking.
@@ -528,18 +421,14 @@ class SideState:
             for position, gram_id in enumerate(gram_ids)
         )
         ordered = [entry[2] for entry in decorated]
-        if cached is not None and cached[3] == kind:
-            verify_key = cached[2]
-        elif kernel is not None:
-            verify_key = kernel.probe_key(gram_ids)
-        elif self._array_verification:
-            verify_key = array("i", sorted(gram_ids))
+        if cached is not None:
+            probe_bits = cached[2]
         else:
-            verify_key = GramInterner.bits_of(gram_ids)
+            probe_bits = GramInterner.bits_of(gram_ids)
         if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
             self._plan_cache.clear()
-        self._plan_cache[value] = (stamp, ordered, verify_key, kind)
-        return ordered, verify_key
+        self._plan_cache[value] = (stamp, ordered, probe_bits)
+        return ordered, probe_bits
 
     # -- probing ---------------------------------------------------------------
 
@@ -601,7 +490,7 @@ class SideState:
             # rejected too little on this probe stream to pay for its
             # bounds tests.  Match set is identical either way.
             use_length_filter = False
-        ordered, verify_key = self._probe_plan(value)
+        ordered, probe_bits = self._probe_plan(value)
         gram_count = len(ordered)
         counters.qgrams_obtained += gram_count
         if gram_count == 0:
@@ -615,17 +504,6 @@ class SideState:
             # Ablation: disable the reverse-frequency prefix optimisation and
             # let every probe gram add candidates (larger T(t), same result).
             inserting_prefix = gram_count
-        if self._kernel is not None:
-            return self._probe_qgram_kernel(
-                ordered,
-                verify_key,
-                gram_count,
-                required,
-                inserting_prefix,
-                similarity_threshold,
-                verify_jaccard,
-                use_length_filter,
-            )
         index = self._qgram_index
         gram_bits = self._gram_bits
         scan_work = 0
@@ -686,35 +564,6 @@ class SideState:
         matches: List[Tuple[StoredTuple, float]] = []
         tuples = self.tuples
         gram_counts = self._gram_counts
-        if self._array_verification:
-            # Array verification: the same shared-gram count recovered by
-            # a two-pointer walk over sorted id arrays — O(g + g') per
-            # candidate instead of O(vocabulary / word) for the bitset
-            # AND, the winning trade past BITSET_VOCAB_LIMIT grams.
-            probe_ids = verify_key
-            gram_arrays = self._gram_arrays
-            for ordinal in candidates:
-                stored_ids = gram_arrays.get(ordinal)
-                if stored_ids is not None:
-                    stored_count = gram_counts[ordinal]
-                else:
-                    # Defensive fallback, mirroring the bitset path below.
-                    gram_ids = self.interner.intern_value(tuples[ordinal].value)
-                    counters.qgrams_obtained += len(gram_ids)
-                    stored_count = len(gram_ids)
-                    stored_ids = gram_arrays[ordinal] = array(
-                        "i", sorted(gram_ids)
-                    )
-                shared = sorted_intersection_count(probe_ids, stored_ids)
-                if shared < required:
-                    continue
-                counters.approx_verifications += 1
-                similarity = jaccard_from_shared(shared, gram_count, stored_count)
-                if verify_jaccard and similarity < similarity_threshold:
-                    continue
-                matches.append((tuples[ordinal], similarity))
-            return matches
-        probe_bits = verify_key
         for ordinal in candidates:
             stored_bits = gram_bits.get(ordinal)
             if stored_bits is not None:
@@ -736,68 +585,6 @@ class SideState:
                 continue
             matches.append((tuples[ordinal], similarity))
         return matches
-
-    def _probe_qgram_kernel(
-        self,
-        ordered: List[int],
-        verify_key: object,
-        gram_count: int,
-        required: int,
-        inserting_prefix: int,
-        similarity_threshold: float,
-        verify_jaccard: bool,
-        use_length_filter: bool,
-    ) -> List[Tuple[StoredTuple, float]]:
-        """Columnar twin of the :meth:`probe_qgram` candidate + verify stages.
-
-        Counters, match set, similarities, and emission order are
-        bit-identical to the pure-Python paths (see
-        :mod:`repro.kernels.candidates` for the equivalence contract of
-        each counter).
-        """
-        counters = self.counters
-        index = self._qgram_index
-        buckets = []
-        for gram_id in ordered[:inserting_prefix]:
-            bucket = index.get(gram_id)
-            if bucket is not None:
-                buckets.append(bucket)
-        if use_length_filter:
-            min_grams, max_grams = jaccard_length_bounds(
-                gram_count, similarity_threshold, verify_jaccard, required=required
-            )
-        else:
-            min_grams = max_grams = None
-        candidates, scan_work, rejected = self._kernel.gather_candidates(
-            buckets, self._gram_counts, min_grams, max_grams
-        )
-        if use_length_filter:
-            self._note_filter_outcome(scan_work, rejected)
-        n_candidates = int(candidates.size)
-        for gram_id in ordered[inserting_prefix:]:
-            bucket = index.get(gram_id)
-            bucket_length = len(bucket) if bucket is not None else 0
-            scan_work += (
-                bucket_length if bucket_length <= n_candidates else n_candidates
-            )
-        counters.candidate_scan_work += scan_work
-        counters.candidate_set_size += n_candidates
-        if not n_candidates:
-            return []
-        ordinals, similarities, verified = self._kernel.verify(
-            candidates,
-            verify_key,
-            gram_count,
-            required,
-            similarity_threshold,
-            verify_jaccard,
-        )
-        counters.approx_verifications += verified
-        tuples = self.tuples
-        return [
-            (tuples[ordinal], similarity)
-            for ordinal, similarity in zip(ordinals, similarities)
-        ]
 
     def _note_filter_outcome(self, scanned: int, rejected: int) -> None:
         """Accumulate length-filter profiling; disable it when unproductive.

@@ -174,11 +174,9 @@ class SymmetricJoinEngine:
         match set is unchanged (see
         :meth:`repro.joins.base.SideState.probe_qgram`).
     gram_verification:
-        How probes recover a candidate's shared-gram count: ``"bitset"``,
-        ``"array"`` (sorted gram-id intersections) or ``"auto"``
-        (bitsets until the gram vocabulary exceeds
-        :data:`repro.joins.base.BITSET_VOCAB_LIMIT`).  Matches and
-        counters are identical in every mode.
+        Only ``"bitset"`` is accepted (both sides' ``SideState`` reject
+        anything else): probes always recover shared-gram counts from
+        gram bitsets.
     scan_batch:
         How many records :meth:`step` pulls from an input stream at a time
         into a per-side read-ahead buffer.  Bulk pulls amortise the
@@ -225,7 +223,7 @@ class SymmetricJoinEngine:
         verify_jaccard: bool = False,
         use_prefix_filter: bool = True,
         use_length_filter: bool = True,
-        gram_verification: str = "auto",
+        gram_verification: str = "bitset",
         scan_batch: int = 32,
         eager_indexing: bool = False,
         deduplicate: bool = True,

@@ -40,7 +40,6 @@ value's grams, regardless of machine-level memoisation.
 from __future__ import annotations
 
 import math
-from array import array
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.similarity.qgrams import qgrams
@@ -76,42 +75,6 @@ def jaccard_length_bounds(
         return required, (1 << 62)
     hi = int(math.floor(gram_count / similarity_threshold + 1e-9))
     return required, hi
-
-
-def sorted_intersection_count(left, right) -> int:
-    """``|a ∩ b|`` for two *sorted, duplicate-free* int sequences.
-
-    The two-pointer merge walk behind the array verification path of
-    :meth:`repro.joins.base.SideState.probe_qgram`: cost is
-    ``O(len(left) + len(right))`` — the values' own gram counts — where
-    the bitset AND costs ``O(vocabulary / machine word)``.  Past a few
-    thousand interned grams the arrays win; see PERFORMANCE.md
-    "Known scale limits".
-    """
-    i, j = 0, 0
-    left_len, right_len = len(left), len(right)
-    shared = 0
-    while i < left_len and j < right_len:
-        a, b = left[i], right[j]
-        if a == b:
-            shared += 1
-            i += 1
-            j += 1
-        elif a < b:
-            i += 1
-        else:
-            j += 1
-    return shared
-
-
-def bits_to_sorted_ids(bits: int) -> array:
-    """Decode a gram bitset into its sorted id array (flip-over helper)."""
-    ids = array("i")
-    while bits:
-        low = bits & -bits
-        ids.append(low.bit_length() - 1)
-        bits ^= low
-    return ids
 
 
 class GramInterner:

@@ -44,7 +44,6 @@ class _SymmetricJoinOperator(Operator):
         q: int = 3,
         verify_jaccard: bool = False,
         use_length_filter: bool = True,
-        gram_verification: str = "auto",
         name: str = "",
     ) -> None:
         left_stream = as_stream(left)
@@ -61,7 +60,6 @@ class _SymmetricJoinOperator(Operator):
             right_mode=self._mode,
             verify_jaccard=verify_jaccard,
             use_length_filter=use_length_filter,
-            gram_verification=gram_verification,
         )
         super().__init__(self._engine.output_schema, name=name or type(self).__name__)
         self._pending: Deque[MatchEvent] = deque()

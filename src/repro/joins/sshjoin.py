@@ -46,11 +46,6 @@ class SSHJoin(_SymmetricJoinOperator):
     use_length_filter:
         False disables the Jaccard length filter of the probe pipeline
         (ablation; the match set is unchanged either way).
-    gram_verification:
-        How probes recover shared-gram counts: ``"auto"`` / ``"bitset"`` /
-        ``"array"`` (pure Python) or ``"numpy-bitset"`` / ``"numpy-array"``
-        (columnar kernels, falling back to the pure-Python twin without
-        numpy).  Matches and counters are identical in every mode.
 
     Examples
     --------
@@ -74,7 +69,6 @@ class SSHJoin(_SymmetricJoinOperator):
         q: int = 3,
         verify_jaccard: bool = False,
         use_length_filter: bool = True,
-        gram_verification: str = "auto",
         name: str = "",
     ) -> None:
         super().__init__(
@@ -85,6 +79,5 @@ class SSHJoin(_SymmetricJoinOperator):
             q=q,
             verify_jaccard=verify_jaccard,
             use_length_filter=use_length_filter,
-            gram_verification=gram_verification,
             name=name or "SSHJoin",
         )

@@ -3,10 +3,8 @@
 :class:`AdaptiveJoinProcessor` is the paper-facing entry point for the
 MAR-controlled adaptive join.  It lives in the runtime layer because it
 is, since the PR-2 runtime refactor, a thin façade over
-:class:`~repro.runtime.session.JoinSession` — the historical home
-(``repro.core.adaptive``) survives as a deprecation shim, because a
-``core`` module importing upward into ``repro.runtime`` inverted the
-layer order (the RL002 waiver this relocation retired).  The session
+:class:`~repro.runtime.session.JoinSession`; a ``core`` module importing
+upward into ``repro.runtime`` would invert the layer order.  The session
 builds the engine + control stack from a
 :class:`~repro.runtime.config.RunConfig` and drives it, with
 

@@ -12,28 +12,15 @@ engine + control stack from it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from typing import Any, ClassVar, Dict, Optional
 
 from repro.core.budget import CostBudget
 from repro.core.cost_model import CostModel
 from repro.core.state_machine import JoinState
 from repro.core.thresholds import Thresholds
 from repro.engine.table import Table
-from repro.joins.base import GRAM_VERIFICATION_MODES, JoinSide
-
-
-def _default_gram_verification() -> str:
-    """Default ``gram_verification``: the ``REPRO_GRAM_VERIFICATION`` env var.
-
-    Lets CI (and users) pin every :class:`RunConfig`-driven run to one
-    verification mode without touching call sites; unset means ``"auto"``.
-    Read per instantiation (``default_factory``), so changing the variable
-    between runs takes effect without re-importing.  Invalid values fail
-    in ``__post_init__`` exactly like an explicit argument would.
-    """
-    return os.environ.get("REPRO_GRAM_VERIFICATION", "auto")
+from repro.joins.base import JoinSide
 
 
 def input_size(source: object) -> Optional[int]:
@@ -97,16 +84,9 @@ class RunConfig:
         Approximate-operator knobs, forwarded to the engine (the length
         filter is the PR-1 fast-path ablation toggle).
     gram_verification:
-        How approximate probes recover a candidate's shared-gram count:
-        ``"bitset"`` (gram bitsets + ``bit_count``), ``"array"`` (sorted
-        gram-id array intersections), ``"auto"`` (default: bitsets,
-        switching to arrays once the gram vocabulary outgrows the bitset
-        regime — huge alphabets / q ≥ 4), or the columnar kernels
-        ``"numpy-bitset"`` / ``"numpy-array"`` (batched verification via
-        :mod:`repro.kernels`; each falls back to its pure-Python twin when
-        numpy is absent).  Match sets and counters are identical in every
-        mode; see PERFORMANCE.md.  The default honours the
-        ``REPRO_GRAM_VERIFICATION`` environment variable when set.
+        Class constant ``"bitset"``, not a field: approximate probes always
+        recover shared-gram counts from gram bitsets.  Kept readable for
+        callers that forward it to ``SideState``/``SymmetricJoinEngine``.
     scan_batch:
         Engine read-ahead batch size (bulk stream pulls; ``1`` disables).
     eager_indexing:
@@ -129,7 +109,7 @@ class RunConfig:
     verify_jaccard: bool = False
     use_prefix_filter: bool = True
     use_length_filter: bool = True
-    gram_verification: str = field(default_factory=_default_gram_verification)
+    gram_verification: ClassVar[str] = "bitset"
     scan_batch: int = 32
     eager_indexing: bool = False
     padded_qgrams: bool = True
@@ -145,11 +125,6 @@ class RunConfig:
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ValueError(
                 f"deadline_seconds must be positive, got {self.deadline_seconds}"
-            )
-        if self.gram_verification not in GRAM_VERIFICATION_MODES:
-            raise ValueError(
-                f"gram_verification must be one of {GRAM_VERIFICATION_MODES}, "
-                f"got {self.gram_verification!r}"
             )
         if self.budget_fraction is not None:
             if self.cost_budget is not None:
@@ -243,7 +218,6 @@ class RunConfig:
             "allow_source_identification": self.allow_source_identification,
             "budget_fraction": self.budget_fraction,
             "deadline_seconds": self.deadline_seconds,
-            "gram_verification": self.gram_verification,
             "max_absolute_cost": (
                 self.cost_budget.max_absolute_cost if self.cost_budget else None
             ),

@@ -10,9 +10,8 @@ representation:
   columnar buffers: a contiguous ``payload`` byte string holding every
   cell's value bytes, an ``array('Q')`` offset table (one entry per cell
   plus a terminator) and an ``array('B')`` type-tag table.  Cells are laid
-  out column-major (cell ``col * row_count + row``), mirroring the
-  columnar kernels of :mod:`repro.kernels`.  Decoding row ``r`` walks one
-  offset/tag pair per column and rebuilds the record through
+  out column-major (cell ``col * row_count + row``).  Decoding row ``r``
+  walks one offset/tag pair per column and rebuilds the record through
   :meth:`~repro.engine.tuples.Record.from_trusted` — no per-row dicts, no
   re-validation.
 * :func:`publish_block` — copies a :class:`SideBlock` (plus every shard's

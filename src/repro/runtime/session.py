@@ -186,7 +186,6 @@ class JoinSession:
             verify_jaccard=config.verify_jaccard,
             use_prefix_filter=config.use_prefix_filter,
             use_length_filter=config.use_length_filter,
-            gram_verification=config.gram_verification,
             scan_batch=config.scan_batch,
             eager_indexing=config.eager_indexing,
             deduplicate=config.deduplicate,

@@ -111,17 +111,14 @@ def cosine_qgram_similarity(
 def jaccard_from_shared(shared: int, left_size: int, right_size: int) -> float:
     """Jaccard coefficient from a shared-count and the two set sizes.
 
-    The one formula every verification path — the bitset and sorted-array
-    loops of :meth:`repro.joins.base.SideState.probe_qgram` and the
-    columnar kernels of :mod:`repro.kernels` — uses to turn a shared-gram
-    count into the reported similarity:
-    ``shared / (|A| + |B| − shared)``.  Also accepts numpy arrays for any
-    argument (float64 division is the same IEEE operation as Python's, so
-    vectorised and scalar results are bit-identical).  Two empty sets are
-    defined to have similarity 1.0, matching :func:`jaccard_similarity`.
+    The formula the bitset verification loop of
+    :meth:`repro.joins.base.SideState.probe_qgram` uses to turn a
+    shared-gram count into the reported similarity:
+    ``shared / (|A| + |B| − shared)``.  Two empty sets are defined to have
+    similarity 1.0, matching :func:`jaccard_similarity`.
     """
     union = left_size + right_size - shared
-    if isinstance(union, int) and union == 0:
+    if union == 0:
         return 1.0
     return shared / union
 

@@ -37,7 +37,6 @@ _EXPECT = re.compile(r"#\s*expect:\s*(RL\d{3})")
 BAD_FIXTURES = [
     "rl001_bad.py",
     "rl002_bad.py",
-    "rl003_bad.py",
     "rl004_bad.py",
     "rl005_bad.py",
     "rl005_init_default_bad.py",
@@ -46,7 +45,6 @@ BAD_FIXTURES = [
 GOOD_FIXTURES = [
     "rl001_good.py",
     "rl002_good.py",
-    "rl003_good.py",
     "rl004_good.py",
     "rl005_good.py",
     "rl006_good.py",
@@ -121,13 +119,13 @@ class TestModulePragma:
     def test_pragma_overrides_path_derived_module(self, tmp_path):
         path = tmp_path / "anywhere.py"
         path.write_text(
-            "# repro-lint: module=repro.joins.tmp\nimport numpy\n"
+            "# repro-lint: module=repro.joins.tmp\nimport time\ntime.time()\n"
         )
-        assert [d.code for d in check_file(path)] == ["RL003"]
+        assert [d.code for d in check_file(path)] == ["RL001"]
 
     def test_without_pragma_out_of_tree_file_is_unscoped(self, tmp_path):
         path = tmp_path / "anywhere.py"
-        path.write_text("import numpy\nimport time\ntime.time()\n")
+        path.write_text("import time\ntime.time()\n")
         assert check_file(path) == []
 
 
@@ -204,28 +202,28 @@ class TestWaivers:
 
 class TestOutputFormats:
     def test_text_format_is_path_line_col_code(self):
-        path = FIXTURES / "rl003_bad.py"
+        path = FIXTURES / "rl002_bad.py"
         out, err = io.StringIO(), io.StringIO()
         assert run([str(path)], stdout=out, stderr=err) == 1
         first = out.getvalue().splitlines()[0]
-        assert re.match(r".*rl003_bad\.py:4:1: RL003 ", first)
+        assert re.match(r".*rl002_bad\.py:6:1: RL002 ", first)
 
     def test_github_format_emits_workflow_commands(self):
-        path = FIXTURES / "rl003_bad.py"
+        path = FIXTURES / "rl002_bad.py"
         out, err = io.StringIO(), io.StringIO()
         assert run(
             [str(path)], output_format="github", stdout=out, stderr=err
         ) == 1
         first = out.getvalue().splitlines()[0]
         assert first.startswith("::error file=")
-        assert "line=4" in first
-        assert "RL003" in first
+        assert "line=6" in first
+        assert "RL002" in first
 
     def test_list_rules_names_all_codes(self):
         out = io.StringIO()
         assert run([], list_rules=True, stdout=out) == 0
         listing = out.getvalue()
-        for code in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006"):
+        for code in ("RL001", "RL002", "RL004", "RL005", "RL006"):
             assert code in listing
 
     def test_syntax_error_reports_rl000(self, tmp_path):

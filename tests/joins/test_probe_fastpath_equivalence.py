@@ -12,11 +12,15 @@ pre-refactor implementation kept in
   the filter may only shrink ``T(t)``.
 
 The inputs are randomized but seeded, across θ ∈ {0.6, 0.8, 0.9} and
-q ∈ {2, 3}, with both toggles of the prefix filter and of the strict
-Jaccard verification.
+q ∈ {2, 3, 4}, with both toggles of the prefix filter and of the strict
+Jaccard verification.  The q = 4 input draws long values from a wide
+alphabet, so its gram vocabulary passes 4096 interned grams: the bitset
+width grows with that vocabulary, and this regime must stay bit-identical
+to the seed too.
 """
 
 import random
+import string
 
 import pytest
 
@@ -35,13 +39,24 @@ SCHEMA = Schema(["row_id", "value"], name="rows")
 #: the candidate sets are non-trivial.
 ALPHABET = "ABCDEFGH "
 
+#: Wide alphabet for the large-vocabulary input: almost every q-gram of a
+#: long value is new to the interner.
+WIDE_ALPHABET = string.ascii_letters + string.digits + " "
 
-def make_values(rng: random.Random, count: int):
-    """Random values: a pool of base strings plus single-edit variants."""
-    bases = []
-    for _ in range(max(8, count // 4)):
-        length = rng.randint(0, 28)
-        bases.append("".join(rng.choice(ALPHABET) for _ in range(length)))
+
+def make_values(
+    rng: random.Random, count: int, alphabet=ALPHABET, max_length=28, bases=None
+):
+    """Random values: a pool of base strings plus single-edit variants.
+
+    ``bases`` reuses an existing pool (e.g. the stored values, so that the
+    probes are near-duplicates of them) instead of drawing a fresh one.
+    """
+    if bases is None:
+        bases = []
+        for _ in range(max(8, count // 4)):
+            length = rng.randint(0, max_length)
+            bases.append("".join(rng.choice(alphabet) for _ in range(length)))
     values = []
     for _ in range(count):
         base = rng.choice(bases)
@@ -50,21 +65,19 @@ def make_values(rng: random.Random, count: int):
             values.append(base)
         elif roll < 0.7:  # substitution
             pos = rng.randrange(len(base))
-            values.append(base[:pos] + rng.choice(ALPHABET) + base[pos + 1 :])
+            values.append(base[:pos] + rng.choice(alphabet) + base[pos + 1 :])
         elif roll < 0.85:  # insertion
             pos = rng.randrange(len(base) + 1)
-            values.append(base[:pos] + rng.choice(ALPHABET) + base[pos:])
+            values.append(base[:pos] + rng.choice(alphabet) + base[pos:])
         else:  # deletion
             pos = rng.randrange(len(base))
             values.append(base[:pos] + base[pos + 1 :])
     return values
 
 
-def build_pair(stored_values, q, gram_verification="auto"):
+def build_pair(stored_values, q):
     """A fast-path side and a naive prober loaded with the same values."""
-    side = SideState(
-        JoinSide.LEFT, "value", q=q, gram_verification=gram_verification
-    )
+    side = SideState(JoinSide.LEFT, "value", q=q)
     naive = NaiveQGramProber(q=q)
     for row_id, value in enumerate(stored_values):
         side.add(Record(SCHEMA, {"row_id": row_id, "value": value}))
@@ -78,19 +91,23 @@ def as_pairs(fast_matches):
 
 
 @pytest.mark.parametrize("theta", [0.6, 0.8, 0.9])
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
 class TestFastPathEquivalence:
-    def seeded(self, theta, q):
-        return random.Random(20260726 + q * 1000 + int(theta * 100))
+    def inputs(self, theta, q):
+        """Seeded (stored, probe) values; q = 4 is the wide-vocabulary input."""
+        rng = random.Random(20260726 + q * 1000 + int(theta * 100))
+        if q < 4:
+            return make_values(rng, 150), make_values(rng, 100)
+        stored = make_values(rng, 600, alphabet=WIDE_ALPHABET, max_length=60)
+        return stored, make_values(rng, 100, alphabet=WIDE_ALPHABET, bases=stored)
 
     def test_matches_and_counters_identical_without_length_filter(self, theta, q):
         """Filter off: probe-for-probe identical matches AND counters."""
-        rng = self.seeded(theta, q)
-        stored_values = make_values(rng, 150)
-        probe_values = make_values(rng, 100)
+        stored_values, probe_values = self.inputs(theta, q)
         for verify_jaccard in (False, True):
             for use_prefix_filter in (True, False):
                 side, naive = build_pair(stored_values, q)
+                assert q < 4 or len(side.interner) > 4096
                 for probe in probe_values:
                     fast = side.probe_qgram(
                         probe,
@@ -111,10 +128,9 @@ class TestFastPathEquivalence:
 
     def test_length_filter_preserves_matches_and_shrinks_candidates(self, theta, q):
         """Filter on: identical match lists, never-larger T(t)."""
-        rng = self.seeded(theta, q)
-        stored_values = make_values(rng, 150)
-        probe_values = make_values(rng, 100)
+        stored_values, probe_values = self.inputs(theta, q)
         filtered, naive = build_pair(stored_values, q)
+        assert q < 4 or len(filtered.interner) > 4096
         for probe in probe_values:
             fast = filtered.probe_qgram(probe, theta, use_length_filter=True)
             reference = naive.probe(probe, theta)
@@ -129,33 +145,6 @@ class TestFastPathEquivalence:
             filtered.counters.approx_verifications
             == naive.counters.approx_verifications
         )
-
-
-@pytest.mark.parametrize("mode", ["numpy-bitset", "numpy-array"])
-@pytest.mark.parametrize("theta", [0.6, 0.9])
-@pytest.mark.parametrize("q", [2, 3])
-class TestColumnarKernelEquivalence:
-    """The numpy kernels against the naive seed, counters included."""
-
-    def test_matches_and_counters_identical_without_length_filter(
-        self, mode, theta, q
-    ):
-        rng = random.Random(20260808 + q * 1000 + int(theta * 100))
-        stored_values = make_values(rng, 150)
-        probe_values = make_values(rng, 100)
-        for verify_jaccard in (False, True):
-            side, naive = build_pair(stored_values, q, gram_verification=mode)
-            for probe in probe_values:
-                fast = side.probe_qgram(
-                    probe,
-                    theta,
-                    verify_jaccard=verify_jaccard,
-                    use_length_filter=False,
-                )
-                assert as_pairs(fast) == naive.probe(
-                    probe, theta, verify_jaccard=verify_jaccard
-                )
-            assert side.counters.as_dict() == naive.counters.as_dict()
 
 
 class TestFastPathBuildingBlocks:
@@ -186,6 +175,12 @@ class TestFastPathBuildingBlocks:
     def test_mismatched_interner_rejected(self):
         with pytest.raises(ValueError):
             SideState(JoinSide.LEFT, "value", q=3, interner=GramInterner(q=2))
+
+    def test_gram_verification_accepts_only_bitset(self):
+        SideState(JoinSide.LEFT, "value", gram_verification="bitset")
+        for mode in ("auto", "array", "numpy-bitset"):
+            with pytest.raises(ValueError, match="gram_verification"):
+                SideState(JoinSide.LEFT, "value", gram_verification=mode)
 
     def test_length_bounds_counter_semantics(self):
         lo, hi = jaccard_length_bounds(20, 0.85, verify_jaccard=False)

@@ -46,6 +46,15 @@ class TestConstruction:
         assert payload["theta_sim"] == 0.85
         json.dumps(payload)
 
+    def test_gram_verification_is_a_bitset_constant_not_a_field(self):
+        from dataclasses import fields
+
+        assert RunConfig.gram_verification == RunConfig().gram_verification == "bitset"
+        assert "gram_verification" not in {f.name for f in fields(RunConfig)}
+        assert "gram_verification" not in RunConfig().as_dict()
+        with pytest.raises(TypeError):
+            RunConfig(gram_verification="bitset")
+
 
 class TestValidation:
     def test_rejects_empty_policy(self):

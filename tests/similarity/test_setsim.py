@@ -3,11 +3,14 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.similarity.qgrams import qgram_set
 from repro.similarity.setsim import (
     cosine_qgram_similarity,
     dice_similarity,
+    jaccard_from_shared,
     jaccard_match_threshold,
     jaccard_qgram_similarity,
     jaccard_similarity,
@@ -33,6 +36,28 @@ class TestJaccard:
 
     def test_accepts_any_iterables(self):
         assert jaccard_similarity(["a", "a", "b"], ("b", "a")) == 1.0
+
+
+class TestJaccardFromShared:
+    def test_two_empty_sets_are_identical(self):
+        assert jaccard_from_shared(0, 0, 0) == 1.0
+
+    def test_counts(self):
+        assert jaccard_from_shared(0, 3, 4) == 0.0
+        assert jaccard_from_shared(2, 3, 3) == 0.5
+        assert jaccard_from_shared(5, 5, 5) == 1.0
+
+    @given(
+        st.frozensets(st.integers(0, 30), max_size=20),
+        st.frozensets(st.integers(0, 30), max_size=20),
+    )
+    def test_equals_jaccard_of_the_sets(self, left, right):
+        # The verification loop's formula must reproduce the set definition
+        # bit for bit, including the empty/empty convention.
+        shared = len(left & right)
+        assert jaccard_from_shared(shared, len(left), len(right)) == (
+            jaccard_similarity(left, right)
+        )
 
 
 class TestJaccardOverQgrams:
