@@ -31,7 +31,7 @@ invocation).  Usage::
     PYTHONPATH=src python benchmarks/bench_fault_injection.py          # full
     PYTHONPATH=src python benchmarks/bench_fault_injection.py --smoke  # CI
 
-The full run exercises the thread backend on ~8k tuples; ``--smoke``
+The full run exercises the process backend on ~8k tuples; ``--smoke``
 shrinks the workload to ~2k tuples and finishes in seconds.  Scenario
 determinism comes from the fault plan, not the backend: the same seed
 replays the identical scenario on any backend (``--backend``).
@@ -56,7 +56,7 @@ from repro.runtime.sharding import ShardPlan, ShardedJoinResult
 DEFAULT_TOTAL_TUPLES = 8_000
 SMOKE_TOTAL_TUPLES = 2_000
 DEFAULT_SHARDS = 4
-DEFAULT_BACKEND = "thread"
+DEFAULT_BACKEND = "process"
 DEFAULT_SEED = 20260807
 #: Repeats for the happy-path overhead measurement; the ratio compares
 #: best-of-N (the low-noise estimator — medians drift with machine load

@@ -2,13 +2,12 @@
 """Trajectory benchmark for the sharded execution layer.
 
 Runs the same adaptive (MAR) join at several shard counts (default
-1/2/4/8) on every execution backend (serial / thread / process / async)
-and records, per shard count:
+1/2/4/8) on both execution backends (serial / process) and records, per
+shard count:
 
-* wall-clock seconds per backend, plus the within-run **speedup ratios**
-  ``serial_seconds / thread_seconds`` and ``serial_seconds /
-  process_seconds`` (compare ratios across trajectory entries, not
-  absolute times — machine noise is ±10–15 %);
+* wall-clock seconds per backend, plus the within-run **speedup ratio**
+  ``serial_seconds / process_seconds`` (compare ratios across trajectory
+  entries, not absolute times — machine noise is ±10–15 %);
 * the merged match count and the match *overlap* with the unsharded
   reference run (the recorded ``match_recall_vs_unsharded`` makes any
   loss visible so it can't silently regress);
@@ -99,13 +98,9 @@ RECALL_PROBE_TUPLES = 3_000
 SMOKE_RECALL_PROBE_TUPLES = 1_000
 DEFAULT_SHARD_COUNTS = (1, 2, 4, 8)
 SMOKE_SHARD_COUNTS = (1, 2)
-#: ``async`` is the cooperative single-thread backend: its *_speedup
-#: entry reads as pure coordination overhead vs serial (expect ≈1), the
-#: same way thread reads under the GIL.
-DEFAULT_BACKENDS = ("serial", "thread", "process", "async")
-#: The CI smoke also covers the async backend (cheap: one thread, no
-#: pools), pinning serial/async agreement at 1 and 2 shards.
-SMOKE_BACKENDS = ("serial", "async")
+DEFAULT_BACKENDS = ("serial", "process")
+#: The CI smoke pins serial/process agreement at 1 and 2 shards.
+SMOKE_BACKENDS = ("serial", "process")
 #: Partitioners compared by the recall probe: the exact-semantics default
 #: against the two gram-replicated full-recall partitioners.
 RECALL_PARTITIONERS = ("hash", "gram", "gram-prefix")

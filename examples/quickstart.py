@@ -7,7 +7,7 @@ with each of the four strategies exposed by :func:`repro.link_tables` and
 prints what each strategy found.  It closes with the job-oriented API —
 the fluent :class:`repro.LinkageJob` builder behind ``link_tables`` —
 streaming the same matches one by one (see examples/streaming_jobs.py
-for the full tour: progress, cancellation, the async backend).
+for the full tour: progress, cancellation, the process backend).
 
 Run with::
 

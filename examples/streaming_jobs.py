@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Jobs-layer tour: fluent builder, streaming matches, progress, cancel, async.
+"""Jobs-layer tour: fluent builder, streaming matches, progress, cancel, shards.
 
 The jobs layer (``repro.jobs``) is the public face of the paper's
 *adaptive, time-aware* processing: instead of one blocking call, a
@@ -10,7 +10,8 @@ through all four surfaces on a generated workload:
 1. stream matches as they are found (first match long before the run ends);
 2. watch live progress fed by ``StepResult``/``ShardCompleted`` events;
 3. cancel a running job and keep the partial result;
-4. run the same job sharded on the cooperative ``async`` backend.
+4. run the same job sharded on the ``process`` backend, then stream a
+   sharded job.
 
 Run with::
 
@@ -18,8 +19,6 @@ Run with::
 """
 
 from __future__ import annotations
-
-import asyncio
 
 from repro.core.thresholds import Thresholds
 from repro.datagen.testcases import STANDARD_TEST_CASES, generate_test_case
@@ -90,50 +89,44 @@ def demo_cancel(dataset) -> None:
     )
 
 
-def demo_async_backend(dataset) -> None:
-    """Sharded execution on one asyncio loop, watched from a coroutine."""
+def demo_process_backend(dataset) -> None:
+    """Sharded execution on a worker-process pool, then a sharded stream."""
     handle = (
         LinkageJob.between(dataset.parent, dataset.child)
         .on("location")
         .thresholds(FAST)
-        .sharded(4, backend="async", partitioner="gram")
+        .sharded(4, backend="process", partitioner="gram")
         .with_progress()
         .build()
     )
     result = handle.run()
     snapshot = handle.progress()
     print(
-        f"async backend: {result.pair_count} pairs across "
+        f"process backend: {result.pair_count} pairs across "
         f"{result.statistics['shards']} gram-replicated shards "
         f"({result.statistics['raw_result_size']} raw discoveries, "
         f"{result.statistics['duplicate_matches']} deduped); "
         f"progress saw shards {snapshot.shards_done}/{snapshot.total_shards}"
     )
 
-    async def stream_async():
-        job = (
-            LinkageJob.between(dataset.parent, dataset.child)
-            .on("location")
-            .thresholds(FAST)
-            .sharded(2)
-            .build()
-        )
-        count = 0
-        async for _match in job.stream_matches_async(batch_size=128):
-            count += 1
-        return count
-
-    print(
-        f"async stream: {asyncio.run(stream_async())} matches consumed "
-        f"with `async for` on 2 shards\n"
+    # Streaming a sharded job walks the shards in id order on the calling
+    # thread (the serial merge), so matches still surface incrementally.
+    job = (
+        LinkageJob.between(dataset.parent, dataset.child)
+        .on("location")
+        .thresholds(FAST)
+        .sharded(2)
+        .build()
     )
+    count = sum(1 for _match in job.stream_matches(batch_size=128))
+    print(f"sharded stream: {count} matches consumed on 2 shards\n")
 
 
 def main() -> None:
     dataset = build_dataset()
     demo_streaming(dataset)
     demo_cancel(dataset)
-    demo_async_backend(dataset)
+    demo_process_backend(dataset)
 
 
 if __name__ == "__main__":

@@ -48,9 +48,8 @@ The package is organised in layers, bottom-up:
 ``repro.jobs``
     The job-oriented public API: the fluent ``LinkageJob`` builder
     (compiles to a frozen ``RunConfig``) and the ``JobHandle`` it
-    returns — blocking ``run()``, lazy ``stream_matches()`` (sync and
-    async), live ``progress()`` and mid-run ``cancel()`` with partial
-    results.
+    returns — blocking ``run()``, lazy ``stream_matches()``, live
+    ``progress()`` and mid-run ``cancel()`` with partial results.
 
 ``repro.datagen``
     The synthetic workload generator of Sec. 4.1: municipality-style parent

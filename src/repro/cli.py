@@ -15,8 +15,8 @@ writing Python:
     policy: ``mar``, ``fixed``, ``budget-greedy``, ``deadline``, …),
     ``--budget`` (a relative cost cap), ``--deadline`` (a wall-clock cap)
     and sharded execution via ``--shards`` / ``--backend`` /
-    ``--partitioner`` (``--backend async`` runs all shards cooperatively
-    on one asyncio loop).  Shard failures are governed by
+    ``--partitioner`` (``--backend process`` runs the shards on a
+    worker-process pool).  Shard failures are governed by
     ``--on-failure`` (``fail-fast`` aborts — the default; ``retry``
     re-runs failed shards with ``--retries`` re-attempts; ``degrade``
     drops irrecoverable shards and reports the loss) and
@@ -125,10 +125,8 @@ def _add_sharding_arguments(parser: argparse.ArgumentParser) -> None:
                              "sessions and merge their results (1 = unsharded)")
     parser.add_argument("--backend", choices=available_backends(),
                         default="serial",
-                        help="where shard sessions run: serial (reference), "
-                             "thread, process (multi-core), or async "
-                             "(cooperative asyncio interleaving with live "
-                             "events and prompt cancellation)")
+                        help="where shard sessions run: serial (reference) "
+                             "or process (multi-core)")
     parser.add_argument("--partitioner", choices=available_partitioners(),
                         default="hash",
                         help="record-to-shard assignment; hash co-partitions "
@@ -571,6 +569,8 @@ def _command_serve(args: argparse.Namespace) -> int:
             print(f"restored {len(restored)} job(s) from {args.store}"
                   + (f"; resuming {', '.join(resumed)}" if resumed else ""),
                   file=sys.stderr)
+        for job_id, reason in scheduler.unrestorable.items():
+            print(f"skipped stored job {job_id}: {reason}", file=sys.stderr)
     server = LinkageServer(host=args.host, port=args.port, scheduler=scheduler)
     stop = threading.Event()
 

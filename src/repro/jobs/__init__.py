@@ -7,8 +7,8 @@ the fluent, validating :class:`LinkageJob` builder, compiled into the
 runtime layer's frozen :class:`~repro.runtime.config.RunConfig`, and
 executed through a :class:`JobHandle` that can block
 (:meth:`~repro.jobs.handle.JobHandle.run`), stream matches lazily as
-they are found (:meth:`~repro.jobs.handle.JobHandle.stream_matches`,
-sync or async), report live progress
+they are found (:meth:`~repro.jobs.handle.JobHandle.stream_matches`),
+report live progress
 (:meth:`~repro.jobs.handle.JobHandle.progress`, fed by
 ``StepResult``/``ShardCompleted`` bus events through a
 :class:`~repro.runtime.collectors.ProgressCollector`) and be cancelled
@@ -22,7 +22,7 @@ mid-run with partial results
         .on("location")
         .strategy("adaptive")
         .policy("deadline", seconds=2.0)
-        .sharded(8, backend="async")
+        .sharded(8, partitioner="gram")
         .build()
     )
     for match in handle.stream_matches():

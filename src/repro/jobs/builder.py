@@ -3,8 +3,8 @@
 One job describes one linkage run — inputs, join attribute, strategy and
 every execution knob — and compiles, at :meth:`LinkageJob.build` time,
 into the runtime layer's frozen :class:`~repro.runtime.config.RunConfig`
-plus a :class:`~repro.jobs.handle.JobHandle` that executes it (blocking,
-streaming or async) and can be observed and cancelled mid-run::
+plus a :class:`~repro.jobs.handle.JobHandle` that executes it (blocking
+or streaming) and can be observed and cancelled mid-run::
 
     from repro.jobs import LinkageJob
 
@@ -13,7 +13,7 @@ streaming or async) and can be observed and cancelled mid-run::
         .on("location")
         .strategy("adaptive")
         .policy("deadline", seconds=2.0)
-        .sharded(8, backend="async")
+        .sharded(8, partitioner="gram")
         .with_progress()
         .build()
     )
@@ -265,8 +265,8 @@ class LinkageJob:
     ) -> "LinkageJob":
         """Split the run into ``shards`` partitioned sessions on ``backend``.
 
-        ``backend`` is any registered execution backend (``serial`` /
-        ``thread`` / ``process`` / ``async``), ``partitioner`` any
+        ``backend`` is an execution backend (``serial`` or ``process``),
+        ``partitioner`` any
         registered partitioner (``hash`` / ``round-robin`` / ``range`` /
         ``gram`` / ``gram-prefix``), ``handoff`` the shard-input
         representation (``auto`` — the default — / ``pickle`` /
@@ -281,7 +281,7 @@ class LinkageJob:
             raise ValueError(f"shards must be at least 1, got {shards}")
         if backend is not None and backend not in available_backends():
             raise ValueError(
-                f"unknown execution backend {backend!r}; registered: "
+                f"unknown execution backend {backend!r}; available: "
                 f"{available_backends()}"
             )
         if partitioner is not None and partitioner not in available_partitioners():

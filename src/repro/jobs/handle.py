@@ -1,16 +1,14 @@
 """Job execution: the handle a built :class:`LinkageJob` returns.
 
 A :class:`JobHandle` is one-shot and job-shaped: submit
-(:meth:`~JobHandle.run`, :meth:`~JobHandle.stream_matches` or
-:meth:`~JobHandle.stream_matches_async`), observe
+(:meth:`~JobHandle.run` or :meth:`~JobHandle.stream_matches`), observe
 (:meth:`~JobHandle.progress`), interrupt (:meth:`~JobHandle.cancel`) and
 collect (:meth:`~JobHandle.result`).  The blocking :meth:`run` executes
-on the configured backend (``serial`` / ``thread`` / ``process`` /
-``async``); the streaming surfaces drive the deterministic serial-merge
-path incrementally so matches surface as they are found instead of after
-the run — exactly the interruptible behaviour the adaptive (MAR) loop
-was built for and the old materialise-everything ``link_tables`` call
-hid.
+on the configured backend (``serial`` / ``process``); streaming drives
+the deterministic serial-merge path incrementally so matches surface as
+they are found instead of after the run — exactly the interruptible
+behaviour the adaptive (MAR) loop was built for and the old
+materialise-everything ``link_tables`` call hid.
 
 Matches are streamed as :class:`StreamedMatch` items: the global
 ``(left_index, right_index)`` pair identity (already translated from
@@ -25,12 +23,11 @@ dedicated operators — the code that used to live inline in
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 import warnings
 from dataclasses import dataclass, replace
-from typing import AsyncIterator, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.engine.table import Table
 from repro.engine.tuples import Record
@@ -188,7 +185,7 @@ class JobHandle:
         """Request a mid-run stop (idempotent, callable from any thread).
 
         The run stops at the next quiescent boundary — between engine
-        batches on the serial/async paths and streaming surfaces, between
+        batches on the serial path and the streaming surface, between
         shards everywhere — and :meth:`result` returns the partial
         outcome with ``cancelled=True``.
         """
@@ -629,42 +626,6 @@ class JobHandle:
         if self.spec.shards > 1:
             return self._stream_sharded(batch_size)
         return self._stream_unsharded(batch_size)
-
-    def stream_matches_async(
-        self, batch_size: int = DEFAULT_STREAM_BATCH
-    ) -> AsyncIterator[StreamedMatch]:
-        """:meth:`stream_matches` as an async iterator.
-
-        Yields the event loop between engine batches (``await``-friendly
-        backpressure), so a consumer can interleave the join with other
-        asyncio work — serve requests, tick dashboards, enforce its own
-        deadline and :meth:`cancel` — on one thread.  Same match stream,
-        order and cancellation semantics as the sync surface.
-
-        Validation and the one-shot state transition happen here, at
-        call time (like the sync surface), not at the first ``__anext__``
-        — and the same caveats apply: consume or ``aclose()`` the
-        iterator, and a parallel backend warns (streaming is the serial
-        path).
-        """
-        self._require_adaptive("stream_matches_async()")
-        self._warn_stream_backend("stream_matches_async()")
-        self._start()
-        stream = (
-            self._stream_sharded(batch_size)
-            if self.spec.shards > 1
-            else self._stream_unsharded(batch_size)
-        )
-
-        async def drive() -> AsyncIterator[StreamedMatch]:
-            try:
-                for match in stream:
-                    yield match
-                    await asyncio.sleep(0)
-            finally:
-                stream.close()
-
-        return drive()
 
     def _require_adaptive(self, what: str) -> None:
         if self.spec.strategy != "adaptive":

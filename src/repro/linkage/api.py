@@ -31,10 +31,10 @@ call should use the builder directly, which additionally offers::
 
     handle = (LinkageJob.between(left, right).on("location")
               .policy("deadline", seconds=2.0)
-              .sharded(8, backend="async")
+              .sharded(8, partitioner="gram")
               .with_progress()
               .build())
-    handle.stream_matches()        # lazy match iterator (async variant too)
+    handle.stream_matches()        # lazy match iterator
     handle.progress()              # live steps/matches/shards snapshot
     handle.cancel()                # stop mid-run, keep the partial result
 
@@ -94,7 +94,7 @@ def link_tables(
     adaptive strategy); ``policy`` / ``budget`` / ``deadline`` /
     ``config`` configure the adaptive run; ``shards`` / ``backend`` /
     ``partitioner`` request sharded execution of the adaptive strategy
-    (``backend``: serial / thread / process / async; ``partitioner``:
+    (``backend``: serial / process; ``partitioner``:
     hash preserves exact semantics, gram preserves full approximate
     recall via replication, gram-prefix the same at a lower replication
     factor — see ARCHITECTURE.md "Sharded execution").  ``handoff``

@@ -19,7 +19,7 @@ This package is the composition layer between the switchable join engine
   :class:`ShardPlan` and the mergeable, duplicate-free
   :class:`ShardedJoinResult`;
 * :mod:`repro.runtime.parallel` — :class:`ParallelExecutor` with the
-  ``serial`` / ``thread`` / ``process`` / ``async`` backends and the
+  ``serial`` / ``process`` backends and the
   :class:`AggregatedEventBus` that fans shard events back into one
   observer stream;
 * :mod:`repro.runtime.failures` — the :class:`FailurePolicy` registry
@@ -78,7 +78,6 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
         FailureContext,
         ParallelExecutor,
         available_backends,
-        register_backend,
         run_sharded,
     )
     from repro.runtime.policy import (
@@ -141,7 +140,6 @@ _EXPORTS = {
     "ShardedJoinResult": "repro.runtime.sharding",
     "ParallelExecutor": "repro.runtime.parallel",
     "run_sharded": "repro.runtime.parallel",
-    "register_backend": "repro.runtime.parallel",
     "available_backends": "repro.runtime.parallel",
     "AggregatedEventBus": "repro.runtime.parallel",
     "ShardEvent": "repro.runtime.events",

@@ -16,7 +16,7 @@ Collectors follow one convention: ``attach(bus)`` subscribes and returns
 ``self`` so construction and attachment chain.
 
 :class:`ProgressCollector` is the streaming-observer workhorse: it rides
-``StepBatch`` (per engine batch, in-process backends) and
+``StepBatch`` (per engine batch, the serial backend) and
 ``ShardCompleted`` (per-shard, every backend including ``process``) and
 powers ``JobHandle.progress()`` and the CLI ``--progress`` ticker.
 
@@ -249,7 +249,7 @@ class ProgressCollector:
     :meth:`snapshot` from anywhere, any time:
 
     * step counts come from the :class:`StepBatch` stream (one aggregate
-      per engine batch, live on every in-process backend; batch-level so
+      per engine batch, live on the serial backend; batch-level so
       progress observation never forces the engine off its fast path);
     * per-shard counts come from the :class:`ShardCompleted` lifecycle
       events — the only feed that crosses the process-backend boundary,
@@ -329,7 +329,7 @@ class ProgressCollector:
     def snapshot(self) -> ProgressSnapshot:
         """The current progress reading (cheap; callable at any moment)."""
         return ProgressSnapshot(
-            # In-process backends stream every step; the process backend
+            # The serial backend streams every step; the process backend
             # only reports through completed shards — take the larger
             # reading so both feeds work (they agree at run end).
             steps=max(self._steps, self._shard_steps),

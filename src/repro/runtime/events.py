@@ -97,10 +97,9 @@ class ShardCompleted:
 
     Always published in shard-id order, so subscribers see a
     deterministic lifecycle stream regardless of backend: the serial
-    backend completes shards in that order; the process and async
-    backends stream shard *k*'s event as soon as shards ``0..k`` have
-    all completed (head-of-line, a live progress feed); the thread
-    backend gathers first and publishes after.  The natural feed for
+    backend completes shards in that order; the process backend streams
+    shard *k*'s event as soon as shards ``0..k`` have all completed
+    (head-of-line, a live progress feed).  The natural feed for
     progress observers (:class:`~repro.runtime.collectors.ProgressCollector`).
     """
 

@@ -13,9 +13,9 @@ The shard runner in :mod:`repro.runtime.parallel` consults the plan at
 every attempt boundary and engine-batch boundary and raises
 :class:`InjectedFaultError` (for ``fail``) or spins on the attempt's
 deadline token (for ``hang``) at exactly the described point.  Because
-the plan is data, the same scenario replays identically across the
-serial / thread / process / async backends, in tests, in the bench
-harness and in the CI smoke.
+the plan is data, the same scenario replays identically on the serial
+and process backends, in tests, in the bench harness and in the CI
+smoke.
 
 Nothing here is imported by the happy path unless a plan is supplied:
 a run without faults never consults this module's logic.

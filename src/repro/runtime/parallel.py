@@ -3,20 +3,13 @@
 :class:`ParallelExecutor` drives every shard of a
 :class:`~repro.runtime.sharding.ShardPlan` through its own
 :class:`~repro.runtime.session.JoinSession` and merges the outcomes into a
-:class:`~repro.runtime.sharding.ShardedJoinResult`.  Four backends are
-registered:
+:class:`~repro.runtime.sharding.ShardedJoinResult`.  Two backends exist:
 
 ``"serial"``
     Run shards one after the other in the calling thread.  The reference
     backend: bit-deterministic (same plan + config → byte-identical merged
-    result, every time) and the oracle the others are tested against.
-
-``"thread"``
-    A ``ThreadPoolExecutor``.  Sessions share no mutable state, so threads
-    need no coordination; on CPython the GIL serialises the pure-Python
-    join work, so this backend mostly buys overlap of any C-level work and
-    is kept as the low-overhead stepping stone (and as a scheduler-shuffle
-    stressor for determinism tests).
+    result, every time) and the oracle the process backend is tested
+    against.
 
 ``"process"``
     A ``ProcessPoolExecutor``: real multi-core scaling.  Each worker
@@ -25,39 +18,27 @@ registered:
     must be picklable — enforced up front with a clear error rather than
     a deep traceback out of the pool.
 
-``"async"``
-    Cooperative asyncio on one event loop: every shard session advances
-    in bounded engine batches over its lazy per-shard streams and yields
-    the loop between batches, so all shards interleave on a single
-    thread with no pools, no pickling and live event forwarding.  The
-    natural host for job-style consumers (streaming observers, progress
-    ticks, prompt cancellation — the cancel token is honoured *between
-    engine batches*, not just between shards) and for embedding the run
-    alongside other asyncio work via ``asyncio.to_thread``.
-
-Every backend produces the same merged result for the same plan (the
+Both backends produce the same merged result for the same plan (the
 per-shard sessions are deterministic; backends only change *where* they
 run), which `tests/runtime/test_sharding_equivalence.py` pins.
 
 Observers: pass an :class:`AggregatedEventBus` to keep existing collectors
-working across shards.  For the in-process backends (serial, thread,
-async) every shard event is forwarded onto it live, tagged via
-:class:`ShardEvent`; the process backend cannot stream events across the
-process boundary, so it publishes only the per-shard
-:class:`ShardCompleted` lifecycle events (the merged result still carries
-every trace and counter).
+working across shards.  The serial backend forwards every shard event
+onto it live, tagged via :class:`ShardEvent`; the process backend cannot
+stream events across the process boundary, so it publishes only the
+per-shard :class:`ShardCompleted` lifecycle events (the merged result
+still carries every trace and counter).
 
-Cancellation: every backend accepts a cancel token (anything with an
-``is_set()`` method, typically a :class:`threading.Event`).  Serial,
-thread and process stop scheduling shards once it is set and return the
-shards already completed; the async backend additionally stops *running*
-shards at their next batch boundary (partial shard results, flagged
-``cancelled``).  The merged :class:`ShardedJoinResult` then carries
-``cancelled=True``.
+Cancellation: both backends accept a cancel token (anything with an
+``is_set()`` method, typically a :class:`threading.Event`).  Serial stops
+the running shard at its next engine-batch boundary (a partial shard
+result, flagged ``cancelled``) and skips the rest; process cancels the
+queued shard tasks and collects the in-flight ones.  The merged
+:class:`ShardedJoinResult` then carries ``cancelled=True``.
 
 Failure semantics: what happens when a shard session *raises* is decided
 by a :class:`~repro.runtime.failures.FailurePolicy` (``fail-fast`` |
-``retry`` | ``degrade``), applied uniformly across all four backends by
+``retry`` | ``degrade``), applied uniformly across both backends by
 :class:`FailureContext` — the shard runner that wraps errors into
 :class:`~repro.runtime.errors.ShardExecutionError`, re-runs failed
 shards with deterministic backoff (shard inputs are replayable by
@@ -66,26 +47,19 @@ the cancel-token path, publishes ``ShardFailed`` / ``ShardRetrying``
 lifecycle events, and records dropped shards for honest degraded
 accounting.  Deterministic fault injection
 (:class:`~repro.runtime.faults.FaultPlan`) hooks into the same runner,
-so every failure path is reproducible on every backend.  A run with no
+so every failure path is reproducible on both backends.  A run with no
 faults, no timeout and the default policy takes the exact pre-existing
 code path — the happy path pays nothing.
 """
 
 from __future__ import annotations
 
-import asyncio
 import pickle
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    FIRST_EXCEPTION,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional, Tuple, Type, Union
+from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 
 from repro.engine.streams import InputLike
 from repro.engine.tuples import Record, Schema
@@ -122,23 +96,14 @@ __all__ = [
     "AggregatedEventBus",
     "FailureContext",
     "ParallelExecutor",
-    "ShardCompleted",  # re-exported; defined in repro.runtime.events
-    "ShardEvent",  # re-exported; defined in repro.runtime.events
     "available_backends",
     "estimate_shard_payload_bytes",
-    "register_backend",
     "run_sharded",
 ]
 
-#: Engine steps each async shard advances before yielding the event loop.
-#: Small enough for responsive interleaving/cancellation, large enough to
-#: amortise the coroutine switch (a few hundred probe steps per switch).
-_ASYNC_BATCH = 256
-
-#: Engine steps per batch when a sync backend must supervise an attempt
-#: (per-shard timeout or injected fault): the deadline/fault checks run
-#: at these boundaries.  Deliberately equal to :data:`_ASYNC_BATCH` so
-#: "fail after n batches" means the same thing on every backend.
+#: Engine steps per batch when an attempt is supervised (per-shard
+#: timeout or injected fault): the deadline/fault checks run at these
+#: boundaries, so "fail after n batches" counts batches of this size.
 _SUPERVISED_BATCH = 256
 
 #: How long a cooperatively hung shard sleeps between polls of its
@@ -147,7 +112,7 @@ _SUPERVISED_BATCH = 256
 _HANG_POLL_SECONDS = 0.02
 
 
-#: Event types forwarded live from shard buses by the in-process backends.
+#: Event types forwarded live from shard buses by the serial backend.
 FORWARDED_EVENT_TYPES: Tuple[Type, ...] = (
     StepBatch,
     StepResult,
@@ -171,9 +136,9 @@ class AggregatedEventBus(EventBus):
 
     Subscribe collectors exactly as on a plain bus; then hand the bus to
     :meth:`ParallelExecutor.run`, which attaches one forwarder per shard.
-    ``publish`` takes a lock because thread-backend shards publish
-    concurrently; per-shard buses stay lock-free (each is touched by one
-    worker only).
+    ``publish`` and the forwarders take one lock, so events published
+    from different threads never interleave inside a handler; per-shard
+    buses stay lock-free (each is touched by one session only).
     """
 
     __slots__ = ("_lock",)
@@ -222,43 +187,6 @@ class AggregatedEventBus(EventBus):
             shard_bus.subscribe(event_type, forward)
 
 
-# -- backend registry -------------------------------------------------------------------
-
-_BACKENDS: Dict[str, Callable] = {}
-
-
-def register_backend(name: str):
-    """Function decorator registering an execution backend under ``name``.
-
-    A backend is a callable ``(plan, config, bus, max_workers, cancel,
-    ctx) → List[ShardOutcome]``; it owns worker scheduling and nothing
-    else — partitioning happened before it runs, merging happens after.
-    ``cancel`` is an optional token (``is_set()``-style): once set the
-    backend must stop scheduling new shards and return the outcomes of
-    the shards already completed, leaving no dangling futures behind.
-    ``ctx`` is the run's :class:`FailureContext`; backends route each
-    shard through ``ctx.run_shard`` / ``ctx.drive_shard`` (which applies
-    the failure policy, timeouts and fault injection uniformly) and skip
-    ``None`` outcomes (shards skipped after cancellation or dropped by a
-    degrade policy).
-    """
-    if not name:
-        raise ValueError("backend name must be non-empty")
-
-    def decorate(func):
-        if name in _BACKENDS:
-            raise ValueError(f"backend {name!r} is already registered")
-        _BACKENDS[name] = func
-        return func
-
-    return decorate
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of all registered execution backends, sorted."""
-    return tuple(sorted(_BACKENDS))
-
-
 # -- shard execution --------------------------------------------------------------------
 
 
@@ -304,7 +232,7 @@ def _never_ran(outcome: ShardOutcome) -> bool:
 
     Such shards were *skipped*, not partially run: backends drop them so
     "cancel between shards" returns only shards that did real work (plus,
-    on backends with batch-level cancellation, genuinely partial ones).
+    on the serial backend, a genuinely partial one).
     The rule itself is :attr:`AdaptiveJoinResult.never_ran`.
     """
     return outcome.result.never_ran
@@ -345,22 +273,6 @@ class _AttemptDeadline:
         return False
 
 
-def _drain(gen, sleep: Callable[[float], None]):
-    """Run an attempt generator to completion synchronously.
-
-    The generator yields optional sleep hints (backoff delays, hang
-    polls); the sync drivers honour them with an injectable ``sleep``,
-    the async driver awaits them instead (see ``_drive_shards_async``).
-    """
-    while True:
-        try:
-            hint = next(gen)
-        except StopIteration as stop:
-            return stop.value
-        if hint:
-            sleep(hint)
-
-
 def _run_attempt(
     left,
     right,
@@ -373,16 +285,16 @@ def _run_attempt(
     timeout_seconds: Optional[float],
     fault: Optional[FaultSpec],
     clock: Callable[[], float],
-    batch_cap: Optional[int],
-) -> "Generator":
+    sleep: Callable[[float], None],
+) -> AdaptiveJoinResult:
     """Drive one supervised shard attempt; the single implementation
-    behind every backend (and the process-pool worker).
+    behind both backends (the serial runner and the process-pool worker).
 
-    A generator that yields ``Optional[float]`` sleep hints between
-    engine batches — ``None`` for "just yield control" (async
-    interleaving), a positive number for "wait this long" (hang polls).
-    Returns the attempt's :class:`AdaptiveJoinResult` (possibly a
-    cancelled partial, when the *caller's* token tripped) or raises:
+    Runs the session in :data:`_SUPERVISED_BATCH`-step engine batches,
+    checking the deadline and any injected fault at every boundary; a
+    cooperative hang polls its token through ``sleep``.  Returns the
+    attempt's :class:`AdaptiveJoinResult` (possibly a cancelled partial,
+    when the *caller's* token tripped) or raises:
 
     * :class:`ShardTimeoutError` when the attempt's deadline trips,
     * :class:`ShardExecutionError` wrapping anything the session (or an
@@ -395,14 +307,15 @@ def _run_attempt(
     batches = 0
     try:
         session = JoinSession(left, right, attribute, config, bus=shard_bus)
-        cap = batch_cap or _SUPERVISED_BATCH
         hang_now = fault is not None and fault.kind == "hang" and fault.after_batches == 0
         if fault is not None and fault.kind == "fail" and fault.after_batches == 0:
             raise InjectedFaultError(
                 f"injected shard failure: shard {shard_id} attempt {attempt}"
             )
         if not hang_now:
-            for _ in session.run_batches(max_batch=cap, cancel=token):
+            for _ in session.run_batches(
+                max_batch=_SUPERVISED_BATCH, cancel=token
+            ):
                 batches += 1
                 if fault is not None and batches >= fault.after_batches:
                     if fault.kind == "fail":
@@ -412,14 +325,13 @@ def _run_attempt(
                         )
                     hang_now = True
                     break
-                yield None
         if hang_now:
             # A cooperative hang: the shard makes no progress but polls
             # its token, so a per-shard timeout (or the caller's cancel)
             # releases it.  With neither, it hangs for real — which is
             # exactly the failure mode being simulated.
             while token is None or not token.is_set():
-                yield _HANG_POLL_SECONDS
+                sleep(_HANG_POLL_SECONDS)
             if isinstance(token, _AttemptDeadline) and token.timed_out:
                 raise ShardTimeoutError(
                     shard_id,
@@ -454,12 +366,12 @@ class FailureContext:
     """Applies one run's failure policy + fault plan to every shard.
 
     Constructed per :meth:`ParallelExecutor.run` and handed to the
-    backend, which routes each shard through :meth:`run_shard` (sync
-    backends) or :meth:`drive_shard` (the async driver; also used by the
-    process backend's coordinator for retry bookkeeping).  The context
-    owns the attempt loop — retry with deterministic backoff, degrade
-    bookkeeping, lifecycle events — so all four backends share one
-    implementation of the failure semantics.
+    backend.  The serial backend runs each shard through
+    :meth:`run_shard`, the attempt loop itself; the process backend's
+    coordinator resubmits attempts to its pool and uses the same policy
+    bookkeeping (:meth:`handle_failure`, :meth:`note_retry`,
+    :meth:`record_failure`), so both backends share one implementation
+    of the failure semantics.
 
     ``clock`` and ``sleep`` are injectable, so retry backoff and timeout
     behaviour are deterministic under test.  Thread-safe: the failure
@@ -486,31 +398,16 @@ class FailureContext:
         self._failures: Dict[int, ShardFailure] = {}
         self._lock = threading.Lock()
 
-    @classmethod
-    def default(
-        cls,
-        plan: ShardPlan,
-        config: RunConfig,
-        bus: Optional["AggregatedEventBus"],
-    ) -> "FailureContext":
-        """The fail-fast, no-faults context (backends called directly)."""
-        return cls(plan, config, bus, create_failure_policy(None))
+    def run_shard(
+        self, shard_id: int, cancel: Optional[object] = None
+    ) -> Optional[ShardOutcome]:
+        """Run one shard to a final outcome under the policy.
 
-    # -- the attempt loop ----------------------------------------------
-
-    def drive_shard(
-        self,
-        shard_id: int,
-        cancel: Optional[object] = None,
-        batch_cap: Optional[int] = None,
-    ):
-        """Generator running one shard to a final outcome under the policy.
-
-        Yields ``Optional[float]`` sleep hints (batch boundaries, retry
-        backoff, hang polls); returns the shard's :class:`ShardOutcome`,
-        or ``None`` when the shard was skipped after cancellation or
-        dropped by a degrade policy.  Raises :class:`ShardExecutionError`
-        only when the policy says the failure is fatal.
+        Returns the shard's :class:`ShardOutcome`, or ``None`` when the
+        shard was skipped after cancellation or dropped by a degrade
+        policy.  Retry backoff goes through the injected ``sleep``.
+        Raises :class:`ShardExecutionError` only when the policy says
+        the failure is fatal.
         """
         attempt = 1
         while True:
@@ -520,7 +417,7 @@ class FailureContext:
             timeout = self.policy.shard_timeout_seconds
             started = self.clock()
             try:
-                if fault is None and timeout is None and batch_cap is None:
+                if fault is None and timeout is None:
                     # Unsupervised: byte-for-byte the pre-fault-tolerance
                     # path (and the seam tests monkeypatch).
                     outcome = _run_shard_inline(
@@ -532,7 +429,7 @@ class FailureContext:
                     if self.bus is not None:
                         shard_bus = EventBus()
                         self.bus.forward_from(shard_id, shard_bus)
-                    result = yield from _run_attempt(
+                    result = _run_attempt(
                         left,
                         right,
                         self.plan.attribute,
@@ -544,7 +441,7 @@ class FailureContext:
                         timeout,
                         fault,
                         self.clock,
-                        batch_cap,
+                        self.sleep,
                     )
                     outcome = ShardOutcome(
                         shard_id=shard_id,
@@ -566,19 +463,13 @@ class FailureContext:
                 if action == "retry":
                     delay = self.note_retry(shard_id, attempt)
                     if delay > 0:
-                        yield delay
+                        self.sleep(delay)
                     attempt += 1
                     continue
                 if action == "drop":
                     self.record_failure(shard_id, attempt, wrapped)
                     return None
                 raise wrapped from wrapped.__cause__
-
-    def run_shard(
-        self, shard_id: int, cancel: Optional[object] = None
-    ) -> Optional[ShardOutcome]:
-        """Synchronous :meth:`drive_shard` (serial and thread backends)."""
-        return _drain(self.drive_shard(shard_id, cancel), self.sleep)
 
     # -- policy bookkeeping (shared with the process coordinator) --------
 
@@ -680,9 +571,9 @@ def _run_shard_task(task: _ShardTask) -> Tuple[int, AdaptiveJoinResult, float]:
     """Process-pool worker: run one shard *attempt* from its pickled task.
 
     Timeouts and injected faults are enforced here, in-worker, through
-    the same :func:`_run_attempt` runner the in-process backends use —
-    real wall clock, since an injectable clock cannot cross the process
-    boundary.  Failures come back as picklable
+    the same :func:`_run_attempt` runner the serial backend uses — real
+    wall clock and ``time.sleep``, since injectables cannot cross the
+    process boundary.  Failures come back as picklable
     :class:`ShardExecutionError`\\ s; the coordinator applies the policy
     (retry = resubmit, degrade = record, fail-fast = raise).
     """
@@ -703,21 +594,18 @@ def _run_shard_task(task: _ShardTask) -> Tuple[int, AdaptiveJoinResult, float]:
                 task.shard_id, task.attempt, 0, f"{type(error).__name__}: {error}"
             ) from error
     else:
-        result = _drain(
-            _run_attempt(
-                left,
-                right,
-                task.attribute,
-                task.config,
-                task.shard_id,
-                task.attempt,
-                None,
-                None,
-                task.timeout_seconds,
-                fault,
-                time.perf_counter,
-                None,
-            ),
+        result = _run_attempt(
+            left,
+            right,
+            task.attribute,
+            task.config,
+            task.shard_id,
+            task.attempt,
+            None,
+            None,
+            task.timeout_seconds,
+            fault,
+            time.perf_counter,
             time.sleep,
         )
     return task.shard_id, result, time.perf_counter() - started
@@ -797,21 +685,18 @@ def _run_block_shard_task(
                         f"{type(error).__name__}: {error}",
                     ) from error
             else:
-                result = _drain(
-                    _run_attempt(
-                        left,
-                        right,
-                        task.attribute,
-                        task.config,
-                        task.shard_id,
-                        task.attempt,
-                        None,
-                        None,
-                        task.timeout_seconds,
-                        fault,
-                        time.perf_counter,
-                        None,
-                    ),
+                result = _run_attempt(
+                    left,
+                    right,
+                    task.attribute,
+                    task.config,
+                    task.shard_id,
+                    task.attempt,
+                    None,
+                    None,
+                    task.timeout_seconds,
+                    fault,
+                    time.perf_counter,
                     time.sleep,
                 )
         finally:
@@ -832,62 +717,16 @@ def _ensure_picklable(obj: object, what: str) -> None:
         ) from error
 
 
-def _raise_first_failure(futures_to_shards: Dict, done, pending) -> None:
-    """Cancel outstanding shard work and re-raise the winning shard error.
-
-    ``wait(..., FIRST_EXCEPTION)`` returns as soon as any shard fails;
-    without this cleanup the naive "collect every result" loop would
-    block on still-running futures (and keep scheduling queued ones)
-    before surfacing the error.  The pin is *lowest failed shard id
-    wins*, deterministically: queued shards are cancelled, but an
-    in-flight shard with a lower id than the best failure observed so
-    far may be about to fail too and take the pin — those (and only
-    those; higher-id stragglers are never waited on) are awaited before
-    raising.  No-op when nothing failed.
-    """
-    failures = sorted(
-        (
-            (futures_to_shards[future], future.exception())
-            for future in done
-            if future.exception() is not None
-        ),
-        key=lambda item: item[0],
-    )
-    if not failures:
-        return
-    best_id, best_error = failures[0]
-    still_running = [future for future in pending if not future.cancel()]
-    lower = {
-        future
-        for future in still_running
-        if futures_to_shards[future] < best_id
-    }
-    while lower:
-        finished, _ = wait(lower, return_when=FIRST_COMPLETED)
-        for future in finished:
-            error = future.exception()
-            shard_id = futures_to_shards[future]
-            if error is not None and shard_id < best_id:
-                best_id, best_error = shard_id, error
-        lower = {
-            future
-            for future in lower - finished
-            if futures_to_shards[future] < best_id
-        }
-    raise best_error
-
-
 # -- the backends -----------------------------------------------------------------------
 
 
-@register_backend("serial")
 def _serial_backend(
     plan: ShardPlan,
     config: RunConfig,
     bus: Optional[AggregatedEventBus],
     max_workers: Optional[int],
-    cancel: Optional[object] = None,
-    ctx: Optional[FailureContext] = None,
+    cancel: Optional[object],
+    ctx: FailureContext,
 ) -> List[ShardOutcome]:
     """Shards run one after the other, in shard-id order (the oracle).
 
@@ -895,7 +734,6 @@ def _serial_backend(
     boundary (partial outcome kept) and skips every shard that has not
     started; completed shards are returned as-is.
     """
-    ctx = ctx or FailureContext.default(plan, config, bus)
     outcomes = []
     for shard_id in range(plan.shard_count):
         if _cancelled(cancel):
@@ -916,70 +754,13 @@ def _serial_backend(
     return outcomes
 
 
-@register_backend("thread")
-def _thread_backend(
-    plan: ShardPlan,
-    config: RunConfig,
-    bus: Optional[AggregatedEventBus],
-    max_workers: Optional[int],
-    cancel: Optional[object] = None,
-    ctx: Optional[FailureContext] = None,
-) -> List[ShardOutcome]:
-    """One thread per shard (capped at ``max_workers``).
-
-    A shard failure cancels every not-yet-started shard and re-raises
-    the lowest-shard-id fatal error — in-flight threads cannot be
-    interrupted; only those on *lower* shard ids than the best failure
-    (they could take the pin) are awaited, higher-id stragglers finish
-    in the background and the caller is never blocked on them.
-
-    A set cancel token drains quickly instead: in-flight sessions stop
-    at their next engine-batch boundary (the token is threaded into
-    every session loop), queued shards observe it before their first
-    step and are dropped, and the backend returns the shards that did
-    real work — every future completed, none dangling.
-    """
-    ctx = ctx or FailureContext.default(plan, config, bus)
-    workers = min(max_workers or plan.shard_count, plan.shard_count)
-    outcomes: List[ShardOutcome] = []
-    pool = ThreadPoolExecutor(max_workers=workers)
-    failed = True
-    try:
-        futures = {
-            pool.submit(ctx.run_shard, shard_id, cancel): shard_id
-            for shard_id in range(plan.shard_count)
-        }
-        done, pending = wait(futures, return_when=FIRST_EXCEPTION)
-        _raise_first_failure(futures, done, pending)
-        failed = False
-        for future in futures:
-            outcome = future.result()
-            if outcome is None:
-                # Skipped after cancellation or dropped by the degrade
-                # policy — either way, not a real shard run.
-                continue
-            if bus is not None:
-                bus.publish(
-                    ShardCompleted(
-                        outcome.shard_id, outcome.result, outcome.wall_seconds
-                    )
-                )
-            outcomes.append(outcome)
-    finally:
-        # Success: everything is done, the shutdown is instant.  Failure:
-        # don't wait for stragglers, drop whatever is still queued.
-        pool.shutdown(wait=not failed, cancel_futures=True)
-    return outcomes
-
-
-@register_backend("process")
 def _process_backend(
     plan: ShardPlan,
     config: RunConfig,
     bus: Optional[AggregatedEventBus],
     max_workers: Optional[int],
-    cancel: Optional[object] = None,
-    ctx: Optional[FailureContext] = None,
+    cancel: Optional[object],
+    ctx: FailureContext,
 ) -> List[ShardOutcome]:
     """One worker process per shard (capped at ``max_workers``).
 
@@ -993,8 +774,8 @@ def _process_backend(
     (checked up front).  Shard events are not streamed back — only
     :class:`ShardCompleted` is published per shard, after the fact.  A
     shard failure cancels every still-queued shard task and re-raises
-    the lowest-shard-id fatal error, exactly like the thread backend
-    (in-flight workers on lower shard ids are awaited for the pin).
+    the lowest-shard-id fatal error (in-flight workers on lower shard
+    ids are awaited for the pin).
 
     Failure policies are applied by the coordinator: a worker runs *one*
     attempt (enforcing the per-attempt timeout and any injected faults
@@ -1006,7 +787,6 @@ def _process_backend(
     boundary, so it is checked between shard completions — queued shard
     tasks are cancelled, in-flight workers run their shard to the end.
     """
-    ctx = ctx or FailureContext.default(plan, config, bus)
     _ensure_picklable(config, "the run configuration (RunConfig)")
 
     # Zero-copy handoff: publish both side blocks into shared memory once
@@ -1219,126 +999,23 @@ def _process_backend(
     ]
 
 
-async def _drive_shards_async(
-    plan: ShardPlan,
-    config: RunConfig,
-    bus: Optional[AggregatedEventBus],
-    max_workers: Optional[int],
-    cancel: Optional[object],
-    ctx: FailureContext,
-) -> List[ShardOutcome]:
-    """Interleave every shard session cooperatively on the running loop.
-
-    Each shard task advances its session :data:`_ASYNC_BATCH` engine
-    steps at a time and awaits between batches, handing the loop to the
-    other shards (and to any consumer coroutines sharing it).  Scheduling
-    is deterministic — one thread, round-robin task order — so the merged
-    result is bit-identical to the serial backend's.  ``ShardCompleted``
-    events stream head-of-line in shard-id order, like the process
-    backend: shard *k* is announced as soon as shards ``0..k`` are done.
-
-    Failure handling drives :meth:`FailureContext.drive_shard`, whose
-    sleep hints (retry backoff, hang polls) become ``await
-    asyncio.sleep(...)`` — a retrying or hung-but-supervised shard never
-    blocks the loop, so the other shards keep interleaving through it.
-    """
-    workers = min(max_workers or plan.shard_count, plan.shard_count)
-    semaphore = asyncio.Semaphore(workers)
-    #: shard id → outcome, or None for a shard skipped after cancellation
-    #: (or dropped by a degrade policy).
-    finished: Dict[int, Optional[ShardOutcome]] = {}
-    next_publish = 0
-
-    def publish_ready() -> None:
-        nonlocal next_publish
-        while next_publish in finished:
-            outcome = finished[next_publish]
-            if bus is not None and outcome is not None:
-                bus.publish(
-                    ShardCompleted(
-                        outcome.shard_id, outcome.result, outcome.wall_seconds
-                    )
-                )
-            next_publish += 1
-
-    async def run_shard(shard_id: int) -> None:
-        async with semaphore:
-            if _cancelled(cancel):
-                finished[shard_id] = None  # skipped: cancel between shards
-                publish_ready()
-                return
-            gen = ctx.drive_shard(shard_id, cancel, batch_cap=_ASYNC_BATCH)
-            while True:
-                try:
-                    hint = next(gen)
-                except StopIteration as stop:
-                    outcome = stop.value
-                    break
-                # hand the loop to the other shards (and honour any
-                # backoff / hang-poll delay without blocking it)
-                await asyncio.sleep(hint if hint else 0)
-            finished[shard_id] = outcome
-            publish_ready()
-
-    tasks = [
-        asyncio.ensure_future(run_shard(shard_id))
-        for shard_id in range(plan.shard_count)
-    ]
-    try:
-        await asyncio.gather(*tasks)
-    except BaseException:
-        # First failure wins (deterministic: one thread, ordered tasks);
-        # nothing may keep running behind the caller's back.
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        raise
-    return [
-        outcome
-        for shard_id, outcome in sorted(finished.items())
-        if outcome is not None
-    ]
+#: The execution backends by name.  A backend is a callable ``(plan,
+#: config, bus, max_workers, cancel, ctx) → List[ShardOutcome]``; it owns
+#: worker scheduling and nothing else — partitioning happened before it
+#: runs, merging happens after.  ``cancel`` is an optional ``is_set()``
+#: token: once set, the backend stops scheduling new shards and returns
+#: the outcomes of the shards already completed.  ``ctx`` is the run's
+#: :class:`FailureContext`, which applies the failure policy, timeouts and
+#: fault injection uniformly.
+_BACKENDS: Dict[str, Callable] = {
+    "serial": _serial_backend,
+    "process": _process_backend,
+}
 
 
-@register_backend("async")
-def _async_backend(
-    plan: ShardPlan,
-    config: RunConfig,
-    bus: Optional[AggregatedEventBus],
-    max_workers: Optional[int],
-    cancel: Optional[object] = None,
-    ctx: Optional[FailureContext] = None,
-) -> List[ShardOutcome]:
-    """All shards interleave cooperatively on one asyncio event loop.
-
-    The fourth backend: single-threaded like ``serial`` (and therefore
-    producing the identical merged result), but *concurrent* — every
-    shard session advances in bounded batches over its lazy per-shard
-    streams and yields the loop between batches, so long shards overlap
-    short ones, live observers tick throughout the run, and a cancel
-    token takes effect at the next batch boundary of every running shard
-    (partial results), not just between shards.  No thread pool, no
-    pickling requirement.
-
-    The backend owns its event loop (``asyncio.run``); to embed it in an
-    already-running loop, dispatch the whole ``run_sharded`` call via
-    ``asyncio.to_thread`` — or drive sessions directly with
-    :meth:`~repro.runtime.session.JoinSession.run_batches`.
-    """
-    try:
-        asyncio.get_running_loop()
-    except RuntimeError:
-        pass
-    else:
-        raise RuntimeError(
-            "the async backend owns its event loop and cannot be started "
-            "from inside a running one; dispatch run_sharded via "
-            "asyncio.to_thread(...) instead"
-        )
-    ctx = ctx or FailureContext.default(plan, config, bus)
-    return asyncio.run(
-        _drive_shards_async(plan, config, bus, max_workers, cancel, ctx)
-    )
+def available_backends() -> Tuple[str, ...]:
+    """Names of the execution backends, sorted."""
+    return tuple(sorted(_BACKENDS))
 
 
 # -- the executor -----------------------------------------------------------------------
@@ -1350,7 +1027,8 @@ class ParallelExecutor:
     Parameters
     ----------
     backend:
-        A registered backend name (see :func:`available_backends`).
+        ``"serial"`` (the default) or ``"process"`` (see
+        :func:`available_backends`).
     max_workers:
         Optional cap on concurrent workers (defaults to the shard count;
         ignored by the serial backend).
@@ -1380,7 +1058,7 @@ class ParallelExecutor:
     ):
         if backend not in _BACKENDS:
             raise ValueError(
-                f"unknown execution backend {backend!r}; registered: "
+                f"unknown execution backend {backend!r}; available: "
                 f"{available_backends()}"
             )
         self.backend = backend

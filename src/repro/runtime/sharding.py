@@ -4,7 +4,7 @@ A :class:`~repro.runtime.session.JoinSession` was built to be the unit of
 parallelism — it owns its engine, bus, policy and trace and shares no
 mutable state with other sessions.  This module supplies the *partition*
 and *merge* halves of the partition → execute → merge pipeline on top of
-that unit (the *execute* half — the serial/thread/process backends — lives
+that unit (the *execute* half — the serial/process backends — lives
 in :mod:`repro.runtime.parallel`):
 
 * :class:`Partitioner` — a deterministic record → shard assignment
@@ -749,7 +749,7 @@ class ShardPlan:
         ``multiprocessing.shared_memory``; the plan's :attr:`handoff`
         records what was actually resolved, so callers that *require*
         zero-copy can check it.  The representation never changes
-        results: all four backends produce bit-identical matches,
+        results: both backends produce bit-identical matches,
         emission order and counters under either handoff.
         """
         if shard_count < 1:
@@ -856,9 +856,10 @@ class ShardPlan:
 
         Record-backed shards replay a :class:`ListStream`; block-backed
         shards replay a :class:`~repro.engine.streams.RowSliceStream`
-        over the plan's side blocks — this is how the serial, thread and
-        async backends (and the coordinator-side inline paths) read the
-        zero-copy representation without any shipping at all.
+        over the plan's side blocks — this is how in-process readers
+        (supervised serial attempts, sharded streaming, the scheduler's
+        shard driver) read the zero-copy representation without any
+        shipping at all.
         """
         return (
             self.left_shards[shard_id].stream(),

@@ -72,7 +72,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.jobs.builder import JobSpec
 from repro.jobs.handle import DEFAULT_STREAM_BATCH, JobHandle, StreamedMatch
-from repro.jobs.serialization import build_job, normalize_payload
+from repro.jobs.serialization import PayloadError, build_job, normalize_payload
 from repro.runtime.collectors import ProgressSnapshot
 from repro.runtime.events import EventBus, ShardCompleted
 from repro.runtime.sharding import FirstShardWins, ShardOutcome, ShardPlan
@@ -198,6 +198,10 @@ class JobScheduler:
         self._jobs: Dict[str, _Job] = {}
         self._order: List[str] = []
         self._next_seq = 1
+        #: Jobs :meth:`restore` skipped because their stored payload no
+        #: longer builds (e.g. it names a backend that has been removed):
+        #: job id → the build error.  They are neither listed nor re-run.
+        self.unrestorable: Dict[str, str] = {}
         self._stopping = False
         self._started = False
         self._workers: List[threading.Thread] = []
@@ -339,19 +343,29 @@ class JobScheduler:
         mid-run: adaptive ones are restored as cancelled-partial runs and
         re-enqueued as resume units (only the missing shards re-run);
         baseline ones re-run whole (their operators keep no partial
-        state).  Job numbering continues after the highest restored id,
-        so restored and new ids never collide.
+        state).  A job whose stored payload no longer builds is skipped
+        and recorded in :attr:`unrestorable`; every other job still
+        restores.  Job numbering continues after the highest stored id,
+        so restored, skipped and new ids never collide.
         """
         resumed: List[str] = []
         for stored in self.store.load():
-            handle = build_job(stored.payload)
+            try:
+                seq = int(stored.job_id.rsplit("-", 1)[1])
+            except (IndexError, ValueError):
+                seq = None
+            try:
+                handle = build_job(stored.payload)
+            except PayloadError as error:
+                with self._cond:
+                    self.unrestorable[stored.job_id] = str(error)
+                    if seq is not None:
+                        self._next_seq = max(self._next_seq, seq + 1)
+                continue
             spec = handle.spec
             with self._cond:
-                try:
-                    seq = int(stored.job_id.rsplit("-", 1)[1])
-                except (IndexError, ValueError):
-                    seq = self._next_seq
-                self._next_seq = max(self._next_seq, seq)
+                if seq is not None:
+                    self._next_seq = max(self._next_seq, seq)
                 job = self._admit(stored.job_id, handle, dict(stored.payload))
                 job.pending.clear()
                 job.persisted = set(stored.outcomes)

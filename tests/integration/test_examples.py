@@ -47,8 +47,8 @@ class TestExamples:
         assert "first match" in output
         assert "cancelled after" in output
         assert "cancelled=True" in output
-        assert "async backend" in output
-        assert "async for" in output
+        assert "process backend" in output
+        assert "sharded stream" in output
 
     def test_accidents_mashup_reduced_scale(self):
         output = run_example("accidents_mashup.py", "400", "250")

@@ -37,8 +37,9 @@ class TestFluentValidation:
         self, atlas_table, accidents_table
     ):
         job = LinkageJob.between(atlas_table, accidents_table)
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            job.sharded(2, backend="gpu")
+        for backend in ("gpu", "thread", "async"):
+            with pytest.raises(ValueError, match="unknown execution backend"):
+                job.sharded(2, backend=backend)
         with pytest.raises(ValueError, match="unknown partitioner"):
             job.sharded(2, partitioner="psychic")
 

@@ -1,7 +1,5 @@
 """Tests for JobHandle: streaming, cancellation, progress and lifecycle."""
 
-import asyncio
-
 import pytest
 
 from repro.core.thresholds import Thresholds
@@ -136,37 +134,19 @@ class TestStreaming:
         with pytest.raises(ValueError, match="adaptive"):
             handle.stream_matches()
 
-    def test_async_stream_equals_the_sync_stream(self, small_dataset):
-        sync_pairs = [
-            match.pair for match in _job(small_dataset).build().stream_matches()
-        ]
-
-        async def consume():
-            handle = _job(small_dataset).sharded(2, backend="async").build()
-            # Streaming always takes the serial-merge path; configuring a
-            # parallel backend alongside it warns rather than silently
-            # dropping the parallelism.
-            with pytest.warns(UserWarning, match="serial-merge"):
-                stream = handle.stream_matches_async(batch_size=64)
-            return [match.pair async for match in stream], handle
-
-        pairs, handle = asyncio.run(consume())
+    def test_parallel_backend_stream_warns_and_equals_the_serial_merge(
+        self, small_dataset
+    ):
+        handle = _job(small_dataset).sharded(2, backend="process").build()
+        # Streaming always takes the serial-merge path; configuring a
+        # parallel backend alongside it warns rather than silently
+        # dropping the parallelism.
+        with pytest.warns(UserWarning, match="serial-merge"):
+            stream = handle.stream_matches(batch_size=64)
+        pairs = [match.pair for match in stream]
         assert handle.state == "finished"
-        # Sharded hash streaming can lose cross-shard approximate pairs;
-        # compare against its own blocking run instead of unsharded.
         reference = _job(small_dataset).sharded(2).build().run()
         assert pairs == reference.pairs
-        assert set(pairs) <= set(sync_pairs) or len(pairs) <= len(sync_pairs)
-
-    def test_async_unsharded_stream_matches_unsharded_run(self, small_dataset):
-        async def consume():
-            handle = _job(small_dataset).build()
-            collected = []
-            async for match in handle.stream_matches_async(batch_size=64):
-                collected.append(match.pair)
-            return collected
-
-        assert asyncio.run(consume()) == _job(small_dataset).build().run().pairs
 
 
 class TestCancellation:
@@ -252,22 +232,6 @@ class TestCancellation:
         full = _job(small_dataset).sharded(4).build().run()
         assert result.pair_count < full.pair_count
 
-    def test_async_stream_cancel(self, small_dataset):
-        async def consume():
-            handle = _job(small_dataset).build()
-            collected = []
-            async for match in handle.stream_matches_async(batch_size=16):
-                collected.append(match)
-                if len(collected) == 2:
-                    handle.cancel()
-            return handle, collected
-
-        handle, collected = asyncio.run(consume())
-        assert handle.state == "cancelled"
-        assert handle.result().cancelled is True
-        assert handle.result().pair_count >= len(collected)
-
-
 class TestProgress:
     def test_progress_requires_opt_in(self, small_dataset):
         handle = _job(small_dataset).build()
@@ -325,10 +289,10 @@ class TestProgress:
         with pytest.raises(ValueError, match="adaptive"):
             job.build()
 
-    def test_progress_counts_shards_on_the_async_backend(self, small_dataset):
+    def test_progress_counts_shards_on_the_process_backend(self, small_dataset):
         handle = (
             _job(small_dataset)
-            .sharded(3, backend="async")
+            .sharded(3, backend="process")
             .with_progress()
             .build()
         )

@@ -17,7 +17,7 @@ from repro.runtime.faults import FaultPlan
 
 FAST = Thresholds(delta_adapt=25, window_size=25)
 
-ALL_BACKENDS = ("serial", "thread", "process", "async")
+ALL_BACKENDS = ("serial", "process")
 
 
 def _job(dataset, **sharded):
@@ -115,7 +115,7 @@ class TestFailureConfiguredRuns:
 
     def test_degraded_run_statistics_are_honest(self, small_dataset):
         result = (
-            _job(small_dataset, shards=3, backend="thread")
+            _job(small_dataset, shards=3, backend="process")
             .on_failure("degrade")
             .inject_faults(FaultPlan.crash(1, attempts=None))
             .build()

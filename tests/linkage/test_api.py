@@ -245,18 +245,18 @@ class TestWrapperParity:
         )
         assert overridden.statistics["policy"] == "mar"
 
-    def test_async_backend_reachable_through_the_wrapper(self, small_dataset):
+    def test_process_backend_reachable_through_the_wrapper(self, small_dataset):
         fast = Thresholds(delta_adapt=25, window_size=25)
         serial = link_tables(
             small_dataset.parent, small_dataset.child, "location",
             thresholds=fast, shards=2, backend="serial",
         )
-        viaasync = link_tables(
+        viaprocess = link_tables(
             small_dataset.parent, small_dataset.child, "location",
-            thresholds=fast, shards=2, backend="async",
+            thresholds=fast, shards=2, backend="process",
         )
-        assert viaasync.pairs == serial.pairs
-        assert viaasync.statistics["backend"] == "async"
+        assert viaprocess.pairs == serial.pairs
+        assert viaprocess.statistics["backend"] == "process"
 
 
 class TestEndToEndQuality:

@@ -2,7 +2,7 @@
 
 Every scenario here is driven by the deterministic fault-injection
 harness (:mod:`repro.runtime.faults`), so the same misbehaviour replays
-identically on all four backends.
+identically on both backends.
 """
 
 import pickle
@@ -17,7 +17,7 @@ from repro.runtime.errors import (
     ShardExecutionError,
     ShardTimeoutError,
 )
-from repro.runtime.events import ShardEvent, ShardFailed, ShardRetrying
+from repro.runtime.events import ShardFailed, ShardRetrying
 from repro.runtime.failures import (
     DegradePolicy,
     FailFastPolicy,
@@ -34,8 +34,7 @@ from repro.runtime.parallel import (
 )
 from repro.runtime.sharding import ShardPlan
 
-ALL_BACKENDS = ("serial", "thread", "process", "async")
-IN_PROCESS_BACKENDS = ("serial", "thread", "async")
+ALL_BACKENDS = ("serial", "process")
 
 FAST = RunConfig.from_thresholds(Thresholds(delta_adapt=25, window_size=25))
 
@@ -395,38 +394,6 @@ class TestFailureEvents:
         line = progress.snapshot().describe()
         assert "retries" not in line
         assert "FAILED" not in line
-
-
-def test_async_observes_failure_at_next_batch_boundary(
-    small_dataset, monkeypatch
-):
-    """A first failure cancels the async siblings at their next batch
-    boundary — they never run to completion behind the raised error."""
-    import repro.runtime.parallel as parallel_module
-
-    monkeypatch.setattr(parallel_module, "_ASYNC_BATCH", 8)
-    bus = AggregatedEventBus()
-    steps_by_shard = {0: 0, 1: 0, 2: 0}
-
-    def count(event):
-        if type(event.event).__name__ == "StepResult":
-            steps_by_shard[event.shard_id] += 1
-
-    bus.subscribe(ShardEvent, count)
-    with pytest.raises(ShardExecutionError) as excinfo:
-        run_sharded(
-            small_dataset.parent, small_dataset.child, "location", FAST,
-            shards=3, backend="async", bus=bus,
-            faults=FaultPlan.crash(0, attempts=None, after_batches=2),
-        )
-    assert excinfo.value.shard_id == 0
-    assert excinfo.value.batches == 2
-    # Shards 1 and 2 interleave with shard 0, so by the failure they have
-    # advanced a few 8-step batches — but nowhere near their full input
-    # (roughly 270 steps each): the cancellation landed at a batch
-    # boundary, not at shard completion.
-    for shard_id in (1, 2):
-        assert 0 < steps_by_shard[shard_id] < 100
 
 
 def test_failure_policy_validated_at_executor_construction():

@@ -4,7 +4,6 @@ import threading
 
 import pytest
 
-import repro.runtime.parallel as parallel_module
 from repro.core.state_machine import JoinState
 from repro.core.thresholds import Thresholds
 from repro.engine.streams import ListStream
@@ -12,11 +11,10 @@ from repro.engine.tuples import Record, Schema
 from repro.joins.engine import StepResult
 from repro.runtime.collectors import ThroughputCollector
 from repro.runtime.config import RunConfig
+from repro.runtime.events import ShardCompleted, ShardEvent
 from repro.runtime.parallel import (
     AggregatedEventBus,
     ParallelExecutor,
-    ShardCompleted,
-    ShardEvent,
     _ensure_picklable,
     available_backends,
     run_sharded,
@@ -50,17 +48,14 @@ def _streams(values):
     )
 
 
-class TestBackendRegistry:
-    def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert "serial" in names
-        assert "thread" in names
-        assert "process" in names
-        assert "async" in names
+class TestBackends:
+    def test_serial_and_process_are_the_backends(self):
+        assert available_backends() == ("process", "serial")
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("backend", ["gpu", "thread", "async"])
+    def test_unknown_backend_rejected(self, backend):
         with pytest.raises(ValueError, match="serial"):
-            ParallelExecutor(backend="gpu")
+            ParallelExecutor(backend=backend)
 
 
 class TestSerialBackend:
@@ -150,9 +145,8 @@ class TestAggregatedBus:
         assert len(steps) == 6
 
 
-class TestThreadAndProcessBackends:
-    @pytest.mark.parametrize("backend", ["thread", "process", "async"])
-    def test_backend_matches_serial(self, small_dataset, backend):
+class TestProcessBackend:
+    def test_backend_matches_serial(self, small_dataset):
         config = RunConfig.from_thresholds(FAST)
         serial = run_sharded(
             small_dataset.parent, small_dataset.child, "location", config,
@@ -160,9 +154,9 @@ class TestThreadAndProcessBackends:
         )
         other = run_sharded(
             small_dataset.parent, small_dataset.child, "location", config,
-            shards=3, backend=backend,
+            shards=3, backend="process",
         )
-        assert other.backend == backend
+        assert other.backend == "process"
         assert other.pair_set() == serial.pair_set()
         assert other.counters.as_dict() == serial.counters.as_dict()
         assert other.trace.summary() == serial.trace.summary()
@@ -187,9 +181,20 @@ class TestThreadAndProcessBackends:
         result = run_sharded(
             small_dataset.parent, small_dataset.child, "location",
             RunConfig.from_thresholds(FAST),
-            shards=4, backend="thread", max_workers=2,
+            shards=4, backend="process", max_workers=2,
         )
         assert result.shard_count == 4
+
+    def test_shard_completed_events_in_shard_order(self, small_dataset):
+        bus = AggregatedEventBus()
+        completed = []
+        bus.subscribe(ShardCompleted, completed.append)
+        run_sharded(
+            small_dataset.parent, small_dataset.child, "location",
+            RunConfig.from_thresholds(FAST),
+            shards=3, backend="process", bus=bus,
+        )
+        assert [event.shard_id for event in completed] == [0, 1, 2]
 
 
 class TestShardFailurePropagation:
@@ -201,55 +206,6 @@ class TestShardFailurePropagation:
             run_sharded(
                 small_dataset.parent, small_dataset.child, "location",
                 config, shards=3, backend="serial",
-            )
-
-    def test_thread_backend_cancels_queued_shards_on_failure(
-        self, small_dataset, monkeypatch
-    ):
-        release = threading.Event()
-        calls = []
-        original = parallel_module._run_shard_inline
-
-        def flaky(plan, config, shard_id, bus, cancel=None):
-            calls.append(shard_id)
-            if shard_id == 0:
-                raise RuntimeError("injected shard failure (thread)")
-            # Block until the test releases us: if the backend returned
-            # while we were still blocked here, it provably did not wait
-            # for in-flight shards before re-raising.
-            release.wait(timeout=10)
-            return original(plan, config, shard_id, bus)
-
-        monkeypatch.setattr(parallel_module, "_run_shard_inline", flaky)
-        with pytest.raises(RuntimeError, match="injected shard failure"):
-            run_sharded(
-                small_dataset.parent, small_dataset.child, "location",
-                RunConfig.from_thresholds(FAST),
-                shards=4, backend="thread", max_workers=1,
-            )
-        release.set()
-        # One worker: shard 0 fails first.  The single worker may have
-        # dequeued shard 1 before the cancellation landed (in-flight
-        # threads cannot be interrupted), but shards 2 and 3 sat in the
-        # queue behind the blocked shard 1 and must have been cancelled —
-        # they can never run, race-free.
-        assert calls[0] == 0
-        assert set(calls) <= {0, 1}
-
-    def test_thread_backend_does_not_block_on_unfinished_shards(
-        self, small_dataset, monkeypatch
-    ):
-        """Re-raising must not `.result()` still-pending futures first."""
-
-        def always_fail(plan, config, shard_id, bus, cancel=None):
-            raise RuntimeError(f"injected shard failure {shard_id}")
-
-        monkeypatch.setattr(parallel_module, "_run_shard_inline", always_fail)
-        with pytest.raises(RuntimeError, match="injected shard failure"):
-            run_sharded(
-                small_dataset.parent, small_dataset.child, "location",
-                RunConfig.from_thresholds(FAST),
-                shards=6, backend="thread", max_workers=2,
             )
 
     def test_process_backend_surfaces_shard_failure(self, small_dataset):
@@ -269,68 +225,10 @@ class TestShardFailurePropagation:
             )
 
 
-class TestAsyncBackend:
-    """The cooperative asyncio backend: equivalence, events, embedding."""
-
-    def test_shard_completed_streams_in_shard_order(self, small_dataset):
-        bus = AggregatedEventBus()
-        completed = []
-        bus.subscribe(ShardCompleted, completed.append)
-        run_sharded(
-            small_dataset.parent, small_dataset.child, "location",
-            RunConfig.from_thresholds(FAST),
-            shards=3, backend="async", bus=bus,
-        )
-        assert [event.shard_id for event in completed] == [0, 1, 2]
-
-    def test_step_events_are_forwarded_live(self, small_dataset):
-        """Unlike the process backend, async streams per-step events."""
-        bus = AggregatedEventBus()
-        collector = ThroughputCollector().attach(bus)
-        result = run_sharded(
-            small_dataset.parent, small_dataset.child, "location",
-            RunConfig.from_thresholds(FAST),
-            shards=2, backend="async", bus=bus,
-        )
-        assert collector.steps == result.trace.total_steps
-        assert collector.matches == result.result_size
-
-    def test_refuses_to_nest_inside_a_running_loop(self, small_dataset):
-        import asyncio
-
-        async def nested():
-            return run_sharded(
-                small_dataset.parent, small_dataset.child, "location",
-                RunConfig.from_thresholds(FAST), shards=2, backend="async",
-            )
-
-        with pytest.raises(RuntimeError, match="asyncio.to_thread"):
-            asyncio.run(nested())
-
-    def test_shard_failure_propagates(self, small_dataset):
-        config = RunConfig.from_thresholds(FAST, policy="explode-on-bind")
-        with pytest.raises(RuntimeError, match="injected shard failure"):
-            run_sharded(
-                small_dataset.parent, small_dataset.child, "location",
-                config, shards=3, backend="async",
-            )
-
-    def test_max_workers_cap_accepted(self, small_dataset):
-        result = run_sharded(
-            small_dataset.parent, small_dataset.child, "location",
-            RunConfig.from_thresholds(FAST),
-            shards=4, backend="async", max_workers=2,
-        )
-        assert result.shard_count == 4
-
-
 class TestMidRunCancellation:
     """cancel tokens: partial results, cancelled flags, nothing dangling."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "async"])
-    def test_cancel_between_shards_returns_partial_results(
-        self, small_dataset, backend
-    ):
+    def test_cancel_between_shards_returns_partial_results(self, small_dataset):
         """Cancel fired from the live step stream: the in-flight shard
         stops at its next batch boundary, the queued shards are skipped,
         and the merged result carries what actually ran."""
@@ -347,8 +245,7 @@ class TestMidRunCancellation:
         result = run_sharded(
             small_dataset.parent, small_dataset.child, "location",
             RunConfig.from_thresholds(FAST),
-            shards=4, backend=backend, max_workers=1, bus=bus,
-            cancel=cancel,
+            shards=4, bus=bus, cancel=cancel,
         )
         assert result.cancelled is True
         assert 1 <= result.shard_count < 4
@@ -358,61 +255,6 @@ class TestMidRunCancellation:
         )
         assert result.result_size < full.result_size
         assert result.pair_set() <= full.pair_set()
-
-    def test_thread_cancel_leaves_no_dangling_futures_or_threads(
-        self, small_dataset
-    ):
-        cancel = threading.Event()
-        bus = AggregatedEventBus()
-        steps = []
-
-        def on_step(result):
-            steps.append(result)
-            if len(steps) == 50:
-                cancel.set()
-
-        bus.subscribe(StepResult, on_step)
-        before = {thread for thread in threading.enumerate() if thread.is_alive()}
-        result = run_sharded(
-            small_dataset.parent, small_dataset.child, "location",
-            RunConfig.from_thresholds(FAST),
-            shards=6, backend="thread", max_workers=2, bus=bus,
-            cancel=cancel,
-        )
-        assert result.cancelled is True
-        assert result.shard_count < 6  # queued shards were really skipped
-        leaked = {
-            thread
-            for thread in threading.enumerate()
-            if thread.is_alive() and thread not in before
-        }
-        assert not leaked  # shutdown(wait=True) joined every worker
-
-    def test_async_cancel_stops_between_engine_batches(self, small_dataset):
-        """The async backend honours the token mid-shard: the in-flight
-        session stops at its next batch boundary with a partial result."""
-        cancel = threading.Event()
-        bus = AggregatedEventBus()
-        steps = []
-
-        def on_step(result):
-            steps.append(result)
-            if len(steps) == 300:  # mid-run, past shard 0's first batches
-                cancel.set()
-
-        bus.subscribe(StepResult, on_step)
-        result = run_sharded(
-            small_dataset.parent, small_dataset.child, "location",
-            RunConfig.from_thresholds(FAST),
-            shards=2, backend="async", bus=bus, cancel=cancel,
-        )
-        assert result.cancelled is True
-        total_steps = result.trace.total_steps
-        full_steps = len(small_dataset.parent) + len(small_dataset.child)
-        assert 0 < total_steps < full_steps  # stopped mid-way, kept partials
-        assert any(
-            outcome.result.cancelled for outcome in result.shards
-        )
 
     def test_serial_cancel_mid_shard_keeps_partial_shard(self, small_dataset):
         """Serial threads the token into the running session too."""
@@ -434,6 +276,9 @@ class TestMidRunCancellation:
         assert result.cancelled is True
         assert result.shard_count == 1
         assert result.shards[0].result.cancelled is True
+        # Stopped at a batch boundary inside shard 0, partial kept.
+        full_steps = len(small_dataset.parent) + len(small_dataset.child)
+        assert 0 < result.trace.total_steps < full_steps
 
     def test_unset_token_changes_nothing(self, small_dataset):
         cancel = threading.Event()

@@ -12,8 +12,8 @@ execution"):
 2. **One shard is the unsharded run** — a 1-shard plan reproduces the
    single session bit-identically for every policy (matches, counters,
    trace summary).
-3. **Backends are interchangeable** — serial, thread, process and async
-   produce identical merged results for the same plan and config.
+3. **Backends are interchangeable** — serial and process produce
+   identical merged results for the same plan and config.
 4. **The serial backend is bit-deterministic** — repeat runs agree
    byte-for-byte regardless of shard count.
 5. **Equi-matches survive sharding under any policy** — every value-equal
@@ -115,7 +115,7 @@ class TestExactSemanticsFullyPreserved:
         assert sharded.counters.as_dict() == reference.counters.as_dict()
         assert sharded.trace.total_steps == reference.trace.total_steps
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_holds_on_every_backend(self, dataset, backend):
         config = _config(policy="fixed", initial_state=JoinState.LEX_REX)
         reference = _unsharded(dataset, config)
@@ -148,13 +148,12 @@ class TestOneShardIsTheUnshardedRun:
         assert sharded.trace.summary() == reference.trace.summary()
         assert list(sharded.matches) == list(reference.matches)
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "async"])
-    def test_single_shard_bit_identical_on_every_backend(self, dataset, backend):
+    def test_single_shard_bit_identical_on_the_process_backend(self, dataset):
         config = _config()
         reference = _unsharded(dataset, config)
         sharded = run_sharded(
             dataset.parent, dataset.child, "location", config,
-            shards=1, backend=backend,
+            shards=1, backend="process",
         )
         assert sharded.matched_pairs() == reference.matched_pairs()
         assert sharded.counters.as_dict() == reference.counters.as_dict()
@@ -164,21 +163,18 @@ class TestOneShardIsTheUnshardedRun:
 
 class TestBackendIndependence:
     @pytest.mark.parametrize("shards", [2, 4])
-    def test_serial_thread_process_async_agree(self, dataset, shards):
+    def test_serial_and_process_agree(self, dataset, shards):
         config = _config()
-        results = {
-            backend: run_sharded(
+        serial, process = (
+            run_sharded(
                 dataset.parent, dataset.child, "location", config,
                 shards=shards, backend=backend,
             )
-            for backend in ("serial", "thread", "process", "async")
-        }
-        serial = results["serial"]
-        for backend in ("thread", "process", "async"):
-            other = results[backend]
-            assert other.matched_pairs() == serial.matched_pairs(), backend
-            assert other.counters.as_dict() == serial.counters.as_dict(), backend
-            assert other.trace.summary() == serial.trace.summary(), backend
+            for backend in ("serial", "process")
+        )
+        assert process.matched_pairs() == serial.matched_pairs()
+        assert process.counters.as_dict() == serial.counters.as_dict()
+        assert process.trace.summary() == serial.trace.summary()
 
 
 class TestSerialDeterminism:
@@ -288,7 +284,7 @@ class TestGramReplicatedRecall:
             **overrides,
         )
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process", "async"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("shards", [2, 4, 8])
     def test_all_approximate_match_set_reproduced_exactly(
         self, dataset, shards, backend
@@ -349,10 +345,7 @@ class TestGramReplicatedRecall:
         assert list(first.matches) == list(second.matches)
         assert first.counters.as_dict() == second.counters.as_dict()
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "async"])
-    def test_backends_agree_with_serial_under_replication(
-        self, dataset, backend
-    ):
+    def test_process_agrees_with_serial_under_replication(self, dataset):
         config = self._all_approx_config()
         serial = run_sharded(
             dataset.parent, dataset.child, "location", config,
@@ -360,7 +353,7 @@ class TestGramReplicatedRecall:
         )
         other = run_sharded(
             dataset.parent, dataset.child, "location", config,
-            shards=4, partitioner="gram", backend=backend,
+            shards=4, partitioner="gram", backend="process",
         )
         assert other.matched_pairs() == serial.matched_pairs()
         assert other.counters.as_dict() == serial.counters.as_dict()
@@ -429,7 +422,7 @@ class TestHandoffEquivalence:
         yield
         assert live_block_count() == 0
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process", "async"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("handoff", ["pickle", "shared-memory"])
     def test_bit_identical_to_serial_pickle_reference(
         self, dataset, backend, handoff

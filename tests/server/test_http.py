@@ -151,6 +151,22 @@ class TestErrorMapping:
         assert code == 400
         assert "left" in body["error"]
 
+    @pytest.mark.parametrize("backend", ["thread", "async"])
+    def test_removed_backend_is_400(self, server, tiny_payload, backend):
+        """A job naming a removed backend never enters the queue (or a
+        job store): it is refused at submission with the valid names."""
+        payload = dict(tiny_payload, shards=2, backend=backend)
+        code, body = _request_error(
+            f"{server.url}/jobs",
+            method="POST",
+            raw_body=json.dumps(payload).encode("utf-8"),
+        )
+        assert code == 400
+        assert backend in body["error"]
+        assert "process" in body["error"] and "serial" in body["error"]
+        _, listing = _request(f"{server.url}/jobs")
+        assert listing["jobs"] == []
+
     def test_baseline_matches_is_409(self, server, tiny_payload):
         payload = dict(tiny_payload)
         payload["strategy"] = "exact"

@@ -1,11 +1,46 @@
 """Tests that a disk-backed scheduler survives restarts bit-identically."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
+
+import pytest
 
 from repro.jobs import build_job, normalize_payload
 from repro.server import JobScheduler, JsonlJobStore
+
+
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def _job(job_id, payload):
+    return {"type": "job", "job": job_id, "payload": payload}
+
+
+def _status(job_id, status):
+    return {"type": "status", "job": job_id, "status": status}
+
+
+def _exact_payload(payload):
+    """``payload`` as a baseline (exact) job: it runs whole, no thresholds."""
+    baseline = dict(payload, strategy="exact")
+    del baseline["thresholds"]
+    return baseline
+
+
+def _write_store(tmp_path, *records):
+    """A JSONL job store written by hand, record by record."""
+    path = tmp_path / "jobs.jsonl"
+    path.write_text(
+        "".join(json.dumps(record) + "\n" for record in records),
+        encoding="utf-8",
+    )
+    return str(path)
 
 
 def _wait_terminal(scheduler, job_id, timeout=30.0):
@@ -139,3 +174,113 @@ class TestRestartResume:
         assert fresh_id == "job-3"
         assert revived.job_ids() == ["job-1", "job-2", "job-3"]
         revived.shutdown()
+
+    @pytest.mark.parametrize("removed", ["thread", "async"])
+    def test_stored_job_naming_a_removed_backend_is_skipped(
+        self, tmp_path, tiny_payload, removed
+    ):
+        """A store written by an older server may name a backend that no
+        longer exists: that job is skipped and reported, the rest restore."""
+        path = _write_store(
+            tmp_path,
+            _job("job-1", _exact_payload(tiny_payload)),
+            _status("job-1", "finished"),
+            _job("job-2", dict(tiny_payload, shards=2, backend=removed)),
+        )
+
+        revived = JobScheduler(max_workers=1, store=JsonlJobStore(path))
+        assert revived.restore() == []  # the stale job is not re-run
+        assert list(revived.unrestorable) == ["job-2"]
+        assert removed in revived.unrestorable["job-2"]
+        assert revived.job_ids() == ["job-1"]
+        # The valid job is restored as terminal: listed, never re-queued.
+        assert revived.describe("job-1")["state"] not in ("queued", "running")
+        assert revived.counters()["jobs_resumed"] == 0
+        # New ids continue past the skipped one, so the log stays unambiguous.
+        assert revived.submit(tiny_payload) == "job-3"
+        revived.shutdown()
+
+    def test_pending_job_beside_a_stale_one_still_resumes(
+        self, tmp_path, tiny_payload
+    ):
+        path = _write_store(
+            tmp_path,
+            _job("job-1", dict(tiny_payload, shards=2, backend="async")),
+            _job("job-2", _exact_payload(tiny_payload)),  # never ran
+        )
+        revived = JobScheduler(max_workers=1, store=JsonlJobStore(path))
+        assert revived.restore() == ["job-2"]
+        assert _wait_terminal(revived, "job-2") == "finished"
+        assert revived.describe("job-2")["result_size"] > 0
+        assert list(revived.unrestorable) == ["job-1"]
+        revived.shutdown()
+
+    def test_every_stale_job_is_reported_in_store_order(
+        self, tmp_path, tiny_payload
+    ):
+        path = _write_store(
+            tmp_path,
+            _job("job-1", dict(tiny_payload, shards=2, backend="async")),
+            _job("job-2", _exact_payload(tiny_payload)),
+            _status("job-2", "finished"),
+            _job("job-3", dict(tiny_payload, shards=3, backend="thread")),
+            _status("job-3", "finished"),
+        )
+        revived = JobScheduler(max_workers=1, store=JsonlJobStore(path))
+        assert revived.restore() == []
+        assert list(revived.unrestorable) == ["job-1", "job-3"]
+        assert "async" in revived.unrestorable["job-1"]
+        assert "thread" in revived.unrestorable["job-3"]
+        assert revived.job_ids() == ["job-2"]
+        assert revived.submit(tiny_payload) == "job-4"
+        revived.shutdown()
+
+    def test_skipped_job_stays_skipped_across_restarts(
+        self, tmp_path, tiny_payload
+    ):
+        path = _write_store(
+            tmp_path,
+            _job("job-1", dict(tiny_payload, shards=2, backend="thread")),
+        )
+        first = JobScheduler(max_workers=1, store=JsonlJobStore(path))
+        first.restore()
+        fresh = first.submit(tiny_payload)
+        assert fresh == "job-2"
+        _wait_terminal(first, fresh)
+        first.shutdown()
+
+        second = JobScheduler(max_workers=1, store=JsonlJobStore(path))
+        assert second.restore() == []
+        assert list(second.unrestorable) == ["job-1"]
+        assert second.job_ids() == ["job-2"]
+        assert second.describe("job-2")["state"] == "finished"
+        assert second.submit(tiny_payload) == "job-3"
+        second.shutdown()
+
+    def test_repro_serve_reports_skipped_jobs_and_keeps_serving(
+        self, tmp_path, tiny_payload
+    ):
+        path = _write_store(
+            tmp_path,
+            _job("job-1", _exact_payload(tiny_payload)),
+            _status("job-1", "finished"),
+            _job("job-2", dict(tiny_payload, shards=2, backend="async")),
+        )
+        env = dict(os.environ, PYTHONPATH=_SRC)
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--store", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            assert server.stdout.readline().startswith("serving on http://")
+            server.send_signal(signal.SIGTERM)
+            _, stderr = server.communicate(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0
+        assert f"restored 1 job(s) from {path}" in stderr
+        assert "skipped stored job job-2: " in stderr
+        assert "async" in stderr.split("skipped stored job job-2: ", 1)[1]

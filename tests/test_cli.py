@@ -64,11 +64,11 @@ class TestParser:
 
     def test_sharding_flags_parsed(self):
         args = build_parser().parse_args([
-            "experiment", "--shards", "4", "--backend", "thread",
+            "experiment", "--shards", "4", "--backend", "process",
             "--partitioner", "round-robin", "--deadline", "2.5",
         ])
         assert args.shards == 4
-        assert args.backend == "thread"
+        assert args.backend == "process"
         assert args.partitioner == "round-robin"
         assert args.deadline == 2.5
 
@@ -399,7 +399,7 @@ class TestStreamAndProgress:
             "--window-size", "25",
             "--progress",
             "--shards", "2",
-            "--backend", "async",
+            "--backend", "process",
             "--output", str(tmp_path / "m.csv"),
         ])
         assert exit_code == 0
@@ -408,10 +408,10 @@ class TestStreamAndProgress:
         assert "shards 2/2" in err
         assert "100%" in err
 
-    def test_async_backend_from_the_cli(self, tmp_path, capsys):
+    def test_process_backend_from_the_cli(self, tmp_path, capsys):
         parent, child = self._generate(tmp_path)
         serial = tmp_path / "serial.csv"
-        viaasync = tmp_path / "async.csv"
+        viaprocess = tmp_path / "process.csv"
         common = [
             "link", str(parent), str(child),
             "--attribute", "location",
@@ -421,9 +421,9 @@ class TestStreamAndProgress:
         ]
         assert main(common + ["--output", str(serial)]) == 0
         assert main(common + [
-            "--backend", "async", "--output", str(viaasync)
+            "--backend", "process", "--output", str(viaprocess)
         ]) == 0
-        assert viaasync.read_text() == serial.read_text()
+        assert viaprocess.read_text() == serial.read_text()
 
 
 class TestExperimentCommand:
