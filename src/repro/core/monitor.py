@@ -149,11 +149,12 @@ class Monitor:
 
         Bit-identical to calling :meth:`observe_step` for each step of the
         batch: totals are simple sums, and the sliding windows advance by
-        runs — matchless steps form runs of identical window entries, so
-        only the (typically sparse) steps that produced matches are touched
-        individually.  The approximate-activity window needs the per-step
-        scan side only when the two sides run in different modes; the batch
-        carries ``sides`` exactly in that case.
+        runs — steps without approximate matches form runs of identical
+        window entries, so only the (typically sparse) steps that produced
+        approximate matches are touched individually.  The
+        approximate-activity window needs the per-step scan side only when
+        the two sides run in different modes; the batch carries ``sides``
+        exactly in that case.
         """
         count = batch.count
         if count <= 0:
@@ -190,6 +191,8 @@ class Monitor:
         per_step: Dict[int, List] = {}
         both = self.count_unattributed_against_both
         for event in matches:
+            if event.exact_value_match and event.similarity == 1.0:
+                continue  # updates the windows exactly as no match does
             entry = per_step.get(event.step)
             if entry is None:
                 entry = per_step[event.step] = [False, False, 1.0]

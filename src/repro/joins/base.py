@@ -35,7 +35,7 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.engine.tuples import Record, Schema
 from repro.joins.fastpath import GramInterner, jaccard_length_bounds
@@ -62,6 +62,10 @@ class JoinSide(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
 
+    # Members are singletons: hashing by identity keeps the engine's
+    # per-step ``Dict[JoinSide, …]`` lookups off Python-level Enum.__hash__.
+    __hash__ = object.__hash__
+
     @property
     def other(self) -> "JoinSide":
         """The opposite side."""
@@ -81,6 +85,8 @@ class JoinMode(enum.Enum):
 
     EXACT = "exact"
     APPROXIMATE = "approximate"
+
+    __hash__ = object.__hash__  # identity hashing, as for JoinSide
 
 
 @dataclass(frozen=True)
@@ -168,14 +174,13 @@ class OperationCounters:
         return dict(vars(self))
 
 
-@dataclass(frozen=True, slots=True)
-class MatchEvent:
+class MatchEvent(NamedTuple):
     """One matched tuple pair, as observed by the monitor.
 
-    Slotted like :class:`StoredTuple` (one event per emitted pair), and
-    deliberately lazy: the joined output record is only materialised when
-    :meth:`output_record` is called, so monitor-only consumers never build
-    it.
+    An immutable named tuple (one event per emitted pair: about three times
+    cheaper to build than a frozen dataclass), and deliberately lazy: the
+    joined output record is only materialised when :meth:`output_record`
+    is called, so monitor-only consumers never build it.
 
     Attributes
     ----------
@@ -225,7 +230,7 @@ class SideState:
     Holds the tuple store (all tuples scanned so far from this side) plus
     the two hash indexes over those tuples:
 
-    * ``exact`` — join-attribute value → list of tuple ordinals (the SHJoin
+    * ``exact`` — join-attribute value → list of stored tuples (the SHJoin
       hash table of Fig. 3, left);
     * ``qgram`` — interned q-gram id → ``array('i')`` of tuple ordinals (the
       SSHJoin hash table of Fig. 3, right), with per-gram frequencies.  See
@@ -272,7 +277,7 @@ class SideState:
         #: probes the opposite side.
         self.interner = interner
         self.tuples: List[StoredTuple] = []
-        self._exact_index: Dict[str, List[int]] = {}
+        self._exact_index: Dict[str, List[StoredTuple]] = {}
         self._exact_synced = 0
         # q-gram index over dense gram ids: gram id → array of ordinals.
         self._qgram_index: Dict[int, array] = {}
@@ -338,13 +343,16 @@ class SideState:
 
     def catch_up_exact(self) -> int:
         """Bring the value index up to date; return the number of tuples indexed."""
-        caught_up = 0
-        while self._exact_synced < len(self.tuples):
-            stored = self.tuples[self._exact_synced]
-            self._exact_index.setdefault(stored.value, []).append(stored.ordinal)
-            self.counters.exact_hash_updates += 1
-            self._exact_synced += 1
-            caught_up += 1
+        tuples = self.tuples
+        synced = self._exact_synced
+        if synced == len(tuples):
+            return 0
+        index = self._exact_index
+        for stored in tuples[synced:]:
+            index.setdefault(stored.value, []).append(stored)
+        caught_up = len(tuples) - synced
+        self.counters.exact_hash_updates += caught_up
+        self._exact_synced = len(tuples)
         return caught_up
 
     def catch_up_qgram(self) -> int:
@@ -378,15 +386,19 @@ class SideState:
             caught_up += 1
         return caught_up
 
+    def catch_up_for(self, probing_mode: JoinMode) -> Callable[[], int]:
+        """The catch-up method of the index ``probing_mode`` probes."""
+        if probing_mode is JoinMode.EXACT:
+            return self.catch_up_exact
+        return self.catch_up_qgram
+
     def index_for_mode(self, probing_mode: JoinMode) -> int:
         """Make the index required by ``probing_mode`` current.
 
         Returns the number of tuples that had to be caught up (0 during
         steady-state operation, > 0 immediately after a switch).
         """
-        if probing_mode is JoinMode.EXACT:
-            return self.catch_up_exact()
-        return self.catch_up_qgram()
+        return self.catch_up_for(probing_mode)()
 
     def gram_frequency(self, gram: str) -> int:
         """Number of indexed tuples containing ``gram`` (bucket length)."""
@@ -441,7 +453,7 @@ class SideState:
         self.counters.exact_probes += 1
         bucket = self._exact_index.get(value, ())
         self.counters.exact_probe_work += len(bucket)
-        return [self.tuples[ordinal] for ordinal in bucket]
+        return list(bucket)
 
     def probe_qgram(
         self,

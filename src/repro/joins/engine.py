@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterator, List, Optional
+from typing import Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (runtime wires the bus in)
     from repro.runtime.events import EventBus
@@ -45,6 +46,15 @@ from repro.joins.fastpath import GramInterner
 
 #: Step-batch size used by :meth:`SymmetricJoinEngine.run_to_completion`.
 _RUN_BATCH = 1024
+
+#: Scan order from each side: ``(side, side scanned after it)`` pairs.
+_SCAN_ORDER = {
+    JoinSide.LEFT: ((JoinSide.LEFT, JoinSide.RIGHT), (JoinSide.RIGHT, JoinSide.LEFT)),
+    JoinSide.RIGHT: ((JoinSide.RIGHT, JoinSide.LEFT), (JoinSide.LEFT, JoinSide.RIGHT)),
+}
+
+#: What a step scanning one side touches under fixed modes (see ``_route``).
+_Route = Tuple[SideState, SideState, JoinMode, Callable[[], int], Callable[[], int]]
 
 
 @dataclass(slots=True)
@@ -385,8 +395,7 @@ class SymmetricJoinEngine:
         if record is None:
             return None
         self._step += 1
-        own = self.sides[side]
-        other = self.sides[side.other]
+        own, other, mode, sync_own, sync_other = self._route(side)
         stored = own.add(record)
         if self.eager_indexing:
             # Pessimistic maintenance: keep every index of both sides current.
@@ -398,17 +407,17 @@ class SymmetricJoinEngine:
         else:
             # The scanned tuple joins the index its own side maintains for
             # the opposite side's probes.
-            own.index_for_mode(self.modes[side.other])
+            sync_own()
             # Make sure the index we are about to probe is current (normally
             # a no-op; non-zero only if a caller changed modes without
             # set_mode).
-            catch_up = other.index_for_mode(self.modes[side])
-        matches = self._probe(side, stored)
+            catch_up = sync_other()
+        matches = self._probe(side, stored, own, other, mode)
         result = StepResult(
             step=self._step,
             side=side,
             stored=stored,
-            mode=self.modes[side],
+            mode=mode,
             matches=matches,
             catch_up_tuples=catch_up,
         )
@@ -517,12 +526,12 @@ class SymmetricJoinEngine:
                 if left_mode is not right_mode
                 else None,
             )
-        modes = self.modes
-        left_mode = modes[JoinSide.LEFT]
-        right_mode = modes[JoinSide.RIGHT]
+        left_mode = self.modes[JoinSide.LEFT]
+        right_mode = self.modes[JoinSide.RIGHT]
         hybrid = left_mode is not right_mode
         match_channel = self._match_channel
-        sides_map = self.sides
+        # Modes are fixed for the whole batch: resolve each side's route once.
+        routes = {side: self._route(side) for side in JoinSide}
         scan_next = self._scan_next
         probe = self._probe
         eager = self.eager_indexing
@@ -537,8 +546,7 @@ class SymmetricJoinEngine:
             if record is None:
                 break
             self._step += 1
-            own = sides_map[side]
-            other = sides_map[side.other]
+            own, other, mode, sync_own, sync_other = routes[side]
             stored = own.add(record)
             if eager:
                 own.catch_up_exact()
@@ -546,9 +554,9 @@ class SymmetricJoinEngine:
                 other.catch_up_exact()
                 other.catch_up_qgram()
             else:
-                own.index_for_mode(modes[side.other])
-                catch_up_total += other.index_for_mode(modes[side])
-            matches = probe(side, stored)
+                sync_own()
+                catch_up_total += sync_other()
+            matches = probe(side, stored, own, other, mode)
             if matches:
                 match_events.extend(matches)
                 if match_channel:
@@ -602,6 +610,17 @@ class SymmetricJoinEngine:
 
     # -- internals ---------------------------------------------------------------
 
+    def _route(self, side: JoinSide) -> _Route:
+        """What a step scanning ``side`` touches under the current modes.
+
+        ``own`` keeps current the index the opposite side's mode probes,
+        ``other`` the one ``side``'s mode probes.
+        """
+        own, other = self.sides[side], self.sides[side.other]
+        mode = self.modes[side]
+        sync_own = own.catch_up_for(self.modes[side.other])
+        return own, other, mode, sync_own, other.catch_up_for(mode)
+
     def _scan_next(self) -> Tuple[JoinSide, Optional[Record]]:
         """Pick the next input to scan (alternating), pull one record.
 
@@ -611,9 +630,9 @@ class SymmetricJoinEngine:
         identical to pulling one record at a time.
         """
         first = self._next_scan
-        second = first.other
-        for side in (first, second):
-            buffer = self._scan_buffers[side]
+        buffers = self._scan_buffers
+        for side, following in _SCAN_ORDER[first]:
+            buffer = buffers[side]
             if not buffer:
                 stream = self._streams[side]
                 if stream.exhausted:
@@ -628,38 +647,62 @@ class SymmetricJoinEngine:
                     record = stream.next_record()
                     if record is None:
                         continue
-                    self._next_scan = side.other
+                    self._next_scan = following
                     return side, record
-            self._next_scan = side.other
+            self._next_scan = following
             return side, buffer.popleft()
         return first, None
 
-    def _probe(self, side: JoinSide, stored: StoredTuple) -> List[MatchEvent]:
-        """Probe the opposite side with ``stored`` under ``side``'s mode."""
-        mode = self.modes[side]
-        other = self.sides[side.other]
+    def _probe(
+        self,
+        side: JoinSide,
+        stored: StoredTuple,
+        own: SideState,
+        other: SideState,
+        mode: JoinMode,
+    ) -> List[MatchEvent]:
+        """Probe ``other`` with ``stored``, scanned from ``side`` under ``mode``."""
         events: List[MatchEvent] = []
+        append = events.append
+        step = self._step
+        emitted = self._emitted_pairs if self._deduplicate else None
+        left_probes = side is JoinSide.LEFT
         if mode is JoinMode.EXACT:
-            partners = [(p, 1.0) for p in other.probe_exact(stored.value)]
-        else:
-            partners = other.probe_qgram(
-                stored.value,
-                self.similarity_threshold,
-                verify_jaccard=self.verify_jaccard,
-                use_prefix_filter=self.use_prefix_filter,
-                use_length_filter=self.use_length_filter,
-            )
+            # Value-index partners are value-equal by construction: each is
+            # an exact match with similarity 1.0 and no variant evidence.
+            partners = other.probe_exact(stored.value)
+            if partners:
+                stored.matched_exactly = True
+            for partner in partners:
+                partner.matched_exactly = True
+                left, right = (stored, partner) if left_probes else (partner, stored)
+                if emitted is not None:
+                    key = (left.ordinal, right.ordinal)
+                    if key in emitted:
+                        continue
+                    emitted.add(key)
+                append(MatchEvent(step, side, mode, left, right, 1.0, True, None))
+            self._matches_emitted += len(events)
+            own.counters.matches_emitted += len(events)
+            return events
+        scored = other.probe_qgram(
+            stored.value,
+            self.similarity_threshold,
+            verify_jaccard=self.verify_jaccard,
+            use_prefix_filter=self.use_prefix_filter,
+            use_length_filter=self.use_length_filter,
+        )
         # First pass: record exact-value matches on the flags, so that the
         # evidence reasoning below sees the complete picture for this step
         # (a probe that matches one stored tuple exactly and another only
         # approximately should blame the approximate partner, regardless of
         # the order in which the two partners come out of the hash table).
-        for partner, _ in partners:
+        for partner, _ in scored:
             if partner.value == stored.value:
                 stored.matched_exactly = True
                 partner.matched_exactly = True
 
-        for partner, similarity in partners:
+        for partner, similarity in scored:
             exact_value = partner.value == stored.value
             if exact_value:
                 similarity = 1.0
@@ -677,26 +720,17 @@ class SymmetricJoinEngine:
                     # tuple must be the variant and the *stored* side is the
                     # source.  The paper spells out only the first case; this
                     # symmetric completion is documented in DESIGN.md.
-                    evidence = side.other
-            left, right = (
-                (stored, partner) if side is JoinSide.LEFT else (partner, stored)
-            )
-            event = MatchEvent(
-                step=self._step,
-                probe_side=side,
-                mode=mode,
-                left=left,
-                right=right,
-                similarity=similarity,
-                exact_value_match=exact_value,
-                variant_evidence=evidence,
-            )
-            if self._deduplicate:
-                key = event.pair_key()
-                if key in self._emitted_pairs:
+                    evidence = other.side
+            left, right = (stored, partner) if left_probes else (partner, stored)
+            if emitted is not None:
+                key = (left.ordinal, right.ordinal)
+                if key in emitted:
                     continue
-                self._emitted_pairs.add(key)
-            events.append(event)
+                emitted.add(key)
+            event = MatchEvent(
+                step, side, mode, left, right, similarity, exact_value, evidence
+            )
+            append(event)
         self._matches_emitted += len(events)
-        self.sides[side].counters.matches_emitted += len(events)
+        own.counters.matches_emitted += len(events)
         return events

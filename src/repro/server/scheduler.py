@@ -133,10 +133,18 @@ class _Job:
     streamable: bool = True
     error: Optional[str] = None
     resume: bool = False
+    #: Terminal status read back from the store: a job restored as ended
+    #: reports it, not its rebuilt handle's (a baseline's never ran).
+    stored_state: Optional[str] = None
 
     @property
     def virtual_time(self) -> float:
         return self.consumed / self.priority
+
+    @property
+    def state(self) -> str:
+        """Lifecycle state: the stored one for a job restored as ended."""
+        return self.stored_state or self.handle.state
 
     @property
     def open(self) -> bool:
@@ -395,6 +403,7 @@ class JobScheduler:
                         self._counters["jobs_resumed"] += 1
                     else:
                         job.finalized = True
+                        job.stored_state = stored.status
                         if stored.status == "failed":
                             job.error = "failed before restart"
                 elif stored.status is None:
@@ -407,6 +416,7 @@ class JobScheduler:
                     # Terminal baseline: listable, but its result was
                     # never persisted (baselines record no outcomes).
                     job.finalized = True
+                    job.stored_state = stored.status
                     if stored.status != "finished":
                         job.error = f"{stored.status} before restart"
                 self._cond.notify_all()
@@ -456,7 +466,7 @@ class JobScheduler:
         """The job's status body (the ``GET /jobs/{id}`` payload)."""
         with self._lock:
             job = self._get(job_id)
-            state = job.handle.state
+            state = job.state
             if (
                 not job.finalized
                 and state != "running"
@@ -524,7 +534,7 @@ class JobScheduler:
         if finalize:
             self._finalize(job)
         with self._lock:
-            state = job.handle.state
+            state = job.state
         return "queued" if state == "pending" else state
 
     # -- the match feed --------------------------------------------------------------
@@ -560,7 +570,7 @@ class JobScheduler:
                 while not job.finalized:
                     self._cond.wait(poll_seconds)
                 shard_ids = sorted(job.buffers)
-            if job.handle.state == "failed":
+            if job.state == "failed":
                 raise MatchesUnavailable(
                     f"{job_id} failed: {job.error or 'the run raised'}"
                 )

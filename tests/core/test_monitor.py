@@ -1,11 +1,13 @@
 """Tests for the MAR monitor."""
 
+import random
+
 import pytest
 
 from repro.core.monitor import Monitor
 from repro.engine.tuples import Record, Schema
 from repro.joins.base import JoinMode, JoinSide, MatchEvent, StoredTuple
-from repro.joins.engine import StepResult
+from repro.joins.engine import StepBatch, StepResult
 
 SCHEMA = Schema(["row_id", "location"])
 
@@ -175,3 +177,63 @@ class TestSimilarityWindow:
         assert observation.evidence_available is False
         # Totals survive a window reset.
         assert monitor.observed_matches == 1
+
+
+def random_steps(rng, first_step, count, left_mode, right_mode):
+    """``count`` step results mixing no, exact and approximate matches."""
+    results = []
+    for step in range(first_step, first_step + count):
+        side = rng.choice(list(JoinSide))
+        matches = []
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            if rng.random() < 0.5:
+                matches.append(match_event(step, side, 1.0, exact=True))
+            else:
+                matches.append(
+                    match_event(
+                        step,
+                        side,
+                        rng.choice([0.86, 0.9, 1.0]),
+                        exact=False,
+                        evidence=rng.choice([None, JoinSide.LEFT, JoinSide.RIGHT]),
+                    )
+                )
+        mode = left_mode if side is JoinSide.LEFT else right_mode
+        results.append(step_result(step, side, mode, matches))
+    return results
+
+
+class TestBatchObservation:
+    @pytest.mark.parametrize("both", [False, True])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_observe_batch_equals_observe_step_loop(self, seed, both):
+        rng = random.Random(seed)
+        stepped = Monitor(window_size=6, count_unattributed_against_both=both)
+        batched = Monitor(window_size=6, count_unattributed_against_both=both)
+        first_step = 1
+        for _ in range(12):
+            left_mode, right_mode = rng.choice(list(JoinMode)), rng.choice(
+                list(JoinMode)
+            )
+            results = random_steps(
+                rng, first_step, rng.randint(1, 9), left_mode, right_mode
+            )
+            for result in results:
+                stepped.observe_step(result)
+            left_steps = sum(r.side is JoinSide.LEFT for r in results)
+            batched.observe_batch(
+                StepBatch(
+                    first_step=first_step,
+                    count=len(results),
+                    left_steps=left_steps,
+                    right_steps=len(results) - left_steps,
+                    left_mode=left_mode,
+                    right_mode=right_mode,
+                    match_events=[e for r in results for e in r.matches],
+                    sides=tuple(r.side for r in results)
+                    if left_mode is not right_mode
+                    else None,
+                )
+            )
+            assert batched.observation() == stepped.observation()
+            first_step += len(results)

@@ -12,6 +12,7 @@ the session into per-step execution) changes nothing observable.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,19 +105,61 @@ class TestExactlyOneBatchPerStep:
         assert sum(batch.count for batch in batches) == total
 
 
+def event_fields(event):
+    """Every field of a match event, with the pair reduced to its key."""
+    return (
+        event.step,
+        event.probe_side,
+        event.mode,
+        event.pair_key(),
+        event.similarity,
+        event.exact_value_match,
+        event.variant_evidence,
+    )
+
+
+def side_snapshot(session):
+    """Both sides' ``matched_exactly`` flags and operation counters."""
+    return {
+        side: (
+            [stored.matched_exactly for stored in state.tuples],
+            state.counters.as_dict(),
+        )
+        for side, state in session.engine.sides.items()
+    }
+
+
+#: The MAR default plus each fixed state, so every probe branch (exact and
+#: approximate, from either side) runs on both paths.
+POLICIES = [{}] + [
+    {"policy": "fixed", "initial_state": state} for state in JoinState
+]
+
+
 class TestPerStepPathEquivalence:
-    def test_step_subscriber_changes_nothing_observable(self, small_dataset):
-        fast = make_session(small_dataset)
+    @pytest.mark.parametrize(
+        "overrides",
+        POLICIES,
+        ids=["mar"] + [state.label for state in JoinState],
+    )
+    @pytest.mark.parametrize("dataset", ["small_dataset", "small_dataset_both"])
+    def test_step_subscriber_changes_nothing_observable(
+        self, request, dataset, overrides
+    ):
+        dataset = request.getfixturevalue(dataset)
+        fast = make_session(dataset, **overrides)
         fast_result = fast.run()
 
         bus = EventBus()
         bus.subscribe(StepResult, lambda result: None)  # opt into per-step
-        slow = make_session(small_dataset, bus=bus)
+        slow = make_session(dataset, bus=bus, **overrides)
         slow_result = slow.run()
 
-        assert [e.pair_key() for e in fast_result.matches] == [
-            e.pair_key() for e in slow_result.matches
+        assert fast_result.matches, "the comparison needs matches"
+        assert [event_fields(e) for e in fast_result.matches] == [
+            event_fields(e) for e in slow_result.matches
         ]
+        assert side_snapshot(fast) == side_snapshot(slow)
         assert fast_result.counters.as_dict() == slow_result.counters.as_dict()
         assert fast.trace.steps_per_state == slow.trace.steps_per_state
         assert fast.trace.total_steps == slow.trace.total_steps

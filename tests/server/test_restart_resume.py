@@ -7,12 +7,13 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.request
 from pathlib import Path
 
 import pytest
 
 from repro.jobs import build_job, normalize_payload
-from repro.server import JobScheduler, JsonlJobStore
+from repro.server import JobScheduler, JsonlJobStore, LinkageServer
 
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -158,6 +159,33 @@ class TestRestartResume:
         assert revived.restore() == []  # a deliberate cancel is terminal
         assert revived.describe(job_id)["state"] == "cancelled"
         revived.shutdown()
+
+    def test_terminal_baselines_report_their_stored_state(
+        self, tmp_path, tiny_payload
+    ):
+        """A restored finished or cancelled baseline is listed as it ended,
+        not as its rebuilt (never-run) handle's ``pending``."""
+        path = _write_store(
+            tmp_path,
+            _job("job-1", _exact_payload(tiny_payload)),
+            _status("job-1", "finished"),
+            _job("job-2", _exact_payload(tiny_payload)),
+            _status("job-2", "cancelled"),
+        )
+        expected = {"job-1": "finished", "job-2": "cancelled"}
+        revived = JobScheduler(max_workers=1, store=JsonlJobStore(path))
+        assert revived.restore() == []
+        server = LinkageServer(scheduler=revived).start()
+        try:
+            for job_id, state in expected.items():
+                assert revived.describe(job_id)["state"] == state
+                assert revived.cancel(job_id) == state  # no-op on ended jobs
+            url = f"{server.url}/jobs"
+            with urllib.request.urlopen(url, timeout=30) as response:
+                listing = json.loads(response.read().decode("utf-8"))
+            assert {job["id"]: job["state"] for job in listing["jobs"]} == expected
+        finally:
+            server.shutdown()
 
     def test_restored_ids_never_collide_with_new_ones(
         self, tmp_path, tiny_payload
