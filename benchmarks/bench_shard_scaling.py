@@ -19,13 +19,11 @@ workload (Jaccard-verified, so the match predicate is symmetric and the
 bar below is exact rather than fixture-dependent) is sharded under each
 probed partitioner and compared with its unsharded reference, isolating
 what the *partitioner* loses from what per-shard adaptive scheduling
-loses.  ``hash`` drops the cross-shard variant pairs; ``gram``
-(gram-replicated partitioning with merge-time dedup) and ``gram-prefix``
-(prefix-signature replication, strictly fewer replicas) must reproduce
-the unsharded match set *exactly* — the probe enforces that bar (lost or
-extra pairs both fail) and also records each partitioner's replication
-factor and raw-vs-deduped match counts, i.e. the work the recall
-guarantee costs and what the prefix signature saves.
+loses.  ``hash`` drops the cross-shard variant pairs; ``gram-prefix``
+(prefix-signature replication with merge-time dedup) must reproduce the
+unsharded match set *exactly* — the probe enforces that bar (lost or
+extra pairs both fail) and also records its replication factor and
+raw-vs-deduped match counts, i.e. the work the recall guarantee costs.
 
 Every entry additionally records the **shard handoff accounting**
 (ISSUE 8): the resolved handoff of the sweep, the per-shard wire payload
@@ -42,7 +40,7 @@ bit-deterministic (two runs, identical pair sets), every backend must
 produce the identical merged result at every shard count, the two
 handoffs must produce the identical merged result on the process
 backend, 1-shard serial must reproduce the unsharded session exactly,
-and the gram/gram-prefix probe recall must be exactly 1.0.
+and the gram-prefix probe recall must be exactly 1.0.
 
 Results are appended to ``BENCH_shard_scaling.json`` (one entry per
 invocation), the shard-layer counterpart of ``BENCH_probe_fastpath.json``.
@@ -56,8 +54,8 @@ Usage::
 
 The smoke run does 1 vs 2 shards on the serial backend only and finishes
 in seconds; ``--recall-smoke`` runs *only* the recall probe (hash vs
-gram vs gram-prefix, 2 shards) and fails the process if replicated
-recall ≠ 1.0 — the CI recall-preservation gate.  ``--zero-copy-smoke``
+gram-prefix, 2 shards) and fails the process if replicated recall ≠
+1.0 — the CI recall-preservation gate.  ``--zero-copy-smoke``
 is the CI gate for the shared-memory handoff: a process-backend run at
 2 shards under each handoff must merge bit-identically, and the
 shared-memory segment registry must drain to zero on both the success
@@ -102,10 +100,10 @@ DEFAULT_BACKENDS = ("serial", "process")
 #: The CI smoke pins serial/process agreement at 1 and 2 shards.
 SMOKE_BACKENDS = ("serial", "process")
 #: Partitioners compared by the recall probe: the exact-semantics default
-#: against the two gram-replicated full-recall partitioners.
-RECALL_PARTITIONERS = ("hash", "gram", "gram-prefix")
+#: against the prefix-gram-replicated full-recall partitioner.
+RECALL_PARTITIONERS = ("hash", "gram-prefix")
 #: Partitioners the probe holds to the exact-reproduction bar.
-REPLICATED_PARTITIONERS = ("gram", "gram-prefix")
+REPLICATED_PARTITIONERS = ("gram-prefix",)
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_shard_scaling.json"
 
 
@@ -138,7 +136,7 @@ def all_approximate_config() -> RunConfig:
     """The schedule-free recall-probe configuration (fixed ``lap/rap``).
 
     ``verify_jaccard=True`` makes the match predicate a symmetric
-    function of the pair, which is what turns the gram partitioner's
+    function of the pair, which is what turns the gram-prefix partitioner's
     "every matchable pair is co-located" into exact set equality with
     the unsharded run — the default probe-directional counter test can
     flip borderline pairs either way under *any* re-interleaving of
@@ -158,10 +156,9 @@ def recall_probe(dataset, shard_counts, partitioners=RECALL_PARTITIONERS):
     probe removes the schedule — a fixed all-approximate run loses
     exactly the pairs its partitioner separates.  Returns one row per
     shard count mapping partitioner → recall / match counts (raw and
-    deduped) plus each replicated partitioner's replication factor —
-    the side-by-side gram vs gram-prefix factors quantify what the
-    prefix signature saves — and asserts the replication bar: gram and
-    gram-prefix recall must be exactly 1.0 at every probed shard count.
+    deduped) plus each replicated partitioner's replication factor, and
+    asserts the replication bar: gram-prefix recall must be exactly 1.0
+    at every probed shard count.
     """
     config = all_approximate_config()
     reference = JoinSession(dataset.parent, dataset.child, "location", config).run()
@@ -395,7 +392,7 @@ def run_benchmark(
         "cpu_count": os.cpu_count(),
         "entries": entries,
         # Partitioner recall, isolated from adaptive scheduling: an
-        # all-approximate workload per shard count, hash vs gram.
+        # all-approximate workload per shard count, hash vs gram-prefix.
         "recall_probe": {
             "total_tuples": recall_probe_tuples,
             "policy": "fixed (all-approximate, lap/rap)",
@@ -494,9 +491,8 @@ def main(argv=None) -> int:
         "--recall-smoke",
         action="store_true",
         help="CI recall-preservation gate: run only the all-approximate "
-             "recall probe (hash vs gram vs gram-prefix, 2 shards) and "
-             "fail unless both replicated partitioners' recall is exactly "
-             "1.0; appends nothing",
+             "recall probe (hash vs gram-prefix, 2 shards) and fail "
+             "unless gram-prefix recall is exactly 1.0; appends nothing",
     )
     parser.add_argument(
         "--zero-copy-smoke",
@@ -509,7 +505,7 @@ def main(argv=None) -> int:
         "--partitioner",
         default="hash",
         help="partitioner for the timing sweep (default hash; the recall "
-             "probe always compares hash vs gram vs gram-prefix)",
+             "probe always compares hash vs gram-prefix)",
     )
     parser.add_argument(
         "--handoff",

@@ -95,7 +95,7 @@ def demo_process_backend(dataset) -> None:
         LinkageJob.between(dataset.parent, dataset.child)
         .on("location")
         .thresholds(FAST)
-        .sharded(4, backend="process", partitioner="gram")
+        .sharded(4, backend="process", partitioner="gram-prefix")
         .with_progress()
         .build()
     )
@@ -103,7 +103,7 @@ def demo_process_backend(dataset) -> None:
     snapshot = handle.progress()
     print(
         f"process backend: {result.pair_count} pairs across "
-        f"{result.statistics['shards']} gram-replicated shards "
+        f"{result.statistics['shards']} prefix-gram-replicated shards "
         f"({result.statistics['raw_result_size']} raw discoveries, "
         f"{result.statistics['duplicate_matches']} deduped); "
         f"progress saw shards {snapshot.shards_done}/{snapshot.total_shards}"

@@ -167,12 +167,12 @@ def run_experiment(
     shards, backend, partitioner:
         Sharded execution of the adaptive run (``shards > 1``): the
         inputs are partitioned, one session runs per shard on ``backend``
-        and the merged result is measured.  ``partitioner="gram"``
-        replicates records across gram-owning shards so the adaptive
-        run's recall is shard-count-independent (duplicates removed at
-        merge); ``"gram-prefix"`` does the same at a lower replication
-        factor.  The baselines always run unsharded — they are the
-        reference costs the gain/cost report compares against.
+        and the merged result is measured.  ``partitioner="gram-prefix"``
+        replicates records across the shards owning their prefix grams,
+        so the adaptive run's recall is shard-count-independent
+        (duplicates removed at merge).  The baselines always run
+        unsharded — they are the reference costs the gain/cost report
+        compares against.
     handoff:
         Shard-input representation for the sharded run (``"auto"`` /
         ``"pickle"`` / ``"shared-memory"``; performance knob only, see

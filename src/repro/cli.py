@@ -131,11 +131,10 @@ def _add_sharding_arguments(parser: argparse.ArgumentParser) -> None:
                         default="hash",
                         help="record-to-shard assignment; hash co-partitions "
                              "both sides by join-key value (exact semantics), "
-                             "gram replicates records across gram-owning "
-                             "shards for full approximate recall (duplicates "
-                             "removed at merge), gram-prefix keeps that "
-                             "recall at a lower replication factor via "
-                             "frequency-ordered prefix signatures")
+                             "gram-prefix replicates records across the "
+                             "shards owning their frequency-ordered prefix "
+                             "grams for full approximate recall (duplicates "
+                             "removed at merge)")
     parser.add_argument("--handoff", choices=HANDOFF_MODES, default="auto",
                         help="shard-input representation: pickle copies "
                              "records into every task, shared-memory encodes "

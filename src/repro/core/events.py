@@ -7,11 +7,8 @@ lived in :mod:`repro.runtime.events`, which made ``repro.core.trace``
 import upward from ``repro.runtime`` — the one layering inversion the
 ``repro lint`` RL002 sweep flagged.  They are plain leaf data (their
 fields reference only ``core`` and ``joins`` types, both at or below
-this layer), so they live here and :mod:`repro.runtime.events`
-re-exports them backwards-compatibly: every historical import path
-(``from repro.runtime.events import TransitionEvent`` and the
-re-exports in ``repro.runtime``/``repro.runtime.parallel``) keeps
-working, and the classes themselves are identical objects either way.
+this layer), so they live here, and every importer — runtime included
+— imports them from this module.
 """
 
 from __future__ import annotations

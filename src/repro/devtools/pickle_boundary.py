@@ -40,7 +40,6 @@ PICKLE_BOUNDARY: Tuple[Tuple[str, str], ...] = (
     ("repro.runtime.handoff", "BlockDescriptor"),
     ("repro.runtime.parallel", "ShardInputPayload"),
     ("repro.runtime.parallel", "_ShardTask"),
-    ("repro.runtime.parallel", "_BlockShardTask"),
 )
 
 #: The subset that crosses a *spawned worker* boundary in production (the

@@ -22,7 +22,7 @@ mid-run with partial results
         .on("location")
         .strategy("adaptive")
         .policy("deadline", seconds=2.0)
-        .sharded(8, partitioner="gram")
+        .sharded(8, partitioner="gram-prefix")
         .build()
     )
     for match in handle.stream_matches():

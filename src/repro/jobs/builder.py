@@ -13,7 +13,7 @@ or streaming) and can be observed and cancelled mid-run::
         .on("location")
         .strategy("adaptive")
         .policy("deadline", seconds=2.0)
-        .sharded(8, partitioner="gram")
+        .sharded(8, partitioner="gram-prefix")
         .with_progress()
         .build()
     )
@@ -48,7 +48,7 @@ from repro.runtime.faults import FaultPlan
 from repro.runtime.handoff import HANDOFF_MODES
 from repro.runtime.parallel import available_backends
 from repro.runtime.policy import available_policies
-from repro.runtime.sharding import available_partitioners
+from repro.runtime.sharding import PARTITIONERS, available_partitioners
 
 #: The strategies a linkage job can run (kept in the historical order of
 #: :mod:`repro.linkage.api`, which re-exports this tuple).
@@ -266,9 +266,7 @@ class LinkageJob:
         """Split the run into ``shards`` partitioned sessions on ``backend``.
 
         ``backend`` is an execution backend (``serial`` or ``process``),
-        ``partitioner`` any
-        registered partitioner (``hash`` / ``round-robin`` / ``range`` /
-        ``gram`` / ``gram-prefix``), ``handoff`` the shard-input
+        ``partitioner`` ``hash`` or ``gram-prefix``, ``handoff`` the shard-input
         representation (``auto`` — the default — / ``pickle`` /
         ``shared-memory``; see :mod:`repro.runtime.handoff`).
         ``shards=1`` restores unsharded execution.  Omitted keywords keep
@@ -284,9 +282,9 @@ class LinkageJob:
                 f"unknown execution backend {backend!r}; available: "
                 f"{available_backends()}"
             )
-        if partitioner is not None and partitioner not in available_partitioners():
+        if partitioner is not None and partitioner not in PARTITIONERS:
             raise ValueError(
-                f"unknown partitioner {partitioner!r}; registered: "
+                f"unknown partitioner {partitioner!r}; available: "
                 f"{available_partitioners()}"
             )
         if handoff is not None and handoff not in HANDOFF_MODES:

@@ -44,11 +44,11 @@ from repro.runtime.faults import FaultPlan
 from repro.runtime.parallel import AggregatedEventBus, ParallelExecutor
 from repro.runtime.session import AdaptiveJoinResult, JoinSession
 from repro.runtime.sharding import (
+    PARTITIONERS,
     FirstShardWins,
     ShardedJoinResult,
     ShardOutcome,
     ShardPlan,
-    partitioner_replicates,
 )
 
 #: Default engine steps per streamed batch: small enough that matches and
@@ -133,12 +133,12 @@ class JobHandle:
         if spec.progress_enabled:
             left_size = input_size(spec.left)
             right_size = input_size(spec.right)
-            # Under a replicating partitioner (gram) the true step count
+            # Under a replicating partitioner (gram-prefix) the true step count
             # is the replicated record volume, unknown before the plan is
             # built: leave the total unset so `fraction` falls back to
             # shards-done rather than reporting 100% mid-run.
-            replicated = spec.shards > 1 and partitioner_replicates(
-                spec.partitioner
+            replicated = (
+                spec.shards > 1 and PARTITIONERS[spec.partitioner].replicates
             )
             self._progress = ProgressCollector(
                 total_steps=(

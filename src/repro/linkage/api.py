@@ -31,7 +31,7 @@ call should use the builder directly, which additionally offers::
 
     handle = (LinkageJob.between(left, right).on("location")
               .policy("deadline", seconds=2.0)
-              .sharded(8, partitioner="gram")
+              .sharded(8, partitioner="gram-prefix")
               .with_progress()
               .build())
     handle.stream_matches()        # lazy match iterator
@@ -95,9 +95,9 @@ def link_tables(
     ``config`` configure the adaptive run; ``shards`` / ``backend`` /
     ``partitioner`` request sharded execution of the adaptive strategy
     (``backend``: serial / process; ``partitioner``:
-    hash preserves exact semantics, gram preserves full approximate
-    recall via replication, gram-prefix the same at a lower replication
-    factor — see ARCHITECTURE.md "Sharded execution").  ``handoff``
+    hash preserves exact semantics, gram-prefix preserves full
+    approximate recall via prefix-gram replication — see ARCHITECTURE.md
+    "Sharded execution").  ``handoff``
     selects the shard-input representation (``auto`` / ``pickle`` /
     ``shared-memory``; see ARCHITECTURE.md "Shard handoff") — a
     performance knob only, results are bit-identical either way.

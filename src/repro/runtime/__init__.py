@@ -14,8 +14,8 @@ This package is the composition layer between the switchable join engine
 * :mod:`repro.runtime.events` — the :class:`EventBus` the engine and the
   policies publish step / match / switch / transition events onto;
 * :mod:`repro.runtime.collectors` — optional ready-made subscribers;
-* :mod:`repro.runtime.sharding` — partitioners (``hash`` /
-  ``round-robin`` / ``range`` / the gram-replicated ``gram``),
+* :mod:`repro.runtime.sharding` — the two partitioners (``hash`` and
+  the prefix-gram-replicated ``gram-prefix``),
   :class:`ShardPlan` and the mergeable, duplicate-free
   :class:`ShardedJoinResult`;
 * :mod:`repro.runtime.parallel` — :class:`ParallelExecutor` with the
@@ -53,14 +53,13 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
         ShardExecutionError,
         ShardTimeoutError,
     )
+    from repro.core.events import AssessmentEvent, TransitionEvent
     from repro.runtime.events import (
-        AssessmentEvent,
         EventBus,
         ShardCompleted,
         ShardEvent,
         ShardFailed,
         ShardRetrying,
-        TransitionEvent,
     )
     from repro.runtime.failures import (
         DegradePolicy,
@@ -92,25 +91,21 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
     )
     from repro.runtime.session import AdaptiveJoinResult, JoinSession
     from repro.runtime.sharding import (
-        GramPartitioner,
         HashPartitioner,
         Partitioner,
-        RangePartitioner,
-        RoundRobinPartitioner,
         ShardedJoinResult,
         ShardOutcome,
         ShardPlan,
         available_partitioners,
         create_partitioner,
-        register_partitioner,
     )
 
 _EXPORTS = {
     "RunConfig": "repro.runtime.config",
     "input_size": "repro.runtime.config",
     "EventBus": "repro.runtime.events",
-    "TransitionEvent": "repro.runtime.events",
-    "AssessmentEvent": "repro.runtime.events",
+    "TransitionEvent": "repro.core.events",
+    "AssessmentEvent": "repro.core.events",
     "SwitchPolicy": "repro.runtime.policy",
     "MarPolicy": "repro.runtime.policy",
     "FixedStatePolicy": "repro.runtime.policy",
@@ -129,10 +124,6 @@ _EXPORTS = {
     "ProgressSnapshot": "repro.runtime.collectors",
     "Partitioner": "repro.runtime.sharding",
     "HashPartitioner": "repro.runtime.sharding",
-    "RoundRobinPartitioner": "repro.runtime.sharding",
-    "RangePartitioner": "repro.runtime.sharding",
-    "GramPartitioner": "repro.runtime.sharding",
-    "register_partitioner": "repro.runtime.sharding",
     "create_partitioner": "repro.runtime.sharding",
     "available_partitioners": "repro.runtime.sharding",
     "ShardPlan": "repro.runtime.sharding",

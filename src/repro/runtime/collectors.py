@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.events import TransitionEvent
 from repro.joins.base import JoinMode, MatchEvent
 from repro.joins.engine import StepBatch, StepResult, SwitchRecord
 from repro.runtime.events import (
@@ -40,7 +41,6 @@ from repro.runtime.events import (
     ShardCompleted,
     ShardFailed,
     ShardRetrying,
-    TransitionEvent,
 )
 
 

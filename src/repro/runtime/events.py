@@ -30,10 +30,13 @@ The runtime publishes:
   probe loop never pays for unobserved matches);
 * :class:`~repro.joins.engine.SwitchRecord` — one per per-side operator
   switch performed by the engine;
-* :class:`TransitionEvent` — one per state-machine transition enacted by a
-  switch policy (a transition groups the per-side switches it caused);
-* :class:`AssessmentEvent` — one per control-loop activation of the MAR
-  policy, with the σ/µ/π verdict and the evaluated guards;
+* :class:`~repro.core.events.TransitionEvent` — one per state-machine
+  transition enacted by a switch policy (a transition groups the
+  per-side switches it caused);
+* :class:`~repro.core.events.AssessmentEvent` — one per control-loop
+  activation of the MAR policy, with the σ/µ/π verdict and the evaluated
+  guards (both live in :mod:`repro.core.events`, because core observers
+  consume them);
 * :class:`ShardEvent` / :class:`ShardCompleted` — shard-tagged wrappers
   and per-shard lifecycle events published by the sharded execution
   layer (:mod:`repro.runtime.parallel`) on an ``AggregatedEventBus``;
@@ -54,24 +57,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Type
 
-# TransitionEvent / AssessmentEvent are *consumed* by core observers
-# (ExecutionTrace), so the dataclasses live one layer down in
-# repro.core.events; this re-export keeps every historical import path
-# working (repro lint RL002: core must not import upward from runtime).
-from repro.core.events import AssessmentEvent, TransitionEvent
-
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.runtime.session import AdaptiveJoinResult
 
 __all__ = [
-    "AssessmentEvent",
     "EventBus",
     "Handler",
     "ShardCompleted",
     "ShardEvent",
     "ShardFailed",
     "ShardRetrying",
-    "TransitionEvent",
 ]
 
 Handler = Callable[[object], None]

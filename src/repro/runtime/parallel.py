@@ -14,9 +14,13 @@
 ``"process"``
     A ``ProcessPoolExecutor``: real multi-core scaling.  Each worker
     rebuilds its shard's streams and session from a pickled
-    :class:`_ShardTask`, so the run configuration and every shard record
-    must be picklable — enforced up front with a clear error rather than
-    a deep traceback out of the pool.
+    :class:`_ShardTask`, built by the one factory :func:`_shard_task` for
+    first attempts and retries alike.  Each side ships either as a
+    shared-memory :class:`~repro.runtime.handoff.BlockDescriptor` (the
+    zero-copy handoff) or as its shard's records; the latter needs the
+    run configuration and every shard record to be picklable — enforced
+    up front with a clear error rather than a deep traceback out of the
+    pool.
 
 Both backends produce the same merged result for the same plan (the
 per-shard sessions are deterministic; backends only change *where* they
@@ -47,9 +51,11 @@ the cancel-token path, publishes ``ShardFailed`` / ``ShardRetrying``
 lifecycle events, and records dropped shards for honest degraded
 accounting.  Deterministic fault injection
 (:class:`~repro.runtime.faults.FaultPlan`) hooks into the same runner,
-so every failure path is reproducible on both backends.  A run with no
-faults, no timeout and the default policy takes the exact pre-existing
-code path — the happy path pays nothing.
+so every failure path is reproducible on both backends.  Every attempt
+on both backends runs through the one attempt function
+(:func:`_run_attempt`); a clean attempt (no fault, no timeout) runs
+uncapped engine batches, so it is bit-identical to
+:meth:`JoinSession.run` — the happy path pays nothing.
 """
 
 from __future__ import annotations
@@ -61,20 +67,19 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 
-from repro.engine.streams import InputLike
+from repro.core.events import AssessmentEvent, TransitionEvent
+from repro.engine.streams import InputLike, ListStream, RecordStream, RowSliceStream
 from repro.engine.tuples import Record, Schema
 from repro.joins.base import JoinAttribute, MatchEvent
 from repro.joins.engine import StepBatch, StepResult, SwitchRecord
 from repro.runtime.config import RunConfig
 from repro.runtime.errors import ShardExecutionError, ShardTimeoutError
 from repro.runtime.events import (
-    AssessmentEvent,
     EventBus,
     ShardCompleted,
     ShardEvent,
     ShardFailed,
     ShardRetrying,
-    TransitionEvent,
 )
 from repro.runtime.failures import (
     FailurePolicy,
@@ -82,7 +87,7 @@ from repro.runtime.failures import (
     create_failure_policy,
 )
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedFaultError
-from repro.runtime.handoff import BlockDescriptor
+from repro.runtime.handoff import AttachedBlock, BlockDescriptor
 from repro.runtime.session import AdaptiveJoinResult, JoinSession
 from repro.runtime.sharding import (
     Partitioner,
@@ -190,38 +195,6 @@ class AggregatedEventBus(EventBus):
 # -- shard execution --------------------------------------------------------------------
 
 
-def _run_shard_inline(
-    plan: ShardPlan,
-    config: RunConfig,
-    shard_id: int,
-    bus: Optional[AggregatedEventBus],
-    cancel: Optional[object] = None,
-) -> ShardOutcome:
-    """Build and run one shard's session in the current thread.
-
-    ``cancel`` is forwarded to the session loop, so an in-flight shard
-    stops at its next engine-batch boundary once the token is set (its
-    outcome then carries a partial, ``cancelled`` result).
-    """
-    started = time.perf_counter()
-    # Shard inputs go to the session as-is; its stream normalisation
-    # builds the zero-copy RowSliceStream view for block-backed shards.
-    left = plan.left_shards[shard_id]
-    right = plan.right_shards[shard_id]
-    shard_bus = EventBus()
-    if bus is not None:
-        bus.forward_from(shard_id, shard_bus)
-    session = JoinSession(left, right, plan.attribute, config, bus=shard_bus)
-    result = session.run(cancel=cancel)
-    return ShardOutcome(
-        shard_id=shard_id,
-        result=result,
-        left_origins=plan.left_shards[shard_id].origins,
-        right_origins=plan.right_shards[shard_id].origins,
-        wall_seconds=time.perf_counter() - started,
-    )
-
-
 def _cancelled(cancel: Optional[object]) -> bool:
     """Whether a (possibly absent) cancel token has been set."""
     return cancel is not None and cancel.is_set()
@@ -287,12 +260,14 @@ def _run_attempt(
     clock: Callable[[], float],
     sleep: Callable[[float], None],
 ) -> AdaptiveJoinResult:
-    """Drive one supervised shard attempt; the single implementation
-    behind both backends (the serial runner and the process-pool worker).
+    """Drive one shard attempt; the single implementation behind both
+    backends (the serial runner and the process-pool worker).
 
-    Runs the session in :data:`_SUPERVISED_BATCH`-step engine batches,
-    checking the deadline and any injected fault at every boundary; a
-    cooperative hang polls its token through ``sleep``.  Returns the
+    A clean attempt (no fault, no timeout) runs uncapped engine batches,
+    exactly as :meth:`JoinSession.run` does.  A supervised one runs in
+    :data:`_SUPERVISED_BATCH`-step batches, checking the deadline and any
+    injected fault at every boundary; a cooperative hang polls its token
+    through ``sleep``.  Returns the
     attempt's :class:`AdaptiveJoinResult` (possibly a cancelled partial,
     when the *caller's* token tripped) or raises:
 
@@ -304,6 +279,8 @@ def _run_attempt(
     token: Optional[object] = cancel
     if timeout_seconds is not None:
         token = _AttemptDeadline(cancel, clock, timeout_seconds)
+    supervised = fault is not None or timeout_seconds is not None
+    max_batch = _SUPERVISED_BATCH if supervised else None
     batches = 0
     try:
         session = JoinSession(left, right, attribute, config, bus=shard_bus)
@@ -313,9 +290,7 @@ def _run_attempt(
                 f"injected shard failure: shard {shard_id} attempt {attempt}"
             )
         if not hang_now:
-            for _ in session.run_batches(
-                max_batch=_SUPERVISED_BATCH, cancel=token
-            ):
+            for _ in session.run_batches(max_batch=max_batch, cancel=token):
                 batches += 1
                 if fault is not None and batches >= fault.after_batches:
                     if fault.kind == "fail":
@@ -410,46 +385,39 @@ class FailureContext:
         the failure is fatal.
         """
         attempt = 1
+        timeout = self.policy.shard_timeout_seconds
         while True:
             fault = (
                 self.faults.action_for(shard_id, attempt) if self.faults else None
             )
-            timeout = self.policy.shard_timeout_seconds
             started = self.clock()
             try:
-                if fault is None and timeout is None:
-                    # Unsupervised: byte-for-byte the pre-fault-tolerance
-                    # path (and the seam tests monkeypatch).
-                    outcome = _run_shard_inline(
-                        self.plan, self.config, shard_id, self.bus, cancel
-                    )
-                else:
-                    left, right = self.plan.shard_streams(shard_id)
-                    shard_bus: Optional[EventBus] = None
-                    if self.bus is not None:
-                        shard_bus = EventBus()
-                        self.bus.forward_from(shard_id, shard_bus)
-                    result = _run_attempt(
-                        left,
-                        right,
-                        self.plan.attribute,
-                        self.config,
-                        shard_id,
-                        attempt,
-                        shard_bus,
-                        cancel,
-                        timeout,
-                        fault,
-                        self.clock,
-                        self.sleep,
-                    )
-                    outcome = ShardOutcome(
-                        shard_id=shard_id,
-                        result=result,
-                        left_origins=self.plan.left_shards[shard_id].origins,
-                        right_origins=self.plan.right_shards[shard_id].origins,
-                        wall_seconds=self.clock() - started,
-                    )
+                left, right = self.plan.shard_streams(shard_id)
+                shard_bus: Optional[EventBus] = None
+                if self.bus is not None:
+                    shard_bus = EventBus()
+                    self.bus.forward_from(shard_id, shard_bus)
+                result = _run_attempt(
+                    left,
+                    right,
+                    self.plan.attribute,
+                    self.config,
+                    shard_id,
+                    attempt,
+                    shard_bus,
+                    cancel,
+                    timeout,
+                    fault,
+                    self.clock,
+                    self.sleep,
+                )
+                outcome = ShardOutcome(
+                    shard_id=shard_id,
+                    result=result,
+                    left_origins=self.plan.left_shards[shard_id].origins,
+                    right_origins=self.plan.right_shards[shard_id].origins,
+                    wall_seconds=self.clock() - started,
+                )
                 return None if _never_ran(outcome) else outcome
             except Exception as error:  # noqa: BLE001 - policy decides below
                 if isinstance(error, ShardExecutionError):
@@ -537,34 +505,81 @@ class FailureContext:
 
 
 @dataclass
-class _ShardTask:
-    """The picklable payload a process-backend worker rebuilds a shard from.
+class ShardInputPayload:
+    """One side's shard records, shipped to a worker process (pickle handoff)."""
 
-    ``attempt`` / ``timeout_seconds`` / ``faults`` extend the payload
-    with the failure-semantics contract: retries are coordinated in the
-    parent (a retried shard is simply resubmitted with ``attempt + 1``),
-    while the per-attempt timeout and any injected faults are enforced
-    *inside* the worker — the only place that can see the attempt's
-    engine-batch boundaries.
+    schema: Schema
+    records: List[Record]
+
+
+@dataclass
+class _ShardTask:
+    """The picklable payload a process-backend worker runs one shard attempt from.
+
+    Each side is either a :class:`~repro.runtime.handoff.BlockDescriptor`
+    (the zero-copy handoff: the side's records and every shard's row-index
+    array live in shared-memory segments published once per run by the
+    coordinator, :meth:`~repro.runtime.sharding.ShardPlan.publish_blocks`,
+    so the task pickles to O(descriptor) bytes regardless of shard size or
+    replication factor) or a :class:`ShardInputPayload` carrying the
+    shard's records themselves (the pickle handoff).
+
+    ``attempt`` / ``timeout_seconds`` / ``faults`` carry the
+    failure-semantics contract: retries are coordinated in the parent (a
+    retried shard is simply resubmitted through :func:`_shard_task` with
+    ``attempt + 1`` — under the zero-copy handoff that retry is
+    descriptor-only too), while the per-attempt timeout and any injected
+    faults are enforced *inside* the worker — the only place that can see
+    the attempt's engine-batch boundaries.
     """
 
     shard_id: int
     attribute: JoinAttribute
     config: RunConfig
-    left: "ShardInputPayload"
-    right: "ShardInputPayload"
+    left: Union[BlockDescriptor, ShardInputPayload]
+    right: Union[BlockDescriptor, ShardInputPayload]
+    left_name: str
+    right_name: str
     attempt: int = 1
     timeout_seconds: Optional[float] = None
     faults: Optional[FaultPlan] = None
 
 
-@dataclass
-class ShardInputPayload:
-    """One side's shard records, shipped to a worker process."""
+def _shard_task(
+    plan: ShardPlan,
+    config: RunConfig,
+    shard_id: int,
+    attempt: int,
+    descriptors: Optional[Tuple[BlockDescriptor, BlockDescriptor]],
+    timeout_seconds: Optional[float] = None,
+    faults: Optional[FaultPlan] = None,
+) -> _ShardTask:
+    """The one task factory: first attempts, retries and size estimates.
 
-    schema: Schema
-    records: List[Record]
-    name: str
+    With ``descriptors`` (the plan's published side blocks) both sides
+    ship as descriptors; without, as their shard's record payloads.
+    """
+    left_input = plan.left_shards[shard_id]
+    right_input = plan.right_shards[shard_id]
+    left: Union[BlockDescriptor, ShardInputPayload]
+    right: Union[BlockDescriptor, ShardInputPayload]
+    if descriptors is not None:
+        left, right = descriptors
+    else:
+        left = ShardInputPayload(left_input.schema, left_input.records)
+        right = ShardInputPayload(right_input.schema, right_input.records)
+    return _ShardTask(
+        shard_id=shard_id,
+        attribute=plan.attribute,
+        config=config,
+        left=left,
+        right=right,
+        left_name=left_input.name,
+        right_name=right_input.name,
+        attempt=attempt,
+        timeout_seconds=timeout_seconds,
+        faults=faults.for_shard(shard_id) if faults else None,
+    )
 
 
 def _run_shard_task(task: _ShardTask) -> Tuple[int, AdaptiveJoinResult, float]:
@@ -575,25 +590,35 @@ def _run_shard_task(task: _ShardTask) -> Tuple[int, AdaptiveJoinResult, float]:
     wall clock and ``time.sleep``, since injectables cannot cross the
     process boundary.  Failures come back as picklable
     :class:`ShardExecutionError`\\ s; the coordinator applies the policy
-    (retry = resubmit, degrade = record, fail-fast = raise).
+    (retry = resubmit, degrade = record, fail-fast = raise).  Shared-memory
+    attachments are closed before returning on every path; the result
+    carries only decoded records, so nothing in it references a segment
+    once the worker is done.
     """
-    from repro.engine.streams import ListStream
-
     started = time.perf_counter()
-    left = ListStream(task.left.schema, task.left.records, name=task.left.name)
-    right = ListStream(task.right.schema, task.right.records, name=task.right.name)
-    fault = (
-        task.faults.action_for(task.shard_id, task.attempt) if task.faults else None
-    )
-    if fault is None and task.timeout_seconds is None:
-        try:
-            session = JoinSession(left, right, task.attribute, task.config)
-            result = session.run()
-        except Exception as error:
-            raise ShardExecutionError(
-                task.shard_id, task.attempt, 0, f"{type(error).__name__}: {error}"
-            ) from error
-    else:
+    attachments: List[AttachedBlock] = []
+    try:
+        streams: List[RecordStream] = []
+        for payload, name in (
+            (task.left, task.left_name),
+            (task.right, task.right_name),
+        ):
+            if isinstance(payload, BlockDescriptor):
+                # Zero-copy: stream the shard's rows as views over the
+                # mapped buffers; cell values are materialised lazily as
+                # the join consumes them.
+                attached = payload.attach()
+                attachments.append(attached)
+                rows = attached.shard_rows(task.shard_id)
+                streams.append(RowSliceStream(attached.block, rows, name=name))
+            else:
+                streams.append(ListStream(payload.schema, payload.records, name=name))
+        left, right = streams
+        fault = (
+            task.faults.action_for(task.shard_id, task.attempt)
+            if task.faults
+            else None
+        )
         result = _run_attempt(
             left,
             right,
@@ -608,101 +633,9 @@ def _run_shard_task(task: _ShardTask) -> Tuple[int, AdaptiveJoinResult, float]:
             time.perf_counter,
             time.sleep,
         )
-    return task.shard_id, result, time.perf_counter() - started
-
-
-@dataclass
-class _BlockShardTask:
-    """The zero-copy counterpart of :class:`_ShardTask`.
-
-    Ships no records at all: both sides' payloads live in shared-memory
-    segments published once per run by the coordinator
-    (:meth:`~repro.runtime.sharding.ShardPlan.publish_blocks`), and the
-    task carries only the two :class:`~repro.runtime.handoff.BlockDescriptor`
-    handles (plus this shard's stream names).  A task therefore pickles to
-    O(descriptor) bytes regardless of shard size or replication factor —
-    and since retries are coordinator-side resubmissions of a fresh task,
-    *retry* payloads are O(descriptor) too, where the classic path
-    re-pickled the entire shard per attempt.
-    """
-
-    shard_id: int
-    attribute: JoinAttribute
-    config: RunConfig
-    left: BlockDescriptor
-    right: BlockDescriptor
-    left_name: str
-    right_name: str
-    attempt: int = 1
-    timeout_seconds: Optional[float] = None
-    faults: Optional[FaultPlan] = None
-
-
-def _run_block_shard_task(
-    task: _BlockShardTask,
-) -> Tuple[int, AdaptiveJoinResult, float]:
-    """Process-pool worker for the shared-memory handoff.
-
-    Attaches both side blocks, streams the shard's rows as zero-copy
-    views (:class:`~repro.engine.streams.RowSliceStream` over the mapped
-    buffers — cell values are materialised lazily as the join consumes
-    them) and runs the identical attempt machinery as
-    :func:`_run_shard_task`.  The attachments are closed before
-    returning on every path; the result carries only decoded records, so
-    nothing in it references the segment once the worker is done.
-    """
-    from repro.engine.streams import RowSliceStream
-
-    started = time.perf_counter()
-    left_attached = task.left.attach()
-    try:
-        right_attached = task.right.attach()
-        try:
-            left = RowSliceStream(
-                left_attached.block,
-                left_attached.shard_rows(task.shard_id),
-                name=task.left_name,
-            )
-            right = RowSliceStream(
-                right_attached.block,
-                right_attached.shard_rows(task.shard_id),
-                name=task.right_name,
-            )
-            fault = (
-                task.faults.action_for(task.shard_id, task.attempt)
-                if task.faults
-                else None
-            )
-            if fault is None and task.timeout_seconds is None:
-                try:
-                    session = JoinSession(left, right, task.attribute, task.config)
-                    result = session.run()
-                except Exception as error:
-                    raise ShardExecutionError(
-                        task.shard_id,
-                        task.attempt,
-                        0,
-                        f"{type(error).__name__}: {error}",
-                    ) from error
-            else:
-                result = _run_attempt(
-                    left,
-                    right,
-                    task.attribute,
-                    task.config,
-                    task.shard_id,
-                    task.attempt,
-                    None,
-                    None,
-                    task.timeout_seconds,
-                    fault,
-                    time.perf_counter,
-                    time.sleep,
-                )
-        finally:
-            right_attached.close()
     finally:
-        left_attached.close()
+        for attached in reversed(attachments):
+            attached.close()
     return task.shard_id, result, time.perf_counter() - started
 
 
@@ -766,9 +699,9 @@ def _process_backend(
 
     Under the zero-copy handoff (``plan.handoff == "shared-memory"``)
     both side blocks are published to shared memory once per run and
-    every task — first attempts and retries alike — ships only a
-    :class:`_BlockShardTask` of O(descriptor) bytes; the segments are
-    closed and unlinked in a ``finally`` on every exit path.  Under the
+    every task — first attempts and retries alike — ships only the two
+    descriptors, O(descriptor) bytes; the segments are closed and
+    unlinked in a ``finally`` on every exit path.  Under the
     pickle handoff each task carries its shard's full record payload and
     requires a picklable :class:`RunConfig` and picklable shard records
     (checked up front).  Shard events are not streamed back — only
@@ -800,47 +733,20 @@ def _process_backend(
         except OSError:
             published = None
 
+    descriptors = published.descriptors if published is not None else None
+
+    def make_task(shard_id: int, attempt: int) -> _ShardTask:
+        return _shard_task(
+            plan,
+            config,
+            shard_id,
+            attempt,
+            descriptors,
+            ctx.policy.shard_timeout_seconds,
+            ctx.faults,
+        )
+
     try:
-        if published is not None:
-            left_descriptor, right_descriptor = published.descriptors
-
-            def make_task(shard_id: int, attempt: int) -> _BlockShardTask:
-                return _BlockShardTask(
-                    shard_id=shard_id,
-                    attribute=plan.attribute,
-                    config=config,
-                    left=left_descriptor,
-                    right=right_descriptor,
-                    left_name=plan.left_shards[shard_id].name,
-                    right_name=plan.right_shards[shard_id].name,
-                    attempt=attempt,
-                    timeout_seconds=ctx.policy.shard_timeout_seconds,
-                    faults=ctx.faults.for_shard(shard_id) if ctx.faults else None,
-                )
-
-            run_task = _run_block_shard_task
-        else:
-
-            def make_task(shard_id: int, attempt: int) -> _ShardTask:
-                left_input = plan.left_shards[shard_id]
-                right_input = plan.right_shards[shard_id]
-                return _ShardTask(
-                    shard_id=shard_id,
-                    attribute=plan.attribute,
-                    config=config,
-                    left=ShardInputPayload(
-                        left_input.schema, left_input.records, left_input.name
-                    ),
-                    right=ShardInputPayload(
-                        right_input.schema, right_input.records, right_input.name
-                    ),
-                    attempt=attempt,
-                    timeout_seconds=ctx.policy.shard_timeout_seconds,
-                    faults=ctx.faults.for_shard(shard_id) if ctx.faults else None,
-                )
-
-            run_task = _run_shard_task
-
         tasks = []
         for shard_id in range(plan.shard_count):
             task = make_task(shard_id, 1)
@@ -858,7 +764,7 @@ def _process_backend(
     next_publish = 0
     try:
         future_tasks = {
-            pool.submit(run_task, task): task for task in tasks
+            pool.submit(_run_shard_task, task): task for task in tasks
         }
         pending = set(future_tasks)
         while pending:
@@ -906,7 +812,7 @@ def _process_backend(
                     # fresh descriptor-only task — the records stay in
                     # the already-published segments.
                     retry_task = make_task(shard_id, task.attempt + 1)
-                    retry_future = pool.submit(run_task, retry_task)
+                    retry_future = pool.submit(_run_shard_task, retry_task)
                     future_tasks[retry_future] = retry_task
                     pending.add(retry_future)
                 elif action == "drop":
@@ -1093,7 +999,7 @@ class ParallelExecutor:
         config = config or RunConfig()
         # A plan built without the config in hand (or with a hand-built
         # partitioner) must still agree with the run it executes under —
-        # the gram partitioner's recall guarantee depends on matching
+        # the gram-prefix partitioner's recall guarantee depends on matching
         # tokenisation, so a mismatch is an error, not a silent loss.
         plan.partitioner.check_config(config)
         ctx = FailureContext(
@@ -1126,47 +1032,21 @@ def estimate_shard_payload_bytes(
 ) -> List[int]:
     """Pickled bytes the process backend ships per shard task.
 
-    Builds, per shard, exactly the task object the backend's task factory
-    would submit for ``attempt`` under the plan's resolved handoff —
-    a :class:`_BlockShardTask` with placeholder segment names for
+    Builds, per shard, exactly the task the backend's task factory
+    (:func:`_shard_task`) would submit for ``attempt`` under the plan's
+    resolved handoff — descriptors with placeholder segment names for
     shared-memory plans (no segment is allocated; the name does not
-    change the size class), a full-payload :class:`_ShardTask` for pickle
-    plans — and measures ``len(pickle.dumps(task))``.  The bench harness
+    change the size class), full record payloads for pickle plans — and
+    measures ``len(pickle.dumps(task))``.  The bench harness
     records these as ``payload_bytes_per_shard``, and the regression test
     for descriptor-only retries is built on the same measurement.
     """
     config = config or RunConfig()
     descriptors = plan.block_descriptors()
-    sizes: List[int] = []
-    for shard_id in range(plan.shard_count):
-        if descriptors is not None:
-            task: object = _BlockShardTask(
-                shard_id=shard_id,
-                attribute=plan.attribute,
-                config=config,
-                left=descriptors[0],
-                right=descriptors[1],
-                left_name=plan.left_shards[shard_id].name,
-                right_name=plan.right_shards[shard_id].name,
-                attempt=attempt,
-            )
-        else:
-            left_input = plan.left_shards[shard_id]
-            right_input = plan.right_shards[shard_id]
-            task = _ShardTask(
-                shard_id=shard_id,
-                attribute=plan.attribute,
-                config=config,
-                left=ShardInputPayload(
-                    left_input.schema, left_input.records, left_input.name
-                ),
-                right=ShardInputPayload(
-                    right_input.schema, right_input.records, right_input.name
-                ),
-                attempt=attempt,
-            )
-        sizes.append(len(pickle.dumps(task)))
-    return sizes
+    return [
+        len(pickle.dumps(_shard_task(plan, config, shard_id, attempt, descriptors)))
+        for shard_id in range(plan.shard_count)
+    ]
 
 
 def run_sharded(
@@ -1191,9 +1071,9 @@ def run_sharded(
     it to a :class:`ParallelExecutor` by hand.  The config is forwarded
     to the plan build, so a partitioner given *by name* is constructed
     against it (:meth:`Partitioner.from_config`) — which is what keeps
-    the ``gram`` partitioner's tokenisation (``q``, gram padding) in
-    lock-step with the engine's approximate operator.  ``handoff``
-    selects the shard-input representation (see
+    the ``gram-prefix`` partitioner's tokenisation (``q``, gram padding,
+    ``θ``) in lock-step with the engine's approximate operator.
+    ``handoff`` selects the shard-input representation (see
     :meth:`ShardPlan.build`); the result records what was resolved.
     """
     config = config or RunConfig()

@@ -50,10 +50,10 @@ import time
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.assessor import Assessor
+from repro.core.events import AssessmentEvent, TransitionEvent
 from repro.core.responder import Responder
 from repro.core.state_machine import JoinState
 from repro.runtime.config import RunConfig
-from repro.runtime.events import AssessmentEvent, TransitionEvent
 
 
 class SwitchPolicy:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple, Union
 
 from repro.core.cost_model import CostModel
+from repro.core.events import TransitionEvent
 from repro.core.monitor import Monitor
 from repro.core.state_machine import JoinState, StateMachine
 from repro.core.trace import ExecutionTrace
@@ -37,7 +38,7 @@ from repro.engine.tuples import Record, Schema
 from repro.joins.base import JoinAttribute, JoinSide, MatchEvent, OperationCounters
 from repro.joins.engine import StepBatch, SymmetricJoinEngine
 from repro.runtime.config import RunConfig, input_size
-from repro.runtime.events import EventBus, TransitionEvent
+from repro.runtime.events import EventBus
 from repro.runtime.policy import SwitchPolicy, create_policy
 
 #: Batch size used to drain the remaining input once a policy reports no
@@ -301,7 +302,7 @@ class JoinSession:
 
         Bypasses guard evaluation: the state machine is forced, the engine
         modes are switched (with catch-up) and a
-        :class:`~repro.runtime.events.TransitionEvent` is published.  A
+        :class:`~repro.core.events.TransitionEvent` is published.  A
         no-op when already in ``state``.
         """
         state_before = self.state_machine.state

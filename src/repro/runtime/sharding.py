@@ -9,8 +9,8 @@ in :mod:`repro.runtime.parallel`):
 
 * :class:`Partitioner` — a deterministic record → shard assignment
   (single-shard via :meth:`~Partitioner.assign`, multi-shard replication
-  via :meth:`~Partitioner.assign_many`), registered by name (``"hash"``,
-  ``"round-robin"``, ``"range"``, ``"gram"``);
+  via :meth:`~Partitioner.assign_many`); the two built-in ones are looked
+  up by name in :data:`PARTITIONERS` (``"hash"``, ``"gram-prefix"``);
 * :class:`ShardPlan` — materialises per-shard
   :class:`~repro.engine.streams.RecordStream` pairs from the two inputs
   (bulk split for in-memory streams, single-pass fan-out for lazy ones)
@@ -28,43 +28,41 @@ Correctness model
 -----------------
 Partitioners come in two kinds, selected by :meth:`Partitioner.assign_many`:
 
-*Disjoint* (``hash``, ``round-robin``, ``range``): every record lands in
-exactly one shard, so a pair can never be emitted twice and merged
-counter totals are plain sums.  The ``hash`` partitioner co-partitions
-both sides by join-key value, which makes every *value-equal* pair
-co-located: the sharded run finds exactly the equi-matches the unsharded
-run finds, with bit-identical merged counters when the run stays in the
-exact operator.  Approximate (cross-value) matches are found whenever the
-pair co-partitions; a variant pair whose two spellings hash to different
+*Disjoint* (``hash``): every record lands in exactly one shard, so a
+pair can never be emitted twice and merged counter totals are plain
+sums.  The ``hash`` partitioner co-partitions both sides by join-key
+value, which makes every *value-equal* pair co-located: the sharded run
+finds exactly the equi-matches the unsharded run finds, with
+bit-identical merged counters when the run stays in the exact operator.
+Approximate (cross-value) matches are found whenever the pair
+co-partitions; a variant pair whose two spellings hash to different
 shards is not discoverable by any disjoint partitioning — sharding trades
 a sliver of approximate recall for parallelism, exactly like distributed
-similarity joins without gram replication.  ``round-robin`` and ``range``
-do not co-partition by value and are throughput/skew tools, not
-correctness-preserving defaults.
+similarity joins without gram replication.
 
-*Replicated* (``gram``): a record is routed to *every* shard owning one
-of its distinct q-gram buckets.  Any pair the approximate operator can
-match shares at least one q-gram (the counter test requires
-``shared ≥ ⌈θ·g⌉ ≥ 1``), and the shard owning a shared gram holds *both*
-records in full — so every matchable pair is co-located and generated as
-a candidate in at least one shard: partitioning never separates a pair
-the operator could match.  Whether the co-located candidate then *passes*
-depends on the match predicate.  Under ``verify_jaccard=True`` the
-predicate (Jaccard ≥ θ) is a symmetric function of the pair, so the
-sharded match set equals the unsharded one exactly — recall 1.0 at any
-shard count, unconditionally.  Under the paper's default counter-only
-test the threshold ``⌈θ·g⌉`` is computed from the *probing* record's
-gram count, and which record probes depends on arrival interleave —
-which any sharding (hash included) changes — so a borderline pair whose
-two gram counts straddle the threshold can flip in either direction;
-real variant workloads sit far from that boundary (pinned on fixtures by
-the equivalence tests), but the exactness *guarantee* is the symmetric
-predicate's.  The price of replication is repeated work (each record is
-indexed and probed once per owning shard) and duplicate discoveries,
-which :class:`ShardedJoinResult` removes at merge time
-(first-shard-wins, so serial runs stay bit-deterministic) while keeping
-the raw totals visible.  See ARCHITECTURE.md ("Sharded execution") for
-the full guarantee table.
+*Replicated* (``gram-prefix``): a record is routed to *every* shard
+owning one of its prefix q-gram buckets.  Any pair the approximate
+operator can match shares at least one prefix gram (the prefix-filter
+bound, see :class:`PrefixGramPartitioner`), and the shard owning a
+shared prefix gram holds *both* records in full — so every matchable
+pair is co-located and generated as a candidate in at least one shard:
+partitioning never separates a pair the operator could match.  Whether
+the co-located candidate then *passes* depends on the match predicate.
+Under ``verify_jaccard=True`` the predicate (Jaccard ≥ θ) is a symmetric
+function of the pair, so the sharded match set equals the unsharded one
+exactly — recall 1.0 at any shard count, unconditionally.  Under the
+paper's default counter-only test the threshold ``⌈θ·g⌉`` is computed
+from the *probing* record's gram count, and which record probes depends
+on arrival interleave — which any sharding (hash included) changes — so
+a borderline pair whose two gram counts straddle the threshold can flip
+in either direction; real variant workloads sit far from that boundary
+(pinned on fixtures by the equivalence tests), but the exactness
+*guarantee* is the symmetric predicate's.  The price of replication is
+repeated work (each record is indexed and probed once per owning shard)
+and duplicate discoveries, which :class:`ShardedJoinResult` removes at
+merge time (first-shard-wins, so serial runs stay bit-deterministic)
+while keeping the raw totals visible.  See ARCHITECTURE.md ("Sharded
+execution") for the full guarantee table.
 """
 
 from __future__ import annotations
@@ -73,7 +71,7 @@ import math
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.core.cost_model import CostModel
 from repro.core.state_machine import JoinState
@@ -116,7 +114,7 @@ class Partitioner:
     backend bit-deterministic and the backends interchangeable.
     """
 
-    #: Registry name, filled in by :func:`register_partitioner`.
+    #: Name in :data:`PARTITIONERS` (empty for hand-built subclasses).
     name: str = ""
     #: Whether :meth:`assign_many` may return more than one shard.
     #: Replicating partitioners repeat work per replica and rely on the
@@ -178,8 +176,8 @@ class Partitioner:
         """Build an instance tuned to a :class:`~repro.runtime.config.RunConfig`.
 
         The default ignores the config; partitioners whose assignment
-        depends on run parameters (``gram`` mirrors the engine's ``q``
-        and gram padding) override this so
+        depends on run parameters (``gram-prefix`` mirrors the engine's
+        ``q``, gram padding and ``θ``) override this so
         :func:`~repro.runtime.parallel.run_sharded` can hand them the
         run's configuration.
         """
@@ -197,77 +195,14 @@ class Partitioner:
         """
 
 
-# -- registry -------------------------------------------------------------------------
-
-_PARTITIONERS: Dict[str, Callable[[], Partitioner]] = {}
-
-
-def register_partitioner(name: str):
-    """Class decorator registering a :class:`Partitioner` under ``name``."""
-    if not name:
-        raise ValueError("partitioner name must be non-empty")
-
-    def decorate(cls):
-        if name in _PARTITIONERS:
-            raise ValueError(f"partitioner {name!r} is already registered")
-        _PARTITIONERS[name] = cls
-        cls.name = name
-        return cls
-
-    return decorate
-
-
-def create_partitioner(name: str, config=None) -> Partitioner:
-    """Instantiate the partitioner registered under ``name``.
-
-    ``config`` (an optional :class:`~repro.runtime.config.RunConfig`) is
-    forwarded to the partitioner's :meth:`Partitioner.from_config` so
-    config-sensitive partitioners (``gram``) mirror the run's parameters;
-    with ``None`` every partitioner falls back to its own defaults.
-    """
-    try:
-        factory = _PARTITIONERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown partitioner {name!r}; registered: {available_partitioners()}"
-        ) from None
-    if config is not None:
-        from_config = getattr(factory, "from_config", None)
-        if from_config is not None:
-            return from_config(config)
-    return factory()
-
-
-def available_partitioners() -> Tuple[str, ...]:
-    """Names of all registered partitioners, sorted."""
-    return tuple(sorted(_PARTITIONERS))
-
-
-def partitioner_replicates(name: str) -> bool:
-    """Whether the partitioner registered under ``name`` replicates records.
-
-    Registry metadata only — no instance is built.  Consumers that plan
-    work volumes (the jobs layer's progress totals) use this: under a
-    replicating partitioner the true step count is the *replicated*
-    record volume, unknowable before the plan is built.
-    """
-    try:
-        factory = _PARTITIONERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown partitioner {name!r}; registered: {available_partitioners()}"
-        ) from None
-    return bool(getattr(factory, "replicates", False))
-
-
-# -- the built-in strategies ------------------------------------------------------------
+# -- the two partitioners ---------------------------------------------------------------
 
 
 def stable_value_shard(value: str, shard_count: int) -> int:
     """The stable CRC-32 shard of a join-key value.
 
     The one definition of value-hash co-partitioning, shared by
-    :class:`HashPartitioner` and the gram partitioner's gram-free
+    :class:`HashPartitioner` and the gram-prefix partitioner's gram-free
     fallback — equal values land together across both, by construction.
     Uses CRC-32 rather than Python's ``hash`` so assignments are stable
     across processes and runs (``PYTHONHASHSEED`` does not leak into
@@ -276,7 +211,6 @@ def stable_value_shard(value: str, shard_count: int) -> int:
     return zlib.crc32(value.encode("utf-8")) % shard_count
 
 
-@register_partitioner("hash")
 class HashPartitioner(Partitioner):
     """Co-partition both sides by a stable hash of the join-key value.
 
@@ -286,177 +220,26 @@ class HashPartitioner(Partitioner):
     bucket it would have scanned unsharded (see :func:`stable_value_shard`).
     """
 
+    name = "hash"
+
     def assign(
         self, side: JoinSide, ordinal: int, value: str, shard_count: int
     ) -> int:
         return stable_value_shard(value, shard_count)
 
 
-@register_partitioner("round-robin")
-class RoundRobinPartitioner(Partitioner):
-    """Deal each side's records over the shards in arrival order.
+class PrefixGramPartitioner(Partitioner):
+    """Replicate each record into every shard owning one of its *prefix* grams.
 
-    Perfectly balanced (shard sizes differ by at most one per side) but
-    *not* co-partitioning: equal values from the two sides usually land in
-    different shards, so matches are only found when a pair happens to
-    co-locate.  Useful as a load-balance / overhead baseline and for
-    workloads that post-process shards independently.
-    """
-
-    def assign(
-        self, side: JoinSide, ordinal: int, value: str, shard_count: int
-    ) -> int:
-        return ordinal % shard_count
-
-
-@register_partitioner("range")
-class RangePartitioner(Partitioner):
-    """Partition by position of the value in the codepoint-ordered key space.
-
-    The first eight *codepoints* of the value are read as big-endian
-    digits in base ``0x110000`` (the Unicode codepoint space), giving a
-    fraction of the full key space that is scaled by the shard count, so
-    lexicographically close values co-locate (range locality for
-    range-ish workloads) and both sides co-partition on equal values.
-    Working on codepoints rather than raw UTF-8 bytes keeps the ordering
-    faithful for non-ASCII keys: a byte-level prefix slices multi-byte
-    codepoints in half and bunches every high-codepoint prefix into the
-    top shards (all multi-byte UTF-8 lead bytes sit in ``0xC2–0xF4``).
-    Skewed key distributions still produce skewed shards — this
-    partitioner trades balance for order, the opposite of ``hash`` — so
-    real deployments should feed it keys spread over their alphabet.
-    """
-
-    _WIDTH = 8
-    #: One more than the largest Unicode codepoint — the digit base.
-    _BASE = 0x110000
-    #: Size of the full key space (hoisted: one big-int, not one per record).
-    _SPACE = _BASE**_WIDTH
-    #: ``_BASE**k`` for the trailing zero-digit padding of short values
-    #: (base spelled literally: a comprehension body cannot see class
-    #: attributes).
-    _PAD = tuple(0x110000**k for k in range(_WIDTH + 1))
-
-    def assign(
-        self, side: JoinSide, ordinal: int, value: str, shard_count: int
-    ) -> int:
-        prefix = value[: self._WIDTH]
-        key = 0
-        for char in prefix:
-            key = key * self._BASE + ord(char)
-        key *= self._PAD[self._WIDTH - len(prefix)]
-        return min(shard_count - 1, key * shard_count // self._SPACE)
-
-
-@register_partitioner("gram")
-class GramPartitioner(Partitioner):
-    """Replicate each record into every shard owning one of its q-grams.
-
-    The correctness-at-scale partitioner for *approximate* recall: a
+    The correctness-at-scale partitioner for *approximate* recall.  A
     record is tokenised into its distinct q-grams (via the fast-path
     :class:`~repro.joins.fastpath.GramInterner`, so repeated values are a
-    cache hit) and routed to the shard of every gram bucket, where a
-    gram's owning shard is its stable CRC-32 modulo the shard count.  Any
-    pair the approximate operator can match shares at least one gram
-    (the counter test needs ``shared ≥ ⌈θ·g⌉ ≥ 1``), and the shard owning
-    a shared gram holds both records *in full* — the in-shard probe sees
-    the complete gram sets, so every matchable pair becomes a co-located
-    candidate somewhere.  With a symmetric match predicate
-    (``verify_jaccard=True``) that makes the sharded match set exactly
-    the unsharded one; under the default probe-directional counter test
-    the guarantee is the candidate co-location itself (see the module
-    docstring's correctness model for the borderline-pair caveat, which
-    applies to every partitioner).  Values that produce no grams at all
-    (and therefore can only equi-match) fall back to the ``hash``
-    assignment so equal gram-free values still co-partition.
-
-    ``q`` and ``padded`` must mirror the engine's approximate operator
-    for the recall guarantee to hold; :meth:`from_config` reads them from
-    the run configuration, which is how the ``run_sharded`` /
-    ``link_tables`` / CLI entry points construct this partitioner.
-
-    The price of full recall is replication: each record is indexed and
-    probed once per owning shard (factor ≤ min(shard count, distinct
-    grams)), and a pair sharing grams owned by different shards is
-    discovered more than once — :class:`ShardedJoinResult` dedupes those
-    at merge time and reports both raw and deduplicated totals.
-    """
-
-    replicates = True
-
-    def __init__(self, q: int = 3, padded: bool = True) -> None:
-        if q <= 0:
-            raise ValueError(f"q must be positive, got {q}")
-        self.q = q
-        self.padded = padded
-        self._interner = GramInterner(q=q, padded=padded)
-        # Gram id → CRC-32 of the gram string.  Shard-count-free, so one
-        # partitioner instance can serve plans of different widths.
-        self._gram_crc: Dict[int, int] = {}
-
-    @classmethod
-    def from_config(cls, config) -> "GramPartitioner":
-        if config is None:
-            return cls()
-        return cls(q=config.thresholds.q, padded=config.padded_qgrams)
-
-    def check_config(self, config) -> None:
-        if config is None:
-            return
-        expected = (config.thresholds.q, config.padded_qgrams)
-        if (self.q, self.padded) != expected:
-            raise ValueError(
-                f"gram partitioner tokenises with (q={self.q}, "
-                f"padded={self.padded}) but the run configuration uses "
-                f"(q={expected[0]}, padded={expected[1]}): a mismatch "
-                f"silently breaks the full-recall guarantee — build the "
-                f"partitioner with GramPartitioner.from_config(config) or "
-                f"pass it by name"
-            )
-
-    def assign(
-        self, side: JoinSide, ordinal: int, value: str, shard_count: int
-    ) -> int:
-        """The first (lowest-numbered) owning shard of the record."""
-        return self.assign_many(side, ordinal, value, shard_count)[0]
-
-    def assign_many(
-        self, side: JoinSide, ordinal: int, value: str, shard_count: int
-    ) -> Tuple[int, ...]:
-        gram_ids = self._interner.intern_value(value)
-        if not gram_ids:
-            # Gram-free values can only equi-match: hash co-partitioning
-            # is exactly sufficient (and avoids pointless replication).
-            return (stable_value_shard(value, shard_count),)
-        return self._owning_shards(gram_ids, shard_count)
-
-    def _owning_shards(
-        self, gram_ids: Sequence[int], shard_count: int
-    ) -> Tuple[int, ...]:
-        """The sorted distinct shards owning the given gram buckets."""
-        gram = self._interner.gram
-        gram_crc = self._gram_crc
-        owners = set()
-        for gram_id in gram_ids:
-            crc = gram_crc.get(gram_id)
-            if crc is None:
-                crc = zlib.crc32(gram(gram_id).encode("utf-8"))
-                gram_crc[gram_id] = crc
-            owners.add(crc % shard_count)
-        return tuple(sorted(owners))
-
-
-@register_partitioner("gram-prefix")
-class PrefixGramPartitioner(GramPartitioner):
-    """Gram replication restricted to each record's *prefix* grams.
-
-    The frequency-aware refinement of :class:`GramPartitioner`: instead of
-    replicating a record to the shard of **every** distinct gram (factor ≈
-    min(shard count, gram count)), it replicates only on the record's
+    cache hit) and routed to the owning shard of each of its
     ``p = g − ⌈θ·g⌉ + 1`` grams that come *first* in a global
     rarest-first order — the classic prefix-filter signature (Chaudhuri et
     al.'s SSJoin framing, the same signature scheme distributed similarity
-    joins ship records by).
+    joins ship records by).  A gram's owning shard is its stable CRC-32
+    modulo the shard count.
 
     Why recall is preserved: order all grams by corpus frequency
     (ascending, ties broken by gram string — any fixed total order works).
@@ -469,37 +252,55 @@ class PrefixGramPartitioner(GramPartitioner):
     so a shared gram survives into X's prefix; symmetrically for Y; and
     the *smallest* shared gram under the global order sits in both
     prefixes.  That shared prefix gram's owning shard holds both records
-    in full — the same co-location guarantee as full gram replication,
-    at a replication factor bounded by the prefix length (≈ ``0.15·g + 1``
-    at θ = 0.85) instead of the gram count.
+    *in full* — the in-shard probe sees the complete gram sets (prefixes
+    restrict *routing*, never the gram sets the operator compares), so
+    every matchable pair becomes a co-located candidate somewhere, at a
+    replication factor bounded by the prefix length (≈ ``0.15·g + 1`` at
+    θ = 0.85).  With a symmetric match predicate (``verify_jaccard=True``)
+    that makes the sharded match set exactly the unsharded one; under the
+    default probe-directional counter test the guarantee is the candidate
+    co-location itself (see the module docstring's correctness model for
+    the borderline-pair caveat, which applies to every partitioner).
+    Values that produce no grams at all (and therefore can only
+    equi-match) fall back to the ``hash`` assignment so equal gram-free
+    values still co-partition.
 
-    The threshold ``θ`` must mirror the run's similarity threshold — a
-    larger θ than the engine's would shorten prefixes below what the
-    overlap bound licenses.  :meth:`from_config` reads it (with ``q`` /
-    padding) from the run configuration; :meth:`check_config` rejects
-    mismatched hand-built instances.  The prefix computation rounds the
-    required overlap *down* through a small epsilon before ``ceil`` so a
-    floating-point wobble in ``θ·g`` can only lengthen a prefix, never
-    shorten it.
+    ``q``, ``padded`` and ``theta`` must mirror the engine's approximate
+    operator — a larger θ than the engine's would shorten prefixes below
+    what the overlap bound licenses.  :meth:`from_config` reads them from
+    the run configuration, which is how the ``run_sharded`` /
+    ``link_tables`` / CLI entry points construct this partitioner;
+    :meth:`check_config` rejects mismatched hand-built instances.  The
+    prefix computation rounds the required overlap *down* through a small
+    epsilon before ``ceil`` so a floating-point wobble in ``θ·g`` can only
+    lengthen a prefix, never shorten it.
 
     Corpus frequencies come from :meth:`prepare`, which
     :meth:`ShardPlan.build` feeds with both sides' key corpus before
     routing.  Outside a plan build (no :meth:`prepare` call) the
-    partitioner behaves exactly like ``gram`` — full replication is
-    always a safe over-approximation of the prefix.
+    partitioner replicates on *every* gram — full replication is always a
+    safe over-approximation of the prefix.
 
-    Like ``gram``, the in-shard probe sees complete records (prefixes
-    restrict *routing*, never the gram sets the operator compares), the
-    exactness guarantee is the symmetric predicate's
-    (``verify_jaccard=True``), and gram-free values fall back to hash
-    co-partitioning.
+    A pair sharing prefix grams owned by different shards is discovered
+    more than once — :class:`ShardedJoinResult` dedupes those at merge
+    time and reports both raw and deduplicated totals.
     """
 
+    name = "gram-prefix"
+    replicates = True
+
     def __init__(self, q: int = 3, padded: bool = True, theta: float = 0.85) -> None:
-        super().__init__(q=q, padded=padded)
+        if q <= 0:
+            raise ValueError(f"q must be positive, got {q}")
         if not 0.0 < theta <= 1.0:
             raise ValueError(f"theta must be in (0, 1], got {theta}")
+        self.q = q
+        self.padded = padded
         self.theta = theta
+        self._interner = GramInterner(q=q, padded=padded)
+        # Gram id → CRC-32 of the gram string.  Shard-count-free, so one
+        # partitioner instance can serve plans of different widths.
+        self._gram_crc: Dict[int, int] = {}
         #: Gram id → dense rank in the corpus rarest-first order; filled
         #: by :meth:`prepare` (per plan).
         self._rank: Dict[int, int] = {}
@@ -516,16 +317,20 @@ class PrefixGramPartitioner(GramPartitioner):
         )
 
     def check_config(self, config) -> None:
-        super().check_config(config)
         if config is None:
             return
-        if self.theta != config.thresholds.theta_sim:
+        expected = (
+            config.thresholds.q,
+            config.padded_qgrams,
+            config.thresholds.theta_sim,
+        )
+        if (self.q, self.padded, self.theta) != expected:
             raise ValueError(
-                f"gram-prefix partitioner assumes theta={self.theta} but the "
-                f"run configuration uses theta_sim="
-                f"{config.thresholds.theta_sim}: a larger partitioner theta "
-                f"shortens prefixes below the overlap bound and silently "
-                f"breaks the recall guarantee — build the partitioner with "
+                f"gram-prefix partitioner tokenises with (q={self.q}, "
+                f"padded={self.padded}, theta={self.theta}) but the run "
+                f"configuration uses (q={expected[0]}, padded={expected[1]}, "
+                f"theta_sim={expected[2]}): a mismatch silently breaks the "
+                f"full-recall guarantee — build the partitioner with "
                 f"PrefixGramPartitioner.from_config(config) or pass it by "
                 f"name"
             )
@@ -557,11 +362,19 @@ class PrefixGramPartitioner(GramPartitioner):
         )
         return gram_count - required + 1
 
+    def assign(
+        self, side: JoinSide, ordinal: int, value: str, shard_count: int
+    ) -> int:
+        """The first (lowest-numbered) owning shard of the record."""
+        return self.assign_many(side, ordinal, value, shard_count)[0]
+
     def assign_many(
         self, side: JoinSide, ordinal: int, value: str, shard_count: int
     ) -> Tuple[int, ...]:
         gram_ids = self._interner.intern_value(value)
         if not gram_ids:
+            # Gram-free values can only equi-match: hash co-partitioning
+            # is exactly sufficient (and avoids pointless replication).
             return (stable_value_shard(value, shard_count),)
         if self._prepared:
             prefix = self.prefix_length(len(gram_ids))
@@ -574,6 +387,51 @@ class PrefixGramPartitioner(GramPartitioner):
                     gram_ids, key=lambda gram_id: rank.get(gram_id, unseen)
                 )[:prefix]
         return self._owning_shards(gram_ids, shard_count)
+
+    def _owning_shards(
+        self, gram_ids: Sequence[int], shard_count: int
+    ) -> Tuple[int, ...]:
+        """The sorted distinct shards owning the given gram buckets."""
+        gram = self._interner.gram
+        gram_crc = self._gram_crc
+        owners = set()
+        for gram_id in gram_ids:
+            crc = gram_crc.get(gram_id)
+            if crc is None:
+                crc = zlib.crc32(gram(gram_id).encode("utf-8"))
+                gram_crc[gram_id] = crc
+            owners.add(crc % shard_count)
+        return tuple(sorted(owners))
+
+
+#: The partitioners by name — a closed table: ``hash`` for equi-match
+#: co-partitioning, ``gram-prefix`` for full approximate recall.
+PARTITIONERS: Dict[str, Type[Partitioner]] = {
+    HashPartitioner.name: HashPartitioner,
+    PrefixGramPartitioner.name: PrefixGramPartitioner,
+}
+
+
+def create_partitioner(name: str, config=None) -> Partitioner:
+    """Instantiate the partitioner named ``name`` in :data:`PARTITIONERS`.
+
+    ``config`` (an optional :class:`~repro.runtime.config.RunConfig`) is
+    forwarded to :meth:`Partitioner.from_config`, so ``gram-prefix``
+    mirrors the run's ``q``, gram padding and ``θ``; with ``None`` every
+    partitioner falls back to its own defaults.
+    """
+    try:
+        factory = PARTITIONERS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown partitioner {name!r}; available: {available_partitioners()}"
+        ) from None
+    return factory.from_config(config)
+
+
+def available_partitioners() -> Tuple[str, ...]:
+    """Names of the partitioners, sorted."""
+    return tuple(sorted(PARTITIONERS))
 
 
 # -- shard plans ------------------------------------------------------------------------
@@ -665,7 +523,7 @@ class ShardPlan:
     of need, so a partially consumed or expensive producer is drained
     without over-pull.
 
-    Under a replicating partitioner (``gram``) one record may appear in
+    Under a replicating partitioner (``gram-prefix``) one record may appear in
     several shard inputs; each copy records the same global origin, so
     merged results still report one identity per input record.  The
     stream is still read exactly once — replication copies references,
@@ -734,8 +592,8 @@ class ShardPlan:
         ``config`` whenever the plan will execute under one: a
         partitioner named by string is then built via
         :meth:`Partitioner.from_config`, keeping config-sensitive
-        partitioners (``gram`` mirrors the engine's ``q`` / gram
-        padding) in lock-step with the engine — the recall guarantee
+        partitioners (``gram-prefix`` mirrors the engine's ``q`` / gram
+        padding / ``θ``) in lock-step with the engine — the recall guarantee
         depends on it.  ``run_sharded`` does this automatically.
 
         ``handoff`` selects the shard-input representation (see
@@ -765,7 +623,7 @@ class ShardPlan:
             partitioner = create_partitioner(partitioner, config=config)
         else:
             # A hand-built instance must agree with the run parameters
-            # (the gram partitioner's recall guarantee depends on it).
+            # (the gram-prefix partitioner's recall guarantee depends on it).
             partitioner.check_config(config)
         left_stream = as_stream(left)
         right_stream = as_stream(right)
@@ -840,7 +698,7 @@ class ShardPlan:
     def replication_factors(self) -> Tuple[float, float]:
         """Per-side ``shard records / input records`` ratios.
 
-        Exactly ``(1.0, 1.0)`` for disjoint partitioners; the ``gram``
+        Exactly ``(1.0, 1.0)`` for disjoint partitioners; the ``gram-prefix``
         partitioner's extra work grows with these factors (empty inputs
         report ``1.0`` — nothing was replicated).
         """
@@ -1144,7 +1002,7 @@ class ShardedJoinResult:
     order, regardless of the order the backend finished them in.  The
     merges are computed once and cached — the result is immutable.
 
-    Replicating partitioners (``gram``) can discover the same global pair
+    Replicating partitioners (``gram-prefix``) can discover the same global pair
     in several shards.  The merged match views (:attr:`matches`,
     :meth:`matched_pairs`, :attr:`result_size`, :meth:`output_records`)
     are therefore *deduplicated*: for each global pair only the events of
@@ -1236,7 +1094,7 @@ class ShardedJoinResult:
         """Matched pairs summed over shards, duplicates included.
 
         Equal to :attr:`result_size` under disjoint partitioners; the gap
-        is the replication overhead of the ``gram`` partitioner.
+        is the replication overhead of the ``gram-prefix`` partitioner.
         """
         return sum(outcome.result.result_size for outcome in self.shards)
 

@@ -88,7 +88,14 @@ class LinkageRequestHandler(BaseHTTPRequestHandler):
         self._send_json(status, error_body(message))
 
     def _read_body(self) -> Optional[bytes]:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            # The body's extent is unknown, so the connection cannot be
+            # reused for another request.
+            self.close_connection = True
+            self._send_error_json(400, "Content-Length must be an integer")
+            return None
         if length <= 0:
             self._send_error_json(400, "a JSON request body is required")
             return None
@@ -138,7 +145,7 @@ class LinkageRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             payload = json.loads(body)
-        except json.JSONDecodeError as error:
+        except ValueError as error:  # bad JSON, or bytes that are not UTF-8
             self._send_error_json(400, f"invalid JSON body: {error}")
             return
         try:

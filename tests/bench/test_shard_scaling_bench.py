@@ -74,17 +74,17 @@ class TestMatchFreeWorkloads:
     ):
         rows = bench.recall_probe(matchless_dataset, (2,))
         assert rows[0]["hash"]["match_recall_vs_unsharded"] == 1.0
-        assert rows[0]["gram"]["match_recall_vs_unsharded"] == 1.0
+        assert rows[0]["gram-prefix"]["match_recall_vs_unsharded"] == 1.0
 
 
 class TestRecallProbeStructure:
-    def test_probe_reports_gram_at_full_recall_with_costs(self, bench):
+    def test_probe_reports_gram_prefix_at_full_recall_with_costs(self, bench):
         dataset = bench._probe_dataset(300)
         rows = bench.recall_probe(dataset, (2, 4))
         assert [row["shards"] for row in rows] == [2, 4]
         for row in rows:
-            gram = row["gram"]
-            assert gram["match_recall_vs_unsharded"] == 1.0
-            assert gram["raw_matches"] >= gram["matches"]
-            assert gram["replication_factor"] >= 1.0
+            prefix = row["gram-prefix"]
+            assert prefix["match_recall_vs_unsharded"] == 1.0
+            assert prefix["raw_matches"] >= prefix["matches"]
+            assert prefix["replication_factor"] >= 1.0
             assert 0.0 <= row["hash"]["match_recall_vs_unsharded"] <= 1.0

@@ -58,7 +58,7 @@ _JOBS = {
     "sharded-process": (
         'result = repro.link_tables(dataset.parent, dataset.child, "location",'
         ' policy="budget-greedy", shards=2, backend="process",'
-        ' partitioner="gram")\nassert result.pairs'
+        ' partitioner="gram-prefix")\nassert result.pairs'
     ),
     "server-and-lint": "import repro.server, repro.devtools.lint",
 }

@@ -40,8 +40,9 @@ class TestFluentValidation:
         for backend in ("gpu", "thread", "async"):
             with pytest.raises(ValueError, match="unknown execution backend"):
                 job.sharded(2, backend=backend)
-        with pytest.raises(ValueError, match="unknown partitioner"):
-            job.sharded(2, partitioner="psychic")
+        for partitioner in ("psychic", "gram", "round-robin", "range"):
+            with pytest.raises(ValueError, match="unknown partitioner"):
+                job.sharded(2, partitioner=partitioner)
 
     def test_shards_and_workers_bounds(self, atlas_table, accidents_table):
         job = LinkageJob.between(atlas_table, accidents_table)

@@ -57,17 +57,17 @@ class TestRunParity:
             "location",
             thresholds=FAST,
             shards=3,
-            partitioner="gram",
+            partitioner="gram-prefix",
         )
         handled = (
             _job(small_dataset)
-            .sharded(3, partitioner="gram")
+            .sharded(3, partitioner="gram-prefix")
             .build()
             .run()
         )
         assert handled.pairs == direct.pairs
         assert handled.statistics["shards"] == 3
-        assert handled.statistics["partitioner"] == "gram"
+        assert handled.statistics["partitioner"] == "gram-prefix"
 
 
 class TestStreaming:
@@ -96,7 +96,7 @@ class TestStreaming:
         streamed = list(_job(small_dataset).build().stream_matches())
         assert [match.pair for match in streamed] == reference.pairs
 
-    @pytest.mark.parametrize("partitioner", ["hash", "gram"])
+    @pytest.mark.parametrize("partitioner", ["hash", "gram-prefix"])
     def test_sharded_stream_equals_the_serial_merge(
         self, small_dataset, partitioner
     ):
@@ -261,11 +261,11 @@ class TestProgress:
     def test_progress_under_replication_does_not_overreport(
         self, small_dataset
     ):
-        """Gram replication makes |L|+|R| a wrong total: the fraction must
-        come from completed shards, never read 100% mid-run."""
+        """Prefix-gram replication makes |L|+|R| a wrong total: the
+        fraction must come from completed shards, never read 100% mid-run."""
         handle = (
             _job(small_dataset)
-            .sharded(4, partitioner="gram")
+            .sharded(4, partitioner="gram-prefix")
             .with_progress()
             .build()
         )

@@ -189,13 +189,13 @@ class TestWrapperParity:
         fast = Thresholds(delta_adapt=25, window_size=25)
         wrapped = link_tables(
             small_dataset.parent, small_dataset.child, "location",
-            thresholds=fast, shards=2, partitioner="gram",
+            thresholds=fast, shards=2, partitioner="gram-prefix",
         )
         built = (
             LinkageJob.between(small_dataset.parent, small_dataset.child)
             .on("location")
             .thresholds(fast)
-            .sharded(2, partitioner="gram")
+            .sharded(2, partitioner="gram-prefix")
             .build()
             .run()
         )

@@ -22,8 +22,8 @@ from repro.runtime.parallel import (
     AggregatedEventBus,
     FailureContext,
     _run_attempt,
-    _run_shard_inline,
 )
+from repro.runtime.session import JoinSession
 from repro.runtime.sharding import ShardPlan
 
 FAST = RunConfig.from_thresholds(Thresholds(delta_adapt=25, window_size=25))
@@ -65,6 +65,11 @@ def _attempt(plan, shard_id=1, *, fault=None, timeout=None, cancel=None,
     )
 
 
+def _unsupervised(plan, shard_id):
+    """The shard's plain ``JoinSession.run()`` — the reference result."""
+    return JoinSession(*plan.shard_streams(shard_id), plan.attribute, FAST).run()
+
+
 def _full_steps(plan, shard_id):
     return len(plan.left_shards[shard_id]) + len(plan.right_shards[shard_id])
 
@@ -73,11 +78,34 @@ class TestRunAttempt:
     def test_clean_attempt_equals_the_unsupervised_run(self, plan):
         fake = FakeTime()
         result = _attempt(plan, timeout=60.0, time_source=fake)
-        reference = _run_shard_inline(plan, FAST, 1, None).result
+        reference = _unsupervised(plan, 1)
         assert result.matched_pairs() == reference.matched_pairs()
         assert result.trace.summary() == reference.trace.summary()
         assert not result.cancelled
         assert fake.slept == []
+
+    def test_clean_attempt_batches_like_the_unsupervised_run(
+        self, plan, monkeypatch
+    ):
+        """No fault and no timeout: uncapped batches, exactly as
+        ``JoinSession.run()`` drives them — same batch boundaries, same
+        matches, counters and trace."""
+        caps = []
+        run_batches = JoinSession.run_batches
+
+        def spy(self, max_batch=None, cancel=None):
+            caps.append(max_batch)
+            return run_batches(self, max_batch=max_batch, cancel=cancel)
+
+        monkeypatch.setattr(JoinSession, "run_batches", spy)
+        result = _attempt(plan)
+        reference = _unsupervised(plan, 1)
+        assert caps == [None, None]
+        assert result.matches == reference.matches
+        assert result.counters.as_dict() == reference.counters.as_dict()
+        assert result.trace.summary() == reference.trace.summary()
+        _attempt(plan, timeout=60.0)
+        assert caps[-1] == parallel_module._SUPERVISED_BATCH
 
     def test_failure_before_the_first_batch(self, plan):
         fault = FaultSpec(shard_id=1, kind="fail", after_batches=0)
@@ -185,40 +213,18 @@ class TestFailureContextRunShard:
         assert fake.slept == []
         assert ctx.failure_records() == ()
 
-    def test_unsupervised_shards_take_the_inline_path(self, plan, monkeypatch):
-        calls = []
-        original = parallel_module._run_shard_inline
+    def test_every_attempt_runs_through_run_attempt(self, plan, monkeypatch):
+        """One attempt path: the faulted attempt and its clean retry both
+        go through ``_run_attempt``; only the faulted one is supervised."""
+        attempts = []
+        original = parallel_module._run_attempt
 
         def spy(*args, **kwargs):
-            calls.append(args[2])
+            # (attempt, timeout, fault) of each call.
+            attempts.append((args[5], args[8], args[9]))
             return original(*args, **kwargs)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("supervised path taken without a fault")
-
-        monkeypatch.setattr(parallel_module, "_run_shard_inline", spy)
-        monkeypatch.setattr(parallel_module, "_run_attempt", forbidden)
-        ctx, _ = _context(plan)
-        assert ctx.run_shard(0) is not None
-        assert calls == [0]
-
-    def test_only_faulted_attempts_are_supervised(self, plan, monkeypatch):
-        """The path is chosen per attempt: the attempt with a planned
-        fault runs supervised, the clean retry runs inline again."""
-        paths = []
-        inline = parallel_module._run_shard_inline
-        supervised = parallel_module._run_attempt
-
-        def spy_inline(*args, **kwargs):
-            paths.append("inline")
-            return inline(*args, **kwargs)
-
-        def spy_supervised(*args, **kwargs):
-            paths.append("supervised")
-            return supervised(*args, **kwargs)
-
-        monkeypatch.setattr(parallel_module, "_run_shard_inline", spy_inline)
-        monkeypatch.setattr(parallel_module, "_run_attempt", spy_supervised)
+        monkeypatch.setattr(parallel_module, "_run_attempt", spy)
         ctx, _ = _context(
             plan,
             policy=RetryPolicy(max_attempts=2),
@@ -226,17 +232,60 @@ class TestFailureContextRunShard:
         )
         outcome = ctx.run_shard(0)
         assert outcome is not None and not outcome.result.cancelled
-        assert paths == ["supervised", "inline"]
+        assert [(attempt, timeout) for attempt, timeout, _ in attempts] == [
+            (1, None),
+            (2, None),
+        ]
+        assert attempts[0][2] is not None and attempts[1][2] is None
+        assert outcome.result.matches == _unsupervised(plan, 0).matches
 
     def test_a_timeout_supervises_every_attempt(self, plan, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("inline path taken under a timeout")
+        """A policy timeout reaches a fault-free attempt, which then runs
+        in capped, deadline-checked batches."""
+        attempts = []
+        caps = []
+        original = parallel_module._run_attempt
+        run_batches = JoinSession.run_batches
 
-        monkeypatch.setattr(parallel_module, "_run_shard_inline", forbidden)
+        def spy_attempt(*args, **kwargs):
+            # (timeout, fault) of each call.
+            attempts.append((args[8], args[9]))
+            return original(*args, **kwargs)
+
+        def spy_batches(self, max_batch=None, cancel=None):
+            caps.append(max_batch)
+            return run_batches(self, max_batch=max_batch, cancel=cancel)
+
+        monkeypatch.setattr(parallel_module, "_run_attempt", spy_attempt)
+        monkeypatch.setattr(JoinSession, "run_batches", spy_batches)
         ctx, _ = _context(plan, policy=FailFastPolicy(shard_timeout_seconds=60))
         outcome = ctx.run_shard(0)
-        reference = _run_shard_inline(plan, FAST, 0, None)
-        assert outcome.result.matched_pairs() == reference.result.matched_pairs()
+        assert attempts == [(60, None)]
+        assert caps == [parallel_module._SUPERVISED_BATCH]
+        monkeypatch.setattr(JoinSession, "run_batches", run_batches)
+        reference = _unsupervised(plan, 0)
+        assert outcome.result.matched_pairs() == reference.matched_pairs()
+
+    def test_a_clean_attempt_failing_mid_run_records_its_batches(
+        self, plan, monkeypatch
+    ):
+        """A session error on a clean attempt reports the batches it ran."""
+        run_batches = JoinSession.run_batches
+
+        def fail_after_two(self, max_batch=None, cancel=None):
+            for count, batch in enumerate(
+                run_batches(self, max_batch=max_batch, cancel=cancel), 1
+            ):
+                yield batch
+                if count == 2:
+                    raise RuntimeError("engine fault")
+
+        monkeypatch.setattr(JoinSession, "run_batches", fail_after_two)
+        ctx, _ = _context(plan, policy=DegradePolicy(max_attempts=1))
+        assert ctx.run_shard(1) is None
+        (record,) = ctx.failure_records()
+        assert record.batches == 2
+        assert record.error_type == "RuntimeError"
 
     def test_retries_sleep_the_backoff_and_publish_each_step(self, plan):
         bus = AggregatedEventBus()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.runtime.events import AssessmentEvent, EventBus, TransitionEvent
+from repro.core.events import AssessmentEvent, TransitionEvent
+from repro.runtime.events import EventBus
 
 
 class Ping:

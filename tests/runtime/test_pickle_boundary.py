@@ -45,23 +45,19 @@ from repro.runtime.errors import (
 from repro.runtime.failures import ShardFailure
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedFaultError
 from repro.runtime.handoff import BlockDescriptor
-from repro.runtime.parallel import (
-    ShardInputPayload,
-    _BlockShardTask,
-    _ShardTask,
-)
+from repro.runtime.parallel import ShardInputPayload, _ShardTask
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SCHEMA = Schema(["row_id", "location"], name="audit_rows")
 
 
-def _payload(name: str) -> ShardInputPayload:
+def _payload() -> ShardInputPayload:
     records = [
         Record.from_values(SCHEMA, [index, value])
         for index, value in enumerate(["LIG GE GENOVA", "PIE TO TORINO"])
     ]
-    return ShardInputPayload(schema=SCHEMA, records=records, name=name)
+    return ShardInputPayload(schema=SCHEMA, records=records)
 
 
 def _descriptor(name: str) -> BlockDescriptor:
@@ -113,28 +109,20 @@ def _build_instances():
             right_records=12,
         ),
         ("repro.runtime.handoff", "BlockDescriptor"): _descriptor("audit_seg"),
-        ("repro.runtime.parallel", "ShardInputPayload"): _payload("left"),
+        ("repro.runtime.parallel", "ShardInputPayload"): _payload(),
+        # Both side-payload kinds in one task: a shared-memory descriptor
+        # on the left, shipped records on the right.
         ("repro.runtime.parallel", "_ShardTask"): _ShardTask(
             shard_id=0,
             attribute=JoinAttribute("location", "location"),
             config=RunConfig(),
-            left=_payload("left"),
-            right=_payload("right"),
+            left=_descriptor("left_seg"),
+            right=_payload(),
+            left_name="left",
+            right_name="right",
             attempt=2,
             timeout_seconds=1.5,
             faults=fault_plan,
-        ),
-        ("repro.runtime.parallel", "_BlockShardTask"): _BlockShardTask(
-            shard_id=1,
-            attribute=JoinAttribute("location", "location"),
-            config=RunConfig(),
-            left=_descriptor("left_seg"),
-            right=_descriptor("right_seg"),
-            left_name="left",
-            right_name="right",
-            attempt=1,
-            timeout_seconds=None,
-            faults=None,
         ),
     }
 
@@ -206,8 +194,9 @@ class TestInProcessRoundTrip:
     def test_shard_task_payload_records_survive(self):
         task = INSTANCES[("repro.runtime.parallel", "_ShardTask")]
         clone = pickle.loads(pickle.dumps(task))
-        assert clone.left.schema.attributes == SCHEMA.attributes
-        assert [r["location"] for r in clone.left.records] == [
+        assert clone.left.name == "left_seg"
+        assert clone.right.schema.attributes == SCHEMA.attributes
+        assert [r["location"] for r in clone.right.records] == [
             "LIG GE GENOVA",
             "PIE TO TORINO",
         ]

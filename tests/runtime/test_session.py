@@ -13,7 +13,8 @@ from repro.runtime.collectors import (
     ThroughputCollector,
 )
 from repro.runtime.config import RunConfig
-from repro.runtime.events import AssessmentEvent, EventBus, TransitionEvent
+from repro.core.events import AssessmentEvent, TransitionEvent
+from repro.runtime.events import EventBus
 from repro.runtime.session import JoinSession
 
 FAST = Thresholds(delta_adapt=25, window_size=25)

@@ -15,16 +15,13 @@ from repro.joins.base import JoinAttribute, JoinSide, OperationCounters
 from repro.joins.fastpath import distinct_qgrams
 from repro.runtime.config import RunConfig
 from repro.runtime.sharding import (
-    GramPartitioner,
     HashPartitioner,
     Partitioner,
-    RangePartitioner,
-    RoundRobinPartitioner,
+    PrefixGramPartitioner,
     ShardPlan,
     available_partitioners,
     create_partitioner,
     merge_counters,
-    register_partitioner,
 )
 
 SCHEMA = Schema(["row_id", "location"], name="rows")
@@ -38,40 +35,28 @@ def _records(values):
 
 
 class TestPartitionerRegistry:
-    def test_builtin_partitioners_registered(self):
-        names = available_partitioners()
-        assert "hash" in names
-        assert "round-robin" in names
-        assert "range" in names
-        assert "gram" in names
+    def test_exactly_two_partitioners(self):
+        assert available_partitioners() == ("gram-prefix", "hash")
 
     def test_create_by_name(self):
         assert isinstance(create_partitioner("hash"), HashPartitioner)
-        assert isinstance(create_partitioner("round-robin"), RoundRobinPartitioner)
-        assert isinstance(create_partitioner("range"), RangePartitioner)
-        assert isinstance(create_partitioner("gram"), GramPartitioner)
+        assert isinstance(
+            create_partitioner("gram-prefix"), PrefixGramPartitioner
+        )
 
     def test_create_with_config_forwards_to_from_config(self):
-        config = RunConfig.from_thresholds(Thresholds(q=2), padded_qgrams=False)
-        gram = create_partitioner("gram", config=config)
-        assert (gram.q, gram.padded) == (2, False)
+        config = RunConfig.from_thresholds(
+            Thresholds(q=2, theta_sim=0.9), padded_qgrams=False
+        )
+        prefix = create_partitioner("gram-prefix", config=config)
+        assert (prefix.q, prefix.padded, prefix.theta) == (2, False, 0.9)
         # Config-insensitive partitioners ignore the config entirely.
         assert isinstance(create_partitioner("hash", config=config), HashPartitioner)
 
-    def test_unknown_partitioner_error_lists_registered(self):
-        with pytest.raises(ValueError, match="hash"):
-            create_partitioner("nope")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-
-            @register_partitioner("hash")
-            class Clash(Partitioner):  # pragma: no cover - never instantiated
-                pass
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            register_partitioner("")
+    @pytest.mark.parametrize("name", ["nope", "gram", "round-robin", "range"])
+    def test_unknown_partitioner_error_lists_the_available_ones(self, name):
+        with pytest.raises(ValueError, match=r"\('gram-prefix', 'hash'\)"):
+            create_partitioner(name)
 
 
 class TestBuiltinPartitioners:
@@ -92,79 +77,18 @@ class TestBuiltinPartitioners:
                 JoinSide.RIGHT, 5, value, 8
             )
 
-    def test_round_robin_balances_each_side(self):
-        partitioner = RoundRobinPartitioner()
-        assignments = [
-            partitioner.assign(JoinSide.LEFT, ordinal, "x", 4)
-            for ordinal in range(10)
-        ]
-        counts = [assignments.count(shard) for shard in range(4)]
-        assert max(counts) - min(counts) <= 1
 
-    def test_range_orders_values(self):
-        partitioner = RangePartitioner()
-        low = partitioner.assign(JoinSide.LEFT, 0, "AAAA", 4)
-        high = partitioner.assign(JoinSide.LEFT, 0, "zzzz", 4)
-        assert 0 <= low <= high < 4
-        # Equal values co-partition (range partitions the key space).
-        assert partitioner.assign(JoinSide.RIGHT, 7, "AAAA", 4) == low
+class TestGramReplication:
+    """An unprepared gram-prefix partitioner replicates on every gram."""
 
-    def test_range_short_and_empty_values(self):
-        partitioner = RangePartitioner()
-        for value in ("", "a", "ab"):
-            shard = partitioner.assign(JoinSide.LEFT, 0, value, 4)
-            assert 0 <= shard < 4
-
-
-class TestRangePartitionerCodepoints:
-    """The range key is codepoint-derived, not raw UTF-8 bytes.
-
-    The byte-keyed version sliced multi-byte codepoints in half and sent
-    *every* non-ASCII prefix to the top shards (all multi-byte UTF-8 lead
-    bytes sit in 0xC2–0xF4, i.e. ≥ 3/4 of the byte space).
-    """
-
-    NON_ASCII = ("ÉVORA", "ΑΘΗΝΑ", "МОСКВА", "תל אביב", "北京市", "😀😀")
-
-    def test_equal_non_ascii_values_co_partition_across_sides(self):
-        partitioner = RangePartitioner()
-        for value in self.NON_ASCII:
-            for shard_count in (2, 4, 8):
-                left = partitioner.assign(JoinSide.LEFT, 0, value, shard_count)
-                right = partitioner.assign(JoinSide.RIGHT, 99, value, shard_count)
-                assert left == right
-                assert 0 <= left < shard_count
-
-    def test_high_codepoint_prefixes_do_not_collapse_into_top_shards(self):
-        partitioner = RangePartitioner()
-        shards = [
-            partitioner.assign(JoinSide.LEFT, 0, value, 4)
-            for value in ("ÉVORA", "ΑΘΗΝΑ", "МОСКВА", "תל אביב", "北京市")
-        ]
-        # Under the byte key every one of these landed in the last shard;
-        # under the codepoint key they sit where their codepoints do, and
-        # the top shard belongs to the actual top of the codepoint space.
-        assert all(shard < 3 for shard in shards)
-        assert partitioner.assign(JoinSide.LEFT, 0, "\U0010FFFF", 4) == 3
-
-    def test_codepoint_order_is_preserved(self):
-        partitioner = RangePartitioner()
-        ordered = ("A", "z", "é", "Ω", "я", "中", "\U0001F600", "\U0010FFFF")
-        assigned = [
-            partitioner.assign(JoinSide.LEFT, 0, value, 64) for value in ordered
-        ]
-        assert assigned == sorted(assigned)
-
-
-class TestGramPartitioner:
     def test_replicates_flag_and_defaults(self):
-        partitioner = GramPartitioner()
+        partitioner = PrefixGramPartitioner()
         assert partitioner.replicates is True
         assert (partitioner.q, partitioner.padded) == (3, True)
         assert HashPartitioner.replicates is False
 
     def test_assign_many_routes_to_every_gram_owner(self):
-        partitioner = GramPartitioner()
+        partitioner = PrefixGramPartitioner()
         targets = partitioner.assign_many(JoinSide.LEFT, 0, "GENOVA", 4)
         expected = sorted(
             {
@@ -176,14 +100,14 @@ class TestGramPartitioner:
         assert len(expected) > 1  # genuinely replicated at this width
 
     def test_assignment_ignores_side_and_ordinal(self):
-        partitioner = GramPartitioner()
+        partitioner = PrefixGramPartitioner()
         assert partitioner.assign_many(
             JoinSide.LEFT, 0, "MILANO CENTRO", 8
         ) == partitioner.assign_many(JoinSide.RIGHT, 123, "MILANO CENTRO", 8)
 
     def test_variant_pair_always_shares_a_shard(self):
         """Any gram-sharing pair co-locates somewhere — the recall core."""
-        partitioner = GramPartitioner()
+        partitioner = PrefixGramPartitioner()
         for shard_count in (2, 4, 8, 16):
             left = set(
                 partitioner.assign_many(
@@ -198,7 +122,7 @@ class TestGramPartitioner:
             assert left & right
 
     def test_gram_free_value_falls_back_to_hash_co_partitioning(self):
-        partitioner = GramPartitioner(q=3, padded=False)
+        partitioner = PrefixGramPartitioner(q=3, padded=False)
         left = partitioner.assign_many(JoinSide.LEFT, 0, "ab", 4)
         right = partitioner.assign_many(JoinSide.RIGHT, 9, "ab", 4)
         assert left == right
@@ -206,7 +130,7 @@ class TestGramPartitioner:
         assert left[0] == HashPartitioner().assign(JoinSide.LEFT, 0, "ab", 4)
 
     def test_assign_is_the_first_owner(self):
-        partitioner = GramPartitioner()
+        partitioner = PrefixGramPartitioner()
         for value in ("GENOVA", "ROMA", ""):
             assert partitioner.assign(JoinSide.LEFT, 0, value, 8) == (
                 partitioner.assign_many(JoinSide.LEFT, 0, value, 8)[0]
@@ -214,13 +138,13 @@ class TestGramPartitioner:
 
     def test_from_config_mirrors_engine_tokenisation(self):
         config = RunConfig.from_thresholds(Thresholds(q=2), padded_qgrams=False)
-        partitioner = GramPartitioner.from_config(config)
+        partitioner = PrefixGramPartitioner.from_config(config)
         assert (partitioner.q, partitioner.padded) == (2, False)
-        assert GramPartitioner.from_config(None).q == 3
+        assert PrefixGramPartitioner.from_config(None).q == 3
 
     def test_invalid_q_rejected(self):
         with pytest.raises(ValueError, match="q must be positive"):
-            GramPartitioner(q=0)
+            PrefixGramPartitioner(q=0)
 
     def test_hand_built_instance_mismatching_config_rejected_at_build(self):
         config = RunConfig.from_thresholds(Thresholds(q=2))
@@ -230,13 +154,32 @@ class TestGramPartitioner:
                 ListStream(SCHEMA, _records(["abcd"])),
                 "location",
                 shard_count=2,
-                partitioner=GramPartitioner(),  # default q=3 ≠ config q=2
+                partitioner=PrefixGramPartitioner(),  # q=3 ≠ config q=2
                 config=config,
             )
 
+    @pytest.mark.parametrize(
+        "field, partitioner",
+        [
+            ("q", PrefixGramPartitioner(q=2)),
+            ("padded", PrefixGramPartitioner(padded=False)),
+            ("theta", PrefixGramPartitioner(theta=0.9)),
+        ],
+        ids=["q", "padded", "theta"],
+    )
+    def test_check_config_refuses_each_mismatched_parameter(
+        self, field, partitioner
+    ):
+        config = RunConfig.from_thresholds(Thresholds(q=3, theta_sim=0.85))
+        assert config.padded_qgrams
+        with pytest.raises(ValueError, match=f"{field}=") as refused:
+            partitioner.check_config(config)
+        assert "full-recall guarantee" in str(refused.value)
+        PrefixGramPartitioner.from_config(config).check_config(config)
+
     def test_matching_instance_accepted_and_checked(self):
         config = RunConfig.from_thresholds(Thresholds(q=2), padded_qgrams=False)
-        partitioner = GramPartitioner.from_config(config)
+        partitioner = PrefixGramPartitioner.from_config(config)
         plan = ShardPlan.build(
             ListStream(SCHEMA, _records(["abcd"])),
             ListStream(SCHEMA, _records(["abcd"])),
@@ -249,7 +192,7 @@ class TestGramPartitioner:
         partitioner.check_config(None)  # no config → nothing to disagree with
 
     def test_one_instance_serves_multiple_shard_counts(self):
-        partitioner = GramPartitioner()
+        partitioner = PrefixGramPartitioner()
         narrow = partitioner.assign_many(JoinSide.LEFT, 0, "GENOVA", 2)
         wide = partitioner.assign_many(JoinSide.LEFT, 0, "GENOVA", 16)
         assert all(0 <= shard < 2 for shard in narrow)
@@ -399,7 +342,7 @@ class TestShardPlan:
             ListStream(SCHEMA, _records(["abcd"])),
             "location",
             shard_count=2,
-            partitioner="gram",
+            partitioner="gram-prefix",
             config=config,
         )
         assert (plan.partitioner.q, plan.partitioner.padded) == (2, False)
@@ -474,14 +417,14 @@ class TestReplicatedShardPlan:
     def _values(self, count):
         return [f"location {index % 5}" for index in range(count)]
 
-    def test_gram_plan_replicates_with_correct_origins(self):
+    def test_gram_prefix_plan_replicates_with_correct_origins(self):
         values = self._values(20)
         plan = ShardPlan.build(
             ListStream(SCHEMA, _records(values)),
             ListStream(SCHEMA, _records(values)),
             "location",
             shard_count=4,
-            partitioner="gram",
+            partitioner="gram-prefix",
         )
         total = sum(len(shard) for shard in plan.left_shards)
         assert total > 20  # records appear in more than one shard
@@ -499,16 +442,16 @@ class TestReplicatedShardPlan:
 
     def test_replication_factors(self):
         values = self._values(24)
-        gram_plan = ShardPlan.build(
+        prefix_plan = ShardPlan.build(
             ListStream(SCHEMA, _records(values)),
             ListStream(SCHEMA, _records(values)),
             "location",
             shard_count=4,
-            partitioner="gram",
+            partitioner="gram-prefix",
         )
-        left_factor, right_factor = gram_plan.replication_factors()
+        left_factor, right_factor = prefix_plan.replication_factors()
         assert left_factor > 1.0
-        assert left_factor == sum(len(s) for s in gram_plan.left_shards) / 24
+        assert left_factor == sum(len(s) for s in prefix_plan.left_shards) / 24
         assert right_factor == left_factor  # identical inputs
         hash_plan = ShardPlan.build(
             ListStream(SCHEMA, _records(values)),
@@ -522,7 +465,9 @@ class TestReplicatedShardPlan:
         records = _records(self._values(15))
         left = CountingStream(SCHEMA, records)
         right = CountingStream(SCHEMA, records)
-        ShardPlan.build(left, right, "location", shard_count=4, partitioner="gram")
+        ShardPlan.build(
+            left, right, "location", shard_count=4, partitioner="gram-prefix"
+        )
         assert left.pulls == 15  # replication copies references, never re-pulls
         assert right.pulls == 15
 

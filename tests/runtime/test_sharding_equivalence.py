@@ -21,11 +21,13 @@ execution"):
    approximate matches a sharded adaptive run can lose are exactly the
    cross-shard variant pairs, so the sharded match set never exceeds the
    equi-superset bound asserted here.
-6. **Gram replication restores full approximate recall** — under the
-   ``gram`` partitioner a schedule-free all-approximate run reproduces
-   the unsharded match *set* exactly (recall == 1.0) at any shard count
-   on every backend: any matching pair shares a gram, and the shard
-   owning that gram holds both records in full.  The exactness is a
+6. **Prefix-gram replication restores full approximate recall** — under
+   the ``gram-prefix`` partitioner a schedule-free all-approximate run
+   reproduces the unsharded match *set* exactly (recall == 1.0) at any
+   shard count on every backend: a matching pair's smallest shared gram
+   under the global rarest-first order survives into both prefix
+   signatures, and the shard owning that gram holds both records in
+   full.  The exactness is a
    theorem for symmetric match predicates (``verify_jaccard=True``);
    under the paper's default probe-directional counter test — whose
    borderline pairs can flip under *any* re-interleaving of arrivals,
@@ -36,14 +38,9 @@ execution"):
 7. **Handoff is a pure representation change** — the shared-memory
    columnar handoff produces bit-identical matches, emission order,
    counter totals and trace summaries to the pickle path on every
-   backend (hash and gram partitioners alike), and no shared-memory
+   backend (hash and gram-prefix partitioners alike), and no shared-memory
    segment outlives a run on any exit path: success, shard failure,
    cancellation, or resume.
-8. **Prefix-gram replication preserves gram's recall** — ``gram-prefix``
-   reproduces the unsharded all-approximate match set exactly (same
-   theorem as guarantee 6: a matching pair's smallest shared gram under
-   the global rarest-first order survives into both prefix signatures)
-   while replicating strictly less than full gram replication.
 """
 
 import pytest
@@ -257,9 +254,9 @@ class TestAdaptiveShardingGuarantee:
 
 
 class TestGramReplicatedRecall:
-    """Gram replication recovers the cross-shard approximate matches.
+    """Prefix-gram replication recovers the cross-shard approximate matches.
 
-    The acceptance bar of the gram partitioner: on a schedule-free
+    The acceptance bar of the gram-prefix partitioner: on a schedule-free
     all-approximate workload the sharded match *set* equals the unsharded
     one — recall exactly 1.0 — at 2/4/8 shards on every backend, where
     ``hash`` demonstrably loses the cross-shard variant pairs
@@ -293,7 +290,7 @@ class TestGramReplicatedRecall:
         reference_pairs = frozenset(_unsharded(dataset, config).matched_pairs())
         sharded = run_sharded(
             dataset.parent, dataset.child, "location", config,
-            shards=shards, partitioner="gram", backend=backend,
+            shards=shards, partitioner="gram-prefix", backend=backend,
         )
         assert sharded.pair_set() == reference_pairs  # recall == 1.0
         # Deduped views are self-consistent and duplicate-free.
@@ -314,7 +311,7 @@ class TestGramReplicatedRecall:
         reference_pairs = frozenset(_unsharded(dataset, config).matched_pairs())
         sharded = run_sharded(
             dataset.parent, dataset.child, "location", config,
-            shards=shards, partitioner="gram",
+            shards=shards, partitioner="gram-prefix",
         )
         assert sharded.pair_set() == reference_pairs
 
@@ -322,7 +319,7 @@ class TestGramReplicatedRecall:
     def test_hash_loses_pairs_on_this_workload_where_gram_does_not(
         self, dataset, shards
     ):
-        """The fixture is a real witness: gram's 1.0 is not vacuous."""
+        """The fixture is a real witness: gram-prefix's 1.0 is not vacuous."""
         config = self._all_approx_config()
         reference_pairs = frozenset(_unsharded(dataset, config).matched_pairs())
         hashed = run_sharded(
@@ -335,11 +332,11 @@ class TestGramReplicatedRecall:
         config = self._all_approx_config()
         first = run_sharded(
             dataset.parent, dataset.child, "location", config,
-            shards=shards, partitioner="gram",
+            shards=shards, partitioner="gram-prefix",
         )
         second = run_sharded(
             dataset.parent, dataset.child, "location", config,
-            shards=shards, partitioner="gram",
+            shards=shards, partitioner="gram-prefix",
         )
         assert first.matched_pairs() == second.matched_pairs()
         assert list(first.matches) == list(second.matches)
@@ -349,11 +346,11 @@ class TestGramReplicatedRecall:
         config = self._all_approx_config()
         serial = run_sharded(
             dataset.parent, dataset.child, "location", config,
-            shards=4, partitioner="gram",
+            shards=4, partitioner="gram-prefix",
         )
         other = run_sharded(
             dataset.parent, dataset.child, "location", config,
-            shards=4, partitioner="gram", backend="process",
+            shards=4, partitioner="gram-prefix", backend="process",
         )
         assert other.matched_pairs() == serial.matched_pairs()
         assert other.counters.as_dict() == serial.counters.as_dict()
@@ -366,7 +363,7 @@ class TestGramReplicatedRecall:
         config = self._all_approx_config()
         sharded = run_sharded(
             dataset.parent, dataset.child, "location", config,
-            shards=shards, partitioner="gram",
+            shards=shards, partitioner="gram-prefix",
         )
         assert sharded.raw_result_size > sharded.result_size
         assert sharded.duplicate_match_count == (
@@ -390,17 +387,18 @@ class TestGramReplicatedRecall:
         reference = _unsharded(dataset, config)
         sharded = run_sharded(
             dataset.parent, dataset.child, "location", config,
-            shards=1, partitioner="gram",
+            shards=1, partitioner="gram-prefix",
         )
         assert sharded.matched_pairs() == reference.matched_pairs()
         assert sharded.counters.as_dict() == reference.counters.as_dict()
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_adaptive_gram_runs_never_drop_equi_matches(self, dataset, shards):
-        """MAR + gram: per-shard schedules may differ, equi-pairs survive."""
+        """MAR + gram-prefix: per-shard schedules may differ, equi-pairs
+        survive."""
         sharded_pairs = run_sharded(
             dataset.parent, dataset.child, "location", _config(),
-            shards=shards, partitioner="gram",
+            shards=shards, partitioner="gram-prefix",
         ).pair_set()
         assert _equal_value_pairs(dataset) <= sharded_pairs
 
@@ -409,7 +407,7 @@ class TestHandoffEquivalence:
     """Guarantee 7: the handoff knob never changes results — only bytes.
 
     Every combination of backend × handoff reproduces the serial + pickle
-    reference bit-for-bit (matches, order, counters, trace), gram
+    reference bit-for-bit (matches, order, counters, trace), prefix-gram
     replication works identically over repeated row indices, and the leak
     fixture plus the explicit failure/cancel/resume tests pin that no
     shared-memory segment survives any exit path.
@@ -471,11 +469,11 @@ class TestHandoffEquivalence:
         )
         reference = run_sharded(
             dataset.parent, dataset.child, "location", config,
-            shards=4, partitioner="gram", handoff="pickle",
+            shards=4, partitioner="gram-prefix", handoff="pickle",
         )
         shared = run_sharded(
             dataset.parent, dataset.child, "location", config,
-            shards=4, partitioner="gram", backend=backend,
+            shards=4, partitioner="gram-prefix", backend=backend,
             handoff="shared-memory",
         )
         assert shared.handoff == "shared-memory"

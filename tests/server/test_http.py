@@ -1,8 +1,10 @@
 """End-to-end tests over real HTTP: the full job API on an ephemeral port."""
 
 import json
+import socket
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -142,6 +144,31 @@ class TestErrorMapping:
         assert code == 400
         assert "error" in body
 
+    @pytest.mark.parametrize(
+        "head, body",
+        [
+            (b"Content-Length: abc\r\n", b"{}"),
+            (b"Content-Length: 3\r\n", b"\x80ab"),  # not UTF-8
+        ],
+        ids=["non-integer-length", "non-utf8-body"],
+    )
+    def test_malformed_raw_request_is_400(self, server, head, body):
+        """Requests no HTTP client library would send still get a JSON 400."""
+        address = urllib.parse.urlsplit(server.url)
+        with socket.create_connection(
+            (address.hostname, address.port), timeout=30
+        ) as connection:
+            connection.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n" + head
+                + b"Connection: close\r\n\r\n" + body
+            )
+            reply = b""
+            while chunk := connection.recv(65536):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split()[1] == b"400"
+        assert "error" in json.loads(rest.partition(b"\r\n\r\n")[2])
+
     def test_invalid_payload_is_400(self, server):
         code, body = _request_error(
             f"{server.url}/jobs",
@@ -151,19 +178,31 @@ class TestErrorMapping:
         assert code == 400
         assert "left" in body["error"]
 
-    @pytest.mark.parametrize("backend", ["thread", "async"])
-    def test_removed_backend_is_400(self, server, tiny_payload, backend):
-        """A job naming a removed backend never enters the queue (or a
-        job store): it is refused at submission with the valid names."""
-        payload = dict(tiny_payload, shards=2, backend=backend)
+    @pytest.mark.parametrize(
+        "key, removed, valid",
+        [
+            pytest.param("backend", name, ("process", "serial"), id=name)
+            for name in ("thread", "async")
+        ] + [
+            pytest.param("partitioner", name, ("gram-prefix", "hash"), id=name)
+            for name in ("gram", "round-robin", "range")
+        ],
+    )
+    def test_removed_backend_is_400(
+        self, server, tiny_payload, key, removed, valid
+    ):
+        """A job naming a removed backend or partitioner never enters the
+        queue (or a job store): it is refused at submission with the
+        valid names."""
+        payload = dict(tiny_payload, shards=2, **{key: removed})
         code, body = _request_error(
             f"{server.url}/jobs",
             method="POST",
             raw_body=json.dumps(payload).encode("utf-8"),
         )
         assert code == 400
-        assert backend in body["error"]
-        assert "process" in body["error"] and "serial" in body["error"]
+        assert repr(removed) in body["error"]
+        assert all(name in body["error"] for name in valid)
         _, listing = _request(f"{server.url}/jobs")
         assert listing["jobs"] == []
 

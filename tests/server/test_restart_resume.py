@@ -203,23 +203,33 @@ class TestRestartResume:
         assert revived.job_ids() == ["job-1", "job-2", "job-3"]
         revived.shutdown()
 
-    @pytest.mark.parametrize("removed", ["thread", "async"])
+    @pytest.mark.parametrize(
+        "key, removed",
+        [
+            pytest.param("backend", name, id=name)
+            for name in ("thread", "async")
+        ] + [
+            pytest.param("partitioner", name, id=name)
+            for name in ("gram", "round-robin", "range")
+        ],
+    )
     def test_stored_job_naming_a_removed_backend_is_skipped(
-        self, tmp_path, tiny_payload, removed
+        self, tmp_path, tiny_payload, key, removed
     ):
-        """A store written by an older server may name a backend that no
-        longer exists: that job is skipped and reported, the rest restore."""
+        """A store written by an older server may name a backend or a
+        partitioner that no longer exists: that job is skipped and
+        reported, the rest restore."""
         path = _write_store(
             tmp_path,
             _job("job-1", _exact_payload(tiny_payload)),
             _status("job-1", "finished"),
-            _job("job-2", dict(tiny_payload, shards=2, backend=removed)),
+            _job("job-2", dict(tiny_payload, shards=2, **{key: removed})),
         )
 
         revived = JobScheduler(max_workers=1, store=JsonlJobStore(path))
         assert revived.restore() == []  # the stale job is not re-run
         assert list(revived.unrestorable) == ["job-2"]
-        assert removed in revived.unrestorable["job-2"]
+        assert repr(removed) in revived.unrestorable["job-2"]
         assert revived.job_ids() == ["job-1"]
         # The valid job is restored as terminal: listed, never re-queued.
         assert revived.describe("job-1")["state"] not in ("queued", "running")

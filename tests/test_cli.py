@@ -65,11 +65,11 @@ class TestParser:
     def test_sharding_flags_parsed(self):
         args = build_parser().parse_args([
             "experiment", "--shards", "4", "--backend", "process",
-            "--partitioner", "round-robin", "--deadline", "2.5",
+            "--partitioner", "gram-prefix", "--deadline", "2.5",
         ])
         assert args.shards == 4
         assert args.backend == "process"
-        assert args.partitioner == "round-robin"
+        assert args.partitioner == "gram-prefix"
         assert args.deadline == 2.5
 
     def test_backend_and_partitioner_choices_cover_registries(self):
@@ -91,6 +91,12 @@ class TestParser:
             build_parser().parse_args(
                 ["link", "a", "b", "--attribute", "x", "--backend", "gpu"]
             )
+        for removed in ("gram", "round-robin", "range"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["link", "a", "b", "--attribute", "x",
+                     "--partitioner", removed]
+                )
 
 
 class TestGenerateCommand:
@@ -187,8 +193,8 @@ class TestLinkCommand:
         output = capsys.readouterr().out
         assert "per-shard breakdown" in output
 
-    def test_links_sharded_with_gram_partitioner(self, tmp_path, capsys):
-        """Gram-replicated sharding matches the unsharded pair set exactly."""
+    def test_links_sharded_with_gram_prefix_partitioner(self, tmp_path, capsys):
+        """Prefix-gram sharding matches the unsharded pair set exactly."""
         parent = tmp_path / "parent.csv"
         child = tmp_path / "child.csv"
         main([
@@ -214,7 +220,7 @@ class TestLinkCommand:
         sharded = tmp_path / "sharded.csv"
         exit_code = main(common + [
             "--shards", "2",
-            "--partitioner", "gram",
+            "--partitioner", "gram-prefix",
             "--output", str(sharded),
         ])
         assert exit_code == 0
