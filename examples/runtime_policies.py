@@ -27,16 +27,13 @@ THRESHOLDS = Thresholds(delta_adapt=50, window_size=50)
 class AfterStep1000Policy(SwitchPolicy):
     """Custom demo policy: go all-approximate unconditionally at step 1000.
 
-    ``next_activation_step`` declares the one-shot boundary so the batched
-    ``run()`` loop pauses there even though 1000 need not be a multiple of
-    ``δ_adapt``.
+    ``next_activation_step`` declares the one-shot boundary, so the session
+    pauses there and activates the policy even though 1000 need not be a
+    multiple of ``δ_adapt``.
     """
 
     def next_activation_step(self, step_count: int):
         return 1000 if step_count < 1000 else None
-
-    def should_activate(self, step: int) -> bool:
-        return step == 1000
 
     def activate(self, step: int) -> None:
         self.session.force_state(JoinState.LAP_RAP, step)

@@ -8,7 +8,7 @@ and cancellable mid-run with partial results.  This example walks
 through all four surfaces on a generated workload:
 
 1. stream matches as they are found (first match long before the run ends);
-2. watch live progress fed by ``StepResult``/``ShardCompleted`` events;
+2. watch live progress fed by ``StepBatch``/``ShardCompleted`` events;
 3. cancel a running job and keep the partial result;
 4. run the same job sharded on the ``process`` backend, then stream a
    sharded job.

@@ -75,13 +75,10 @@ def _fresh_engine(dataset: GeneratedDataset, state: JoinState,
 
 def _measure_steps(engine: SymmetricJoinEngine, max_steps: int) -> float:
     """Average wall-clock seconds per step over at most ``max_steps`` steps."""
-    executed = 0
     started = time.perf_counter()
-    while executed < max_steps:
-        if engine.step() is None:
-            break
-        executed += 1
+    batch = engine.run_batch(max_steps) if max_steps > 0 else None
     elapsed = time.perf_counter() - started
+    executed = batch.count if batch is not None else 0
     return elapsed / max(executed, 1)
 
 
@@ -95,11 +92,8 @@ def _measure_transition(
     """Seconds spent switching into ``target`` after a warm-up in the opposite modes."""
     source = JoinState.LAP_RAP if target is JoinState.LEX_REX else JoinState.LEX_REX
     engine = _fresh_engine(dataset, source, similarity_threshold, q)
-    executed = 0
-    while executed < warm_up_steps:
-        if engine.step() is None:
-            break
-        executed += 1
+    if warm_up_steps > 0:
+        engine.run_batch(warm_up_steps)
     started = time.perf_counter()
     engine.set_modes(target.left_mode, target.right_mode)
     return time.perf_counter() - started

@@ -34,10 +34,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Deque, Dict, List
+from typing import Deque, Dict, List, Sequence
 
-from repro.joins.base import JoinMode, JoinSide
-from repro.joins.engine import StepBatch, StepResult
+from repro.joins.base import JoinMode, JoinSide, MatchEvent
+from repro.joins.engine import StepBatch
 from repro.stats.windows import SlidingWindowCounter
 
 
@@ -106,9 +106,9 @@ class Monitor:
 
         The monitor consumes the engine's aggregate
         :class:`~repro.joins.engine.StepBatch` events: every executed step
-        is covered by exactly one published batch (the fast-path aggregate,
-        or a batch of one from single-stepping), so batch observation is
-        bit-identical to observing every step — see :meth:`observe_batch`.
+        is covered by exactly one published batch (single-stepping
+        publishes batches of one), so batch observation is bit-identical
+        to observing every step — see :meth:`observe_batch`.
         Returns ``self`` so construction and attachment chain.
         """
         bus.subscribe(StepBatch, self.observe_batch)
@@ -118,15 +118,26 @@ class Monitor:
         """Remove this monitor's subscription from ``bus`` (no-op if absent)."""
         bus.unsubscribe(StepBatch, self.observe_batch)
 
-    def observe_step(self, result: StepResult) -> None:
-        """Record one engine step."""
-        self._step = result.step
-        self._scanned[result.side] += 1
-        self._observed_matches += len(result.matches)
+    def observe_step(
+        self,
+        step: int,
+        side: JoinSide,
+        mode: JoinMode,
+        matches: Sequence[MatchEvent],
+    ) -> None:
+        """Record one engine step: the per-step reference for :meth:`observe_batch`.
+
+        ``step`` is the 1-based step number, ``side`` the input it scanned,
+        ``mode`` that side's matching mode and ``matches`` the events the
+        step produced.
+        """
+        self._step = step
+        self._scanned[side] += 1
+        self._observed_matches += len(matches)
 
         attributed = {JoinSide.LEFT: False, JoinSide.RIGHT: False}
         step_min_similarity = 1.0
-        for event in result.matches:
+        for event in matches:
             step_min_similarity = min(step_min_similarity, event.similarity)
             if event.exact_value_match:
                 continue
@@ -137,11 +148,11 @@ class Monitor:
                 attributed[JoinSide.RIGHT] = True
         for side in JoinSide:
             self._approx_match_windows[side].record(attributed[side])
-        self._approx_active_window.record(result.mode is JoinMode.APPROXIMATE)
+        self._approx_active_window.record(mode is JoinMode.APPROXIMATE)
         # Track the lowest similarity inside the window with a bounded deque
         # (one entry per step; maxlen evicts the oldest automatically).
         self._min_similarity_window.append(
-            step_min_similarity if result.matches else 1.0
+            step_min_similarity if matches else 1.0
         )
 
     def observe_batch(self, batch: StepBatch) -> None:

@@ -16,7 +16,7 @@ from repro.core.assessor import Assessment
 from repro.core.events import AssessmentEvent, TransitionEvent
 from repro.core.state_machine import JoinState, TransitionGuards
 from repro.joins.base import JoinSide
-from repro.joins.engine import StepBatch, StepResult, SwitchRecord
+from repro.joins.engine import StepBatch, SwitchRecord
 
 
 @dataclass(frozen=True)

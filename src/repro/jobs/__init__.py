@@ -10,7 +10,7 @@ executed through a :class:`JobHandle` that can block
 they are found (:meth:`~repro.jobs.handle.JobHandle.stream_matches`),
 report live progress
 (:meth:`~repro.jobs.handle.JobHandle.progress`, fed by
-``StepResult``/``ShardCompleted`` bus events through a
+``StepBatch``/``ShardCompleted`` bus events through a
 :class:`~repro.runtime.collectors.ProgressCollector`) and be cancelled
 mid-run with partial results
 (:meth:`~repro.jobs.handle.JobHandle.cancel`)::

@@ -399,8 +399,8 @@ class LinkageJob:
         """Attach a :class:`~repro.runtime.collectors.ProgressCollector`
         to the run so ``JobHandle.progress()`` reports live counts.
 
-        Off by default: the per-step feed costs one bus handler per
-        engine step, which pure-throughput callers should not pay.
+        Off by default: the step feed costs one bus handler call per
+        engine batch, which pure-throughput callers should not pay.
         Adaptive-only — the feed rides the session event bus, which the
         baseline operators never publish onto.
         """

@@ -172,7 +172,7 @@ class JobHandle:
         """Live progress (steps, matches, shards done, elapsed).
 
         Requires the job to have been built ``.with_progress()`` — the
-        per-step feed is opt-in so pure-throughput runs never pay for it.
+        step feed is opt-in so pure-throughput runs never pay for it.
         """
         if self._progress is None:
             raise RuntimeError(

@@ -24,7 +24,7 @@ from repro.joins.base import (
     SideState,
     StoredTuple,
 )
-from repro.joins.engine import StepResult, SwitchRecord, SymmetricJoinEngine
+from repro.joins.engine import SwitchRecord, SymmetricJoinEngine
 from repro.joins.shjoin import SHJoin
 from repro.joins.sshjoin import SSHJoin
 from repro.joins.baselines import (
@@ -42,7 +42,6 @@ __all__ = [
     "SideState",
     "StoredTuple",
     "SymmetricJoinEngine",
-    "StepResult",
     "SwitchRecord",
     "SHJoin",
     "SSHJoin",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
 from typing import Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (runtime wires the bus in)
@@ -58,50 +58,16 @@ _Route = Tuple[SideState, SideState, JoinMode, Callable[[], int], Callable[[], i
 
 
 @dataclass(slots=True)
-class StepResult:
-    """Everything that happened during one engine step.
-
-    Attributes
-    ----------
-    step:
-        1-based step number (== total tuples scanned so far).
-    side:
-        The input the scanned tuple came from.
-    stored:
-        The stored tuple created for the scanned record.
-    mode:
-        The matching mode in force for that side at this step.
-    matches:
-        The match events produced by this step (possibly empty).
-    catch_up_tuples:
-        Tuples re-indexed *during* this step because the probed index was
-        stale (0 in steady state — switches normally do the catch-up).
-    """
-
-    step: int
-    side: JoinSide
-    stored: StoredTuple
-    mode: JoinMode
-    matches: List[MatchEvent] = field(default_factory=list)
-    catch_up_tuples: int = 0
-
-
-@dataclass(slots=True)
 class StepBatch:
     """Aggregate of a contiguous run of engine steps.
 
-    Published once per :meth:`SymmetricJoinEngine.run_batch` call (and once
-    per :meth:`~SymmetricJoinEngine.step` as a batch of one), this is the
-    event the runtime's built-in observers — monitor, trace, session
-    accumulator, progress collector — consume instead of per-step
-    :class:`StepResult` objects.  Batches never span a mode switch, so the
-    two ``*_mode`` fields describe every step in the batch.
-
-    Every executed step is covered by exactly one published ``StepBatch``:
-    either the aggregate of a fast-path ``run_batch`` or a batch-of-one from
-    ``step``.  ``run_batch`` falls back to per-step execution (publishing
-    batches of one) whenever the bus has ``StepResult`` subscribers, so
-    batch-level observers can never double-count.
+    The engine's only step event: published once per
+    :meth:`SymmetricJoinEngine.run_batch` call (single-stepping is
+    ``run_batch(1)``, a batch of one), it is what every observer — monitor,
+    trace, session accumulator, collectors — consumes.  Every executed step
+    is covered by exactly one published batch, and batches never span a
+    mode switch, so the two ``*_mode`` fields describe every step in the
+    batch.
 
     Attributes
     ----------
@@ -188,7 +154,7 @@ class SymmetricJoinEngine:
         anything else): probes always recover shared-gram counts from
         gram bitsets.
     scan_batch:
-        How many records :meth:`step` pulls from an input stream at a time
+        How many records a step pulls from an input stream at a time
         into a per-side read-ahead buffer.  Bulk pulls amortise the
         per-record stream dispatch; scheduling (strict alternation while
         both inputs last) and every per-step observable are unaffected.
@@ -207,17 +173,12 @@ class SymmetricJoinEngine:
         the set semantics of the join result.
     bus:
         Optional :class:`~repro.runtime.events.EventBus` the engine
-        publishes onto: every :class:`StepResult` (after the step
-        completes, only via :meth:`step` / :meth:`run_steps` — the
-        :meth:`run_batch` fast path skips per-step events entirely when
-        nothing subscribes to them), every
-        :class:`~repro.joins.base.MatchEvent` (only when the bus has
-        ``MatchEvent`` subscribers — the hot loop never pays for
-        unobserved matches), one :class:`StepBatch` aggregate per executed
-        batch (or per step, as a batch of one) and every
-        :class:`SwitchRecord` performed by :meth:`set_mode`.  ``None``
-        (the default) keeps the engine observer-free, as the non-adaptive
-        operators use it.
+        publishes onto: every :class:`~repro.joins.base.MatchEvent` (only
+        when the bus has ``MatchEvent`` subscribers — the hot loop never
+        pays for unobserved matches), one :class:`StepBatch` aggregate per
+        executed batch and every :class:`SwitchRecord` performed by
+        :meth:`set_mode`.  ``None`` (the default) keeps the engine
+        observer-free, as the non-adaptive operators use it.
     """
 
     def __init__(
@@ -291,11 +252,9 @@ class SymmetricJoinEngine:
         # Hot-path channels: live handler lists cached once (see
         # EventBus.channel); an engine without a bus publishes nothing.
         if bus is not None:
-            self._step_channel = bus.channel(StepResult)
             self._match_channel = bus.channel(MatchEvent)
             self._batch_channel = bus.channel(StepBatch)
         else:
-            self._step_channel = None
             self._match_channel = None
             self._batch_channel = None
         self._emitted_pairs: Set[Tuple[int, int]] = set()
@@ -385,147 +344,22 @@ class SymmetricJoinEngine:
 
     # -- execution ---------------------------------------------------------------
 
-    def step(self) -> Optional[StepResult]:
-        """Execute one step (one quiescent-state transition).
-
-        Returns ``None`` when both inputs are exhausted, otherwise the
-        :class:`StepResult` for the scanned tuple.
-        """
-        side, record = self._scan_next()
-        if record is None:
-            return None
-        self._step += 1
-        own, other, mode, sync_own, sync_other = self._route(side)
-        stored = own.add(record)
-        if self.eager_indexing:
-            # Pessimistic maintenance: keep every index of both sides current.
-            own.catch_up_exact()
-            own.catch_up_qgram()
-            other.catch_up_exact()
-            other.catch_up_qgram()
-            catch_up = 0
-        else:
-            # The scanned tuple joins the index its own side maintains for
-            # the opposite side's probes.
-            sync_own()
-            # Make sure the index we are about to probe is current (normally
-            # a no-op; non-zero only if a caller changed modes without
-            # set_mode).
-            catch_up = sync_other()
-        matches = self._probe(side, stored, own, other, mode)
-        result = StepResult(
-            step=self._step,
-            side=side,
-            stored=stored,
-            mode=mode,
-            matches=matches,
-            catch_up_tuples=catch_up,
-        )
-        step_channel = self._step_channel
-        if step_channel is not None:
-            for handler in step_channel:
-                handler(result)
-            if matches and self._match_channel:
-                match_channel = self._match_channel
-                for event in matches:
-                    for handler in match_channel:
-                        handler(event)
-        batch_channel = self._batch_channel
-        if batch_channel:
-            left_mode = self.modes[JoinSide.LEFT]
-            right_mode = self.modes[JoinSide.RIGHT]
-            hybrid = left_mode is not right_mode
-            batch = StepBatch(
-                first_step=result.step,
-                count=1,
-                left_steps=1 if side is JoinSide.LEFT else 0,
-                right_steps=1 if side is JoinSide.RIGHT else 0,
-                left_mode=left_mode,
-                right_mode=right_mode,
-                match_events=matches,
-                catch_up_tuples=catch_up,
-                sides=(side,) if hybrid else None,
-            )
-            for handler in batch_channel:
-                handler(batch)
-        return result
-
-    def run_steps(self, limit: int) -> List[StepResult]:
-        """Execute up to ``limit`` steps and return their results.
-
-        The batched counterpart of :meth:`step`: the returned list is
-        shorter than ``limit`` exactly when the inputs ran dry.  Per-step
-        semantics are untouched — the engine passes through the same
-        quiescent states in the same order — batching merely amortises the
-        per-tuple dispatch for whole-input consumers (the adaptive
-        processor's ``run``, :meth:`run_to_completion`, the CLI ``link``
-        command and the bench harness).  Mode switches remain legal between
-        batches, never inside one.
-        """
-        if limit < 0:
-            raise ValueError(f"limit must be non-negative, got {limit}")
-        results: List[StepResult] = []
-        append = results.append
-        step = self.step
-        for _ in range(limit):
-            result = step()
-            if result is None:
-                break
-            append(result)
-        return results
-
     def run_batch(self, limit: int) -> Optional[StepBatch]:
         """Execute up to ``limit`` steps as one amortised batch.
 
-        The fast path of the runtime: when the bus has no ``StepResult``
-        subscribers (the common case — the session's built-in observers all
-        consume :class:`StepBatch`), the loop builds **no** per-step
-        ``StepResult`` objects at all; per-step work is the scan, the index
-        insert and the probe, nothing else.  Match events are still
-        published one by one (in emission order) when ``MatchEvent`` has
-        subscribers, and the aggregate ``StepBatch`` is published once at
-        the end.
-
-        When the bus *does* have ``StepResult`` subscribers, the batch is
-        executed via :meth:`run_steps` so every per-step observable —
-        ``StepResult`` publication order, batch-of-one ``StepBatch``
-        events — is preserved exactly; the returned aggregate is then built
-        from the per-step results and **not** re-published (each step
-        already published its own batch-of-one).
+        The engine's only execution loop; a single step is
+        ``run_batch(1)``.  One step scans one tuple, inserts it into its
+        side's index and probes the other side — no per-step event object
+        is built.  Match events are published one by one (in emission
+        order) when ``MatchEvent`` has subscribers, and the aggregate
+        :class:`StepBatch` is published once at the end, after every match
+        event it covers.
 
         Returns ``None`` when the inputs are exhausted (no step executed).
         Mode switches remain legal between batches, never inside one.
         """
         if limit < 1:
             raise ValueError(f"limit must be at least 1, got {limit}")
-        if self._step_channel:
-            results = self.run_steps(limit)
-            if not results:
-                return None
-            left_steps = 0
-            match_events: List[MatchEvent] = []
-            catch_up_total = 0
-            for result in results:
-                if result.side is JoinSide.LEFT:
-                    left_steps += 1
-                if result.matches:
-                    match_events.extend(result.matches)
-                catch_up_total += result.catch_up_tuples
-            left_mode = self.modes[JoinSide.LEFT]
-            right_mode = self.modes[JoinSide.RIGHT]
-            return StepBatch(
-                first_step=results[0].step,
-                count=len(results),
-                left_steps=left_steps,
-                right_steps=len(results) - left_steps,
-                left_mode=left_mode,
-                right_mode=right_mode,
-                match_events=match_events,
-                catch_up_tuples=catch_up_total,
-                sides=tuple(result.side for result in results)
-                if left_mode is not right_mode
-                else None,
-            )
         left_mode = self.modes[JoinSide.LEFT]
         right_mode = self.modes[JoinSide.RIGHT]
         hybrid = left_mode is not right_mode
@@ -599,14 +433,6 @@ class SymmetricJoinEngine:
                 extend(batch.match_events)
             if batch.count < _RUN_BATCH:
                 return events
-
-    def iter_steps(self) -> Iterator[StepResult]:
-        """Iterate over the remaining steps."""
-        while True:
-            result = self.step()
-            if result is None:
-                return
-            yield result
 
     # -- internals ---------------------------------------------------------------
 

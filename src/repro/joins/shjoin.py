@@ -71,14 +71,12 @@ class _SymmetricJoinOperator(Operator):
 
     def _do_next(self) -> Optional[Record]:
         while not self._pending:
-            result = self._engine.step()
-            if result is None:
+            batch = self._engine.run_batch(1)
+            if batch is None:
                 return None
-            if result.side is JoinSide.LEFT:
-                self.stats.tuples_read_left += 1
-            else:
-                self.stats.tuples_read_right += 1
-            self._pending.extend(result.matches)
+            self.stats.tuples_read_left += batch.left_steps
+            self.stats.tuples_read_right += batch.right_steps
+            self._pending.extend(batch.match_events)
         event = self._pending.popleft()
         return event.output_record(self.output_schema)
 
@@ -90,7 +88,7 @@ class _SymmetricJoinOperator(Operator):
         """Open, drain and close the operator, returning all output records.
 
         Overrides the generic record-at-a-time drain with the engine's
-        batched stepping (:meth:`SymmetricJoinEngine.run_steps`), which
+        batched stepping (:meth:`SymmetricJoinEngine.run_batch`), which
         amortises the per-tuple iterator dispatch for whole-input runs.
         Matches already pending from earlier incremental consumption come
         first, so the output is identical to ``list(self)``.

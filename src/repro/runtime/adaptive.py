@@ -9,8 +9,8 @@ builds the engine + control stack from a
 :class:`~repro.runtime.config.RunConfig` and drives it, with
 
 1. a :class:`~repro.joins.engine.SymmetricJoinEngine` executing the join
-   step by step (one step = one quiescent-state transition) and
-   publishing every step onto the session's event bus;
+   in batches of steps (one step = one quiescent-state transition) and
+   publishing one ``StepBatch`` per batch onto the session's event bus;
 2. a :class:`~repro.core.monitor.Monitor` observing each step as a bus
    subscriber;
 3. a :class:`~repro.runtime.policy.SwitchPolicy` — by default the paper's
@@ -40,7 +40,8 @@ subscribers, declarative configuration — should use
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from collections import deque
+from typing import Deque, List, Optional, Tuple, Union
 
 from repro.core.budget import CostBudget
 from repro.core.cost_model import CostModel
@@ -279,7 +280,7 @@ class AdaptiveSymmetricJoin(Operator):
             policy=policy,
         )
         super().__init__(self._processor.output_schema, name=name or "AdaptiveJoin")
-        self._pending: List[MatchEvent] = []
+        self._pending: Deque[MatchEvent] = deque()
 
     @property
     def processor(self) -> AdaptiveJoinProcessor:
@@ -287,16 +288,15 @@ class AdaptiveSymmetricJoin(Operator):
         return self._processor
 
     def _do_open(self) -> None:
-        self._pending = []
+        self._pending.clear()
 
     def _do_next(self) -> Optional[Record]:
         while not self._pending:
             matches = self._processor.step()
             if matches is None:
                 return None
-            if matches:
-                self._pending.extend(matches)
-        event = self._pending.pop(0)
+            self._pending.extend(matches)
+        event = self._pending.popleft()
         return event.output_record(self.output_schema)
 
     def is_quiescent(self) -> bool:

@@ -20,11 +20,10 @@ Collectors follow one convention: ``attach(bus)`` subscribes and returns
 ``ShardCompleted`` (per-shard, every backend including ``process``) and
 powers ``JobHandle.progress()`` and the CLI ``--progress`` ticker.
 
-Note the granularity choice: collectors that subscribe to per-step
-``StepResult`` events (:class:`StateDwellCollector`,
-:class:`ThroughputCollector`) opt the session into the engine's per-step
-execution path; batch-level collectors (:class:`ProgressCollector`) keep
-the engine on its fast batched path.
+Step-level collectors (:class:`StateDwellCollector`,
+:class:`ThroughputCollector`) read the same ``StepBatch`` stream: batches
+never span a policy activation, so per-batch sums are exact per-step
+counts, and attaching a collector never changes how the engine runs.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.events import TransitionEvent
 from repro.joins.base import JoinMode, MatchEvent
-from repro.joins.engine import StepBatch, StepResult, SwitchRecord
+from repro.joins.engine import StepBatch, SwitchRecord
 from repro.runtime.events import (
     EventBus,
     ShardCompleted,
@@ -104,12 +103,12 @@ class StateDwellCollector:
         self._current_label = self.initial_label
 
     def attach(self, bus: EventBus) -> "StateDwellCollector":
-        bus.subscribe(StepResult, self._on_step)
+        bus.subscribe(StepBatch, self._on_batch)
         bus.subscribe(TransitionEvent, self._on_transition)
         return self
 
-    def _on_step(self, result: StepResult) -> None:
-        self._steps_in_current += 1
+    def _on_batch(self, batch: StepBatch) -> None:
+        self._steps_in_current += batch.count
 
     def _on_transition(self, event: TransitionEvent) -> None:
         self.dwell_steps.append((event.from_state.label, self._steps_in_current))
@@ -132,7 +131,8 @@ class StateDwellCollector:
 
 @dataclass
 class ThroughputCollector:
-    """Counts steps and matches per state label (a cheap live dashboard feed)."""
+    """Counts steps, matches and matches per matching mode (a cheap live
+    dashboard feed)."""
 
     steps: int = 0
     matches: int = 0
@@ -141,15 +141,17 @@ class ThroughputCollector:
     )
 
     def attach(self, bus: EventBus) -> "ThroughputCollector":
-        bus.subscribe(StepResult, self._on_step)
+        bus.subscribe(StepBatch, self._on_batch)
         return self
 
-    def _on_step(self, result: StepResult) -> None:
-        self.steps += 1
-        produced = len(result.matches)
-        if produced:
-            self.matches += produced
-            self.matches_by_mode[result.mode.value] += produced
+    def _on_batch(self, batch: StepBatch) -> None:
+        self.steps += batch.count
+        events = batch.match_events
+        if events:
+            self.matches += len(events)
+            by_mode = self.matches_by_mode
+            for event in events:
+                by_mode[event.mode.value] += 1
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,7 @@ class ProgressSnapshot:
     """One point-in-time reading of a :class:`ProgressCollector`.
 
     All counts are *raw*: in sharded runs under a replicating partitioner
-    (``gram``) duplicate discoveries are only collapsed at merge time, so
+    (``gram-prefix``) duplicate discoveries are only collapsed at merge time, so
     the live match count can exceed the final deduplicated result size.
     """
 
@@ -188,7 +190,7 @@ class ProgressSnapshot:
 
         Prefers the step count (fine-grained, live on every in-process
         backend); falls back to completed shards for the process backend,
-        where per-step events cannot cross the worker boundary.
+        where step events cannot cross the worker boundary.
         """
         if self.total_steps:
             return min(self.steps / self.total_steps, 1.0)

@@ -15,16 +15,11 @@ Event taxonomy
 Events are dispatched **by concrete type**; any object can be an event.
 The runtime publishes:
 
-* :class:`~repro.joins.engine.StepBatch` — one aggregate per executed
-  engine batch (or per single step, as a batch of one); the stream the
-  runtime's built-in observers (monitor, trace, session accumulator,
-  progress collector) consume — every executed step is covered by exactly
-  one published batch;
-* :class:`~repro.joins.engine.StepResult` — one per engine step, emitted
-  by the engine *only on the per-step execution paths* (``step`` /
-  ``run_steps``; the batched fast path skips per-step events when nothing
-  subscribes to them — attaching a ``StepResult`` subscriber before the
-  run is what opts a session into per-step granularity);
+* :class:`~repro.joins.engine.StepBatch` — the engine's only step event:
+  one aggregate per executed engine batch (a single step is a batch of
+  one); the stream every step observer (monitor, trace, session
+  accumulator, collectors) consumes — every executed step is covered by
+  exactly one published batch;
 * :class:`~repro.joins.base.MatchEvent` — one per matched pair, emitted by
   the engine *only when at least one subscriber is registered* (so the hot
   probe loop never pays for unobserved matches);
@@ -45,11 +40,10 @@ The runtime publishes:
   error and whether a retry follows), one ``ShardRetrying`` per retry
   scheduled, on every backend.
 
-Ordering guarantee: for one engine step, the ``StepResult`` (when the
-per-step path is active) is published first, then the step's
-``MatchEvent``\\ s in emission order, then the ``StepBatch`` covering the
-step(s) — the batch always arrives after every per-step event it
-aggregates.  Subscribers to the same event type run in subscription order.
+Ordering guarantee: a batch's ``MatchEvent``\\ s are published in emission
+order, then the ``StepBatch`` covering them — the batch always arrives
+after every match event it aggregates.  Subscribers to the same event type
+run in subscription order.
 """
 
 from __future__ import annotations
@@ -134,8 +128,8 @@ class EventBus:
 
     Handlers are registered per concrete event type and invoked in
     subscription order, synchronously, on :meth:`publish`.  The bus is the
-    runtime's hot path (one ``StepResult`` per scanned tuple flows through
-    it), so dispatch is a single dict lookup plus a loop — no inheritance
+    runtime's hot path (every engine batch and, when observed, every match
+    event flows through it), so dispatch is a single dict lookup plus a loop — no inheritance
     walking, no filtering, no queues.
     """
 
@@ -181,8 +175,8 @@ class EventBus:
     def channel(self, event_type: Type) -> List[Handler]:
         """The *live* handler list for ``event_type`` (hot-path accessor).
 
-        High-frequency publishers (the engine publishes one ``StepResult``
-        per scanned tuple) may cache this list once and iterate it
+        High-frequency publishers (the engine publishes one ``MatchEvent``
+        per matched pair) may cache this list once and iterate it
         directly, skipping the per-event dict lookup of :meth:`publish`.
         The list object is stable for the lifetime of the bus — later
         ``subscribe`` / ``unsubscribe`` calls mutate it in place — and an

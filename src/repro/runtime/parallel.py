@@ -71,7 +71,7 @@ from repro.core.events import AssessmentEvent, TransitionEvent
 from repro.engine.streams import InputLike, ListStream, RecordStream, RowSliceStream
 from repro.engine.tuples import Record, Schema
 from repro.joins.base import JoinAttribute, MatchEvent
-from repro.joins.engine import StepBatch, StepResult, SwitchRecord
+from repro.joins.engine import StepBatch, SwitchRecord
 from repro.runtime.config import RunConfig
 from repro.runtime.errors import ShardExecutionError, ShardTimeoutError
 from repro.runtime.events import (
@@ -120,7 +120,6 @@ _HANG_POLL_SECONDS = 0.02
 #: Event types forwarded live from shard buses by the serial backend.
 FORWARDED_EVENT_TYPES: Tuple[Type, ...] = (
     StepBatch,
-    StepResult,
     MatchEvent,
     SwitchRecord,
     TransitionEvent,
@@ -128,12 +127,11 @@ FORWARDED_EVENT_TYPES: Tuple[Type, ...] = (
 )
 
 #: Forwarded types whose shard-bus subscription is demand-gated: attaching
-#: a forwarder *enables* publication on the shard bus (match events) or
-#: forces the shard engine off its batched fast path (per-step results),
-#: so the forwarder is only attached when the aggregated bus actually has
-#: a consumer — a direct subscriber of the type, or a ``ShardEvent``
+#: a forwarder *enables* publication on the shard bus (match events), so
+#: the forwarder is only attached when the aggregated bus actually has a
+#: consumer — a direct subscriber of the type, or a ``ShardEvent``
 #: subscriber (which receives every forwarded event, tagged).
-_DEMAND_GATED_TYPES: Tuple[Type, ...] = (StepResult, MatchEvent)
+_DEMAND_GATED_TYPES: Tuple[Type, ...] = (MatchEvent,)
 
 
 class AggregatedEventBus(EventBus):
@@ -164,12 +162,10 @@ class AggregatedEventBus(EventBus):
         Each shard event is re-published here twice: raw (existing
         shard-agnostic subscribers keep working) and wrapped in a
         :class:`ShardEvent` (only when someone subscribed to those).
-        Match events and per-step results are demand-gated
-        (:data:`_DEMAND_GATED_TYPES`): subscribing to ``MatchEvent`` on a
-        shard bus is what *enables* its publication, and subscribing to
-        ``StepResult`` forces the shard engine off its batched fast path —
-        so those forwarders are only attached when the aggregated bus has
-        a consumer for them.
+        Match events are demand-gated (:data:`_DEMAND_GATED_TYPES`):
+        subscribing to ``MatchEvent`` on a shard bus is what *enables* its
+        publication, so that forwarder is only attached when the
+        aggregated bus has a consumer for it.
         """
         tag_channel = self.channel(ShardEvent)
 

@@ -37,7 +37,6 @@ Registering a policy::
 
     @register_policy("mine")
     class MyPolicy(SwitchPolicy):
-        def should_activate(self, step): ...
         def activate(self, step): ...
 
 and every entry point (``JoinSession``, ``link_tables``, the bench
@@ -62,9 +61,10 @@ class SwitchPolicy:
     A policy is bound to exactly one
     :class:`~repro.runtime.session.JoinSession` via :meth:`bind` (called by
     the session at build time) and is consulted by the session loop:
-    :meth:`should_activate` after every step, :meth:`activate` when it
-    answers True.  Activations happen between engine steps — i.e. in a
-    quiescent state — so enacting a transition is always safe.
+    :meth:`next_activation_step` names the next step at which the policy
+    wants control, and :meth:`activate` runs once the engine reaches it.
+    Activations happen between engine steps — i.e. in a quiescent state —
+    so enacting a transition is always safe.
     """
 
     #: Registry name, filled in by :func:`register_policy`.
@@ -108,27 +108,19 @@ class SwitchPolicy:
     def next_activation_step(self, step_count: int) -> Optional[int]:
         """The next step after ``step_count`` at which this policy wants control.
 
-        :meth:`JoinSession.run` never drives the engine past this boundary
-        within one batch, then consults :meth:`should_activate` there — so
-        batched execution hands control to the policy at exactly the same
-        steps as one-at-a-time stepping, for *any* cadence.  ``None``
-        means "never again" (the remaining input runs in maximal batches).
+        The session never drives the engine past this boundary within one
+        batch and calls :meth:`activate` exactly when a batch ends on it,
+        so batched ``run()`` and single-stepping hand control to the policy
+        at the same steps, for *any* cadence.  The boundary must lie after
+        ``step_count``; ``None`` means "never again" (the remaining input
+        runs in maximal batches).
 
         The default boundary is the next multiple of
         :attr:`activation_interval`; policies with an irregular schedule
-        (a one-shot trigger, adaptive cadence, …) override this so their
-        ``should_activate`` steps are actually reached.
+        (a one-shot trigger, adaptive cadence, …) override this.
         """
         interval = self.activation_interval
         return step_count + (interval - step_count % interval)
-
-    def should_activate(self, step: int) -> bool:
-        """Whether the policy wants control after ``step``.
-
-        Consulted after every step when single-stepping, and at each
-        :meth:`next_activation_step` boundary under batched ``run()``.
-        """
-        raise NotImplementedError
 
     def activate(self, step: int) -> None:
         """One policy activation: may switch the engine via the session."""
@@ -211,9 +203,6 @@ class MarPolicy(SwitchPolicy):
         """Whether the session's cost budget (if any) has been used up."""
         return self._budget_exhausted
 
-    def should_activate(self, step: int) -> bool:
-        return self.assessor.should_assess(step)
-
     def activate(self, step: int) -> None:
         session = self.session
         budget = session.cost_budget
@@ -258,9 +247,6 @@ class FixedStatePolicy(SwitchPolicy):
     def next_activation_step(self, step_count: int) -> Optional[int]:
         return None  # no boundaries: the session drains in maximal batches
 
-    def should_activate(self, step: int) -> bool:
-        return False
-
     def activate(self, step: int) -> None:  # pragma: no cover - never reached
         raise AssertionError("FixedStatePolicy never activates")
 
@@ -292,9 +278,6 @@ class BudgetGreedyPolicy(SwitchPolicy):
     def budget_exhausted(self) -> bool:
         """Whether the session's cost budget (if any) has been used up."""
         return self._budget_exhausted
-
-    def should_activate(self, step: int) -> bool:
-        return step > 0 and step % self.activation_interval == 0
 
     def activate(self, step: int) -> None:
         session = self.session
@@ -387,13 +370,6 @@ class DeadlinePolicy(SwitchPolicy):
         if self._pinned:
             return None  # one-shot trigger fired: drain in maximal batches
         return super().next_activation_step(step_count)
-
-    def should_activate(self, step: int) -> bool:
-        return (
-            not self._pinned
-            and step > 0
-            and step % self.activation_interval == 0
-        )
 
     def activate(self, step: int) -> None:
         session = self.session

@@ -6,7 +6,6 @@ A session takes two inputs, a join attribute and a
 * the switchable :class:`~repro.joins.engine.SymmetricJoinEngine`;
 * an :class:`~repro.runtime.events.EventBus` the engine publishes
   :class:`~repro.joins.engine.StepBatch` /
-  :class:`~repro.joins.engine.StepResult` /
   :class:`~repro.joins.base.MatchEvent` /
   :class:`~repro.joins.engine.SwitchRecord` events onto;
 * the :class:`~repro.core.monitor.Monitor` and
@@ -200,9 +199,8 @@ class JoinSession:
         self._cancelled = False
 
         # The session's built-in observers consume the engine's aggregate
-        # StepBatch events (one per batch — or per step, as a batch of one —
-        # never both), so the engine's fast path skips per-step event
-        # construction entirely.  Subscription order fixes the observer
+        # StepBatch events (one per batch; single-stepping publishes
+        # batches of one).  Subscription order fixes the observer
         # order: monitor first, then trace, then match accumulation — the
         # same order the pre-runtime processor loop used (kept for
         # bit-identical traces).
@@ -320,16 +318,12 @@ class JoinSession:
         """Execute one engine step followed (when due) by one policy activation.
 
         Returns the match events produced by the step, or ``None`` when
-        the join has finished.  Observers (monitor, trace, collectors) are
-        notified through the bus during the engine step.
+        the join has finished.  The same advance as :meth:`run_batches`
+        capped at one step, so single-stepping activates the policy at
+        exactly the steps :meth:`run` does.
         """
-        result = self.engine.step()
-        if result is None:
-            self._mark_finished()
-            return None
-        if self.policy.should_activate(result.step):
-            self.policy.activate(result.step)
-        return result.matches
+        batch = self._advance(1)
+        return None if batch is None else batch.match_events
 
     def run(self, cancel: Optional[object] = None) -> AdaptiveJoinResult:
         """Run the join to completion and return the full result.
@@ -378,35 +372,48 @@ class JoinSession:
         """
         if max_batch is not None and max_batch < 1:
             raise ValueError(f"max_batch must be at least 1, got {max_batch}")
-        engine = self.engine
-        policy = self.policy
         while not self._finished:
             if cancel is not None and cancel.is_set():
                 self.mark_cancelled()
                 return
-            boundary = policy.next_activation_step(engine.step_count)
-            if boundary is None:
-                chunk = _DRAIN_BATCH
-            elif boundary <= engine.step_count:
-                raise ValueError(
-                    f"policy {policy.name or type(policy).__name__!r} returned "
-                    f"next_activation_step {boundary} ≤ current step "
-                    f"{engine.step_count}"
-                )
-            else:
-                chunk = boundary - engine.step_count
-            if max_batch is not None and chunk > max_batch:
-                chunk = max_batch
-            batch = engine.run_batch(chunk)
+            batch = self._advance(max_batch)
             if batch is None:
-                self._mark_finished()
                 break
-            last_step = batch.last_step
-            if policy.should_activate(last_step):
-                policy.activate(last_step)
-            if batch.count < chunk:
-                self._mark_finished()
             yield batch.match_events
+
+    def _advance(self, cap: Optional[int]) -> Optional[StepBatch]:
+        """Run one engine batch up to the policy's next boundary; activate there.
+
+        The batch stops at the boundary :meth:`SwitchPolicy.next_activation_step`
+        declares (or runs :data:`_DRAIN_BATCH` steps when it declares none),
+        additionally capped at ``cap`` steps, and the policy activates
+        exactly when the batch ends on that boundary.  Returns ``None``
+        (and marks the session finished) when no step was left.
+        """
+        engine = self.engine
+        policy = self.policy
+        step_count = engine.step_count
+        boundary = policy.next_activation_step(step_count)
+        if boundary is None:
+            chunk = _DRAIN_BATCH
+        elif boundary <= step_count:
+            raise ValueError(
+                f"policy {policy.name or type(policy).__name__!r} returned "
+                f"next_activation_step {boundary} ≤ current step {step_count}"
+            )
+        else:
+            chunk = boundary - step_count
+        if cap is not None and chunk > cap:
+            chunk = cap
+        batch = engine.run_batch(chunk)
+        if batch is None:
+            self._mark_finished()
+            return None
+        if batch.last_step == boundary:
+            policy.activate(boundary)
+        if batch.count < chunk:
+            self._mark_finished()
+        return batch
 
     def result(self) -> AdaptiveJoinResult:
         """Snapshot the current outcome (also valid mid-run)."""

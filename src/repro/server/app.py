@@ -97,9 +97,15 @@ class LinkageRequestHandler(BaseHTTPRequestHandler):
             self._send_error_json(400, "Content-Length must be an integer")
             return None
         if length <= 0:
+            # A negative length leaves whatever follows unframed: close
+            # rather than parse it as the next request.
+            self.close_connection = True
             self._send_error_json(400, "a JSON request body is required")
             return None
         if length > MAX_BODY_BYTES:
+            # The body is left unread: close rather than parse it as the
+            # next request.
+            self.close_connection = True
             self._send_error_json(
                 413, f"request body exceeds {MAX_BODY_BYTES} bytes"
             )

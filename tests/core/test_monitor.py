@@ -1,13 +1,14 @@
 """Tests for the MAR monitor."""
 
 import random
+from typing import NamedTuple
 
 import pytest
 
 from repro.core.monitor import Monitor
 from repro.engine.tuples import Record, Schema
 from repro.joins.base import JoinMode, JoinSide, MatchEvent, StoredTuple
-from repro.joins.engine import StepBatch, StepResult
+from repro.joins.engine import StepBatch
 
 SCHEMA = Schema(["row_id", "location"])
 
@@ -32,22 +33,21 @@ def match_event(step, probe_side, similarity, exact, evidence=None):
     )
 
 
-def step_result(step, side, mode, matches):
-    return StepResult(
-        step=step,
-        side=side,
-        stored=stored(step, f"VALUE {step}"),
-        mode=mode,
-        matches=matches,
-    )
+class Step(NamedTuple):
+    """One engine step's fields, as :meth:`Monitor.observe_step` takes them."""
+
+    step: int
+    side: JoinSide
+    mode: JoinMode
+    matches: list
 
 
 class TestCounting:
     def test_counts_scanned_tuples_per_side(self):
         monitor = Monitor(window_size=10)
-        monitor.observe_step(step_result(1, JoinSide.LEFT, JoinMode.EXACT, []))
-        monitor.observe_step(step_result(2, JoinSide.RIGHT, JoinMode.EXACT, []))
-        monitor.observe_step(step_result(3, JoinSide.LEFT, JoinMode.EXACT, []))
+        monitor.observe_step(1, JoinSide.LEFT, JoinMode.EXACT, [])
+        monitor.observe_step(2, JoinSide.RIGHT, JoinMode.EXACT, [])
+        monitor.observe_step(3, JoinSide.LEFT, JoinMode.EXACT, [])
         assert monitor.scanned(JoinSide.LEFT) == 2
         assert monitor.scanned(JoinSide.RIGHT) == 1
         assert monitor.step == 3
@@ -55,8 +55,8 @@ class TestCounting:
     def test_counts_observed_matches(self):
         monitor = Monitor(window_size=10)
         matches = [match_event(1, JoinSide.RIGHT, 1.0, exact=True)]
-        monitor.observe_step(step_result(1, JoinSide.RIGHT, JoinMode.EXACT, matches))
-        monitor.observe_step(step_result(2, JoinSide.LEFT, JoinMode.EXACT, []))
+        monitor.observe_step(1, JoinSide.RIGHT, JoinMode.EXACT, matches)
+        monitor.observe_step(2, JoinSide.LEFT, JoinMode.EXACT, [])
         assert monitor.observed_matches == 1
 
     def test_invalid_window_rejected(self):
@@ -68,9 +68,7 @@ class TestApproximateMatchWindows:
     def test_exact_matches_do_not_raise_windows(self):
         monitor = Monitor(window_size=5)
         matches = [match_event(1, JoinSide.RIGHT, 1.0, exact=True)]
-        monitor.observe_step(
-            step_result(1, JoinSide.RIGHT, JoinMode.APPROXIMATE, matches)
-        )
+        monitor.observe_step(1, JoinSide.RIGHT, JoinMode.APPROXIMATE, matches)
         observation = monitor.observation()
         assert observation.approx_window_counts[JoinSide.LEFT] == 0
         assert observation.approx_window_counts[JoinSide.RIGHT] == 0
@@ -80,9 +78,7 @@ class TestApproximateMatchWindows:
         matches = [
             match_event(1, JoinSide.RIGHT, 0.9, exact=False, evidence=JoinSide.RIGHT)
         ]
-        monitor.observe_step(
-            step_result(1, JoinSide.RIGHT, JoinMode.APPROXIMATE, matches)
-        )
+        monitor.observe_step(1, JoinSide.RIGHT, JoinMode.APPROXIMATE, matches)
         observation = monitor.observation()
         assert observation.approx_window_counts[JoinSide.RIGHT] == 1
         assert observation.approx_window_counts[JoinSide.LEFT] == 0
@@ -90,9 +86,7 @@ class TestApproximateMatchWindows:
     def test_unattributed_event_ignored_by_default(self):
         monitor = Monitor(window_size=5)
         matches = [match_event(1, JoinSide.RIGHT, 0.9, exact=False, evidence=None)]
-        monitor.observe_step(
-            step_result(1, JoinSide.RIGHT, JoinMode.APPROXIMATE, matches)
-        )
+        monitor.observe_step(1, JoinSide.RIGHT, JoinMode.APPROXIMATE, matches)
         observation = monitor.observation()
         assert observation.approx_window_counts[JoinSide.LEFT] == 0
         assert observation.approx_window_counts[JoinSide.RIGHT] == 0
@@ -100,9 +94,7 @@ class TestApproximateMatchWindows:
     def test_unattributed_event_counts_against_both_when_configured(self):
         monitor = Monitor(window_size=5, count_unattributed_against_both=True)
         matches = [match_event(1, JoinSide.RIGHT, 0.9, exact=False, evidence=None)]
-        monitor.observe_step(
-            step_result(1, JoinSide.RIGHT, JoinMode.APPROXIMATE, matches)
-        )
+        monitor.observe_step(1, JoinSide.RIGHT, JoinMode.APPROXIMATE, matches)
         observation = monitor.observation()
         assert observation.approx_window_counts[JoinSide.LEFT] == 1
         assert observation.approx_window_counts[JoinSide.RIGHT] == 1
@@ -113,41 +105,35 @@ class TestApproximateMatchWindows:
             matches = [
                 match_event(step, JoinSide.RIGHT, 0.9, False, JoinSide.RIGHT)
             ]
-            monitor.observe_step(
-                step_result(step, JoinSide.RIGHT, JoinMode.APPROXIMATE, matches)
-            )
+            monitor.observe_step(step, JoinSide.RIGHT, JoinMode.APPROXIMATE, matches)
         observation = monitor.observation()
         assert observation.approx_window_fractions[JoinSide.RIGHT] == pytest.approx(0.5)
 
     def test_events_fall_out_of_window(self):
         monitor = Monitor(window_size=2)
         matches = [match_event(1, JoinSide.RIGHT, 0.9, False, JoinSide.RIGHT)]
-        monitor.observe_step(
-            step_result(1, JoinSide.RIGHT, JoinMode.APPROXIMATE, matches)
-        )
+        monitor.observe_step(1, JoinSide.RIGHT, JoinMode.APPROXIMATE, matches)
         for step in (2, 3):
-            monitor.observe_step(
-                step_result(step, JoinSide.LEFT, JoinMode.APPROXIMATE, [])
-            )
+            monitor.observe_step(step, JoinSide.LEFT, JoinMode.APPROXIMATE, [])
         assert monitor.observation().approx_window_counts[JoinSide.RIGHT] == 0
 
 
 class TestEvidenceAvailability:
     def test_no_evidence_while_fully_exact(self):
         monitor = Monitor(window_size=5)
-        monitor.observe_step(step_result(1, JoinSide.LEFT, JoinMode.EXACT, []))
+        monitor.observe_step(1, JoinSide.LEFT, JoinMode.EXACT, [])
         assert monitor.observation().evidence_available is False
 
     def test_evidence_available_when_approximate_steps_in_window(self):
         monitor = Monitor(window_size=5)
-        monitor.observe_step(step_result(1, JoinSide.LEFT, JoinMode.APPROXIMATE, []))
+        monitor.observe_step(1, JoinSide.LEFT, JoinMode.APPROXIMATE, [])
         assert monitor.observation().evidence_available is True
 
     def test_evidence_expires_with_the_window(self):
         monitor = Monitor(window_size=2)
-        monitor.observe_step(step_result(1, JoinSide.LEFT, JoinMode.APPROXIMATE, []))
-        monitor.observe_step(step_result(2, JoinSide.LEFT, JoinMode.EXACT, []))
-        monitor.observe_step(step_result(3, JoinSide.LEFT, JoinMode.EXACT, []))
+        monitor.observe_step(1, JoinSide.LEFT, JoinMode.APPROXIMATE, [])
+        monitor.observe_step(2, JoinSide.LEFT, JoinMode.EXACT, [])
+        monitor.observe_step(3, JoinSide.LEFT, JoinMode.EXACT, [])
         assert monitor.observation().evidence_available is False
 
 
@@ -155,22 +141,18 @@ class TestSimilarityWindow:
     def test_min_similarity_tracked(self):
         monitor = Monitor(window_size=5)
         matches = [match_event(1, JoinSide.RIGHT, 0.87, exact=False)]
-        monitor.observe_step(
-            step_result(1, JoinSide.RIGHT, JoinMode.APPROXIMATE, matches)
-        )
+        monitor.observe_step(1, JoinSide.RIGHT, JoinMode.APPROXIMATE, matches)
         assert monitor.observation().min_window_similarity == pytest.approx(0.87)
 
     def test_min_similarity_defaults_to_one(self):
         monitor = Monitor(window_size=5)
-        monitor.observe_step(step_result(1, JoinSide.LEFT, JoinMode.EXACT, []))
+        monitor.observe_step(1, JoinSide.LEFT, JoinMode.EXACT, [])
         assert monitor.observation().min_window_similarity == 1.0
 
     def test_reset_windows(self):
         monitor = Monitor(window_size=5)
         matches = [match_event(1, JoinSide.RIGHT, 0.9, False, JoinSide.RIGHT)]
-        monitor.observe_step(
-            step_result(1, JoinSide.RIGHT, JoinMode.APPROXIMATE, matches)
-        )
+        monitor.observe_step(1, JoinSide.RIGHT, JoinMode.APPROXIMATE, matches)
         monitor.reset_windows()
         observation = monitor.observation()
         assert observation.approx_window_counts[JoinSide.RIGHT] == 0
@@ -199,7 +181,7 @@ def random_steps(rng, first_step, count, left_mode, right_mode):
                     )
                 )
         mode = left_mode if side is JoinSide.LEFT else right_mode
-        results.append(step_result(step, side, mode, matches))
+        results.append(Step(step, side, mode, matches))
     return results
 
 
@@ -219,7 +201,7 @@ class TestBatchObservation:
                 rng, first_step, rng.randint(1, 9), left_mode, right_mode
             )
             for result in results:
-                stepped.observe_step(result)
+                stepped.observe_step(*result)
             left_steps = sum(r.side is JoinSide.LEFT for r in results)
             batched.observe_batch(
                 StepBatch(

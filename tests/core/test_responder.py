@@ -112,8 +112,7 @@ class TestRespond:
         machine = StateMachine()
         responder = Responder(machine)
         engine = make_engine()
-        for _ in range(6):
-            engine.step()
+        engine.run_batch(6)
         guards, new_state, switches = responder.respond(
             assessment(sigma=True, evidence=False), engine
         )
@@ -140,8 +139,7 @@ class TestRespond:
         responder = Responder(machine)
         engine = make_engine()
         engine.set_modes(JoinMode.APPROXIMATE, JoinMode.APPROXIMATE)
-        for _ in range(4):
-            engine.step()
+        engine.run_batch(4)
         guards, new_state, switches = responder.respond(
             assessment(sigma=False), engine
         )

@@ -20,25 +20,36 @@ def make_engine(left_table, right_table, **kwargs):
     )
 
 
+def single_steps(engine):
+    """Advance ``engine`` one step at a time: its batches of one, in order."""
+    while (batch := engine.run_batch(1)) is not None:
+        yield batch
+
+
+def scanned_side(batch):
+    """The input a batch of one scanned."""
+    return JoinSide.LEFT if batch.left_steps else JoinSide.RIGHT
+
+
 class TestStepping:
     def test_steps_alternate_sides(self, atlas_table, accidents_table):
         engine = make_engine(atlas_table, accidents_table)
-        sides = [engine.step().side for _ in range(4)]
+        sides = [scanned_side(engine.run_batch(1)) for _ in range(4)]
         assert sides == [JoinSide.LEFT, JoinSide.RIGHT, JoinSide.LEFT, JoinSide.RIGHT]
 
     def test_drains_longer_input_after_shorter_is_exhausted(
         self, atlas_table, accidents_table
     ):
         engine = make_engine(atlas_table, accidents_table)
-        results = list(engine.iter_steps())
-        assert len(results) == len(atlas_table) + len(accidents_table)
-        tail_sides = {r.side for r in results[-(len(accidents_table) - len(atlas_table)) :]}
-        assert tail_sides == {JoinSide.RIGHT}
+        batches = list(single_steps(engine))
+        assert len(batches) == len(atlas_table) + len(accidents_table)
+        tail = batches[-(len(accidents_table) - len(atlas_table)) :]
+        assert {scanned_side(batch) for batch in tail} == {JoinSide.RIGHT}
 
     def test_step_returns_none_when_exhausted(self, atlas_table, accidents_table):
         engine = make_engine(atlas_table, accidents_table)
-        list(engine.iter_steps())
-        assert engine.step() is None
+        list(single_steps(engine))
+        assert engine.run_batch(1) is None
         assert engine.exhausted
 
     def test_step_count_equals_total_tuples(self, atlas_table, accidents_table):
@@ -51,26 +62,32 @@ class TestStepping:
         events = engine.run_to_completion()
         assert engine.matches_emitted == len(events)
 
-    def test_run_steps_batches_without_changing_semantics(
+    def test_run_batch_batches_without_changing_semantics(
         self, atlas_table, accidents_table
     ):
         batched = make_engine(atlas_table, accidents_table)
         stepped = make_engine(atlas_table, accidents_table)
-        first = batched.run_steps(3)
-        assert [r.step for r in first] == [1, 2, 3]
-        rest = batched.run_steps(10_000)
+        first = batched.run_batch(3)
+        assert (first.first_step, first.count) == (1, 3)
+        rest = batched.run_batch(10_000)
+        assert rest.first_step == 4
         assert batched.exhausted
-        assert batched.run_steps(5) == []
-        stepped_results = list(stepped.iter_steps())
-        assert [(r.step, r.side) for r in first + rest] == [
-            (r.step, r.side) for r in stepped_results
+        assert batched.run_batch(5) is None
+        steps = list(single_steps(stepped))
+        assert first.count + rest.count == len(steps)
+        assert first.left_steps + rest.left_steps == sum(b.left_steps for b in steps)
+        assert [e.pair_key() for e in first.match_events + rest.match_events] == [
+            e.pair_key() for batch in steps for e in batch.match_events
         ]
         assert batched.counters().as_dict() == stepped.counters().as_dict()
 
-    def test_run_steps_rejects_negative_limit(self, atlas_table, accidents_table):
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_run_batch_rejects_non_positive_limit(
+        self, atlas_table, accidents_table, limit
+    ):
         engine = make_engine(atlas_table, accidents_table)
         with pytest.raises(ValueError):
-            engine.run_steps(-1)
+            engine.run_batch(limit)
 
     def test_scan_batch_one_matches_default_read_ahead(
         self, atlas_table, accidents_table
@@ -103,9 +120,9 @@ class TestStepping:
             ),
             JoinAttribute("location", "location"),
         )
-        engine.step()
+        engine.run_batch(1)
         assert pulled == {"left": 1, "right": 0}
-        engine.step()
+        engine.run_batch(1)
         assert pulled == {"left": 1, "right": 1}
 
     def test_length_filter_ablation_same_result(self, atlas_table, accidents_table):
@@ -131,8 +148,7 @@ class TestStepping:
 class TestModeSwitching:
     def test_switch_reports_catch_up_size(self, atlas_table, accidents_table):
         engine = make_engine(atlas_table, accidents_table)
-        for _ in range(8):
-            engine.step()
+        engine.run_batch(8)
         # Switching the left side to approximate requires the RIGHT side's
         # q-gram index to be built over everything scanned from the right.
         switch = engine.set_mode(JoinSide.LEFT, JoinMode.APPROXIMATE)
@@ -154,12 +170,10 @@ class TestModeSwitching:
         self, atlas_table, accidents_table
     ):
         engine = make_engine(atlas_table, accidents_table)
-        for _ in range(6):
-            engine.step()
+        engine.run_batch(6)
         engine.set_mode(JoinSide.LEFT, JoinMode.APPROXIMATE)
         engine.set_mode(JoinSide.LEFT, JoinMode.EXACT)
-        for _ in range(4):
-            engine.step()
+        engine.run_batch(4)
         second_switch = engine.set_mode(JoinSide.LEFT, JoinMode.APPROXIMATE)
         # Only the right-side tuples scanned since the first switch need to
         # be added to the q-gram index (Sec. 2.3: switch cost depends on the
@@ -176,11 +190,8 @@ class TestModeSwitching:
         engine = make_engine(parent, child)
         events = []
         step = 0
-        while True:
-            result = engine.step()
-            if result is None:
-                break
-            events.extend(result.matches)
+        for batch in single_steps(engine):
+            events.extend(batch.match_events)
             step += 1
             if step % 50 == 0:
                 # Alternate all four configurations over the run.
@@ -202,11 +213,8 @@ class TestModeSwitching:
         engine = make_engine(small_dataset.parent, small_dataset.child)
         events = []
         step = 0
-        while True:
-            result = engine.step()
-            if result is None:
-                break
-            events.extend(result.matches)
+        for batch in single_steps(engine):
+            events.extend(batch.match_events)
             step += 1
             if step % 30 == 0:
                 target = (
@@ -335,7 +343,6 @@ class TestEagerIndexing:
 
     def test_eager_indexing_makes_switches_free(self, atlas_table, accidents_table):
         engine = make_engine(atlas_table, accidents_table, eager_indexing=True)
-        for _ in range(10):
-            engine.step()
+        engine.run_batch(10)
         switch = engine.set_mode(JoinSide.LEFT, JoinMode.APPROXIMATE)
         assert switch.catch_up_tuples == 0

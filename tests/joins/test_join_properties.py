@@ -113,11 +113,8 @@ def test_random_switch_schedules_never_duplicate_pairs(pair, period, rng):
     )
     emitted = []
     step = 0
-    while True:
-        result = engine.step()
-        if result is None:
-            break
-        emitted.extend(event.pair_key() for event in result.matches)
+    while (batch := engine.run_batch(1)) is not None:
+        emitted.extend(event.pair_key() for event in batch.match_events)
         step += 1
         if step % period == 0:
             engine.set_modes(

@@ -1,13 +1,12 @@
-"""Batch-dispatch equivalence: the fast path observes exactly what stepping does.
+"""Batch-dispatch equivalence: a batched run observes exactly what stepping does.
 
-PR 7 made ``run_batches`` publish one aggregate
-:class:`~repro.joins.engine.StepBatch` per engine batch instead of one
-``StepResult`` per step; the monitor, trace, session accumulator and
-progress collector all consume batches.  These tests pin the contract
-that makes the optimisation safe: batch observation is bit-identical to
-per-step observation, every executed step is covered by exactly one
-published batch, and attaching a ``StepResult`` subscriber (which opts
-the session into per-step execution) changes nothing observable.
+The engine's only step event is the aggregate
+:class:`~repro.joins.engine.StepBatch`, one per engine batch; the
+monitor, trace, session accumulator and collectors all consume batches.
+These tests pin the contract that makes batching safe: batch observation
+is bit-identical to per-step observation, every executed step is covered
+by exactly one published batch, and single-stepping a session (batches
+of one) changes nothing observable against ``run()``.
 """
 
 import random
@@ -20,7 +19,7 @@ from repro.core.state_machine import JoinState
 from repro.core.thresholds import Thresholds
 from repro.core.trace import ExecutionTrace
 from repro.joins.base import JoinSide
-from repro.joins.engine import StepBatch, StepResult
+from repro.joins.engine import StepBatch
 from repro.runtime.config import RunConfig
 from repro.runtime.events import EventBus
 from repro.runtime.session import JoinSession
@@ -90,20 +89,6 @@ class TestExactlyOneBatchPerStep:
         assert [batch.count for batch in batches] == [1] * 10
         assert [batch.first_step for batch in batches] == list(range(1, 11))
 
-    def test_step_result_subscriber_forces_batches_of_one(self, small_dataset):
-        bus = EventBus()
-        step_results, batches = [], []
-        bus.subscribe(StepResult, step_results.append)
-        bus.subscribe(StepBatch, batches.append)
-        session = make_session(small_dataset, bus=bus)
-        session.run()
-        total = len(small_dataset.parent) + len(small_dataset.child)
-        # Per-step path: one StepResult per step AND one batch-of-one per
-        # step, so batch-only observers never miss or double-count.
-        assert len(step_results) == total
-        assert all(batch.count == 1 for batch in batches)
-        assert sum(batch.count for batch in batches) == total
-
 
 def event_fields(event):
     """Every field of a match event, with the pair reduced to its key."""
@@ -136,49 +121,37 @@ POLICIES = [{}] + [
 ]
 
 
-class TestPerStepPathEquivalence:
+class TestSingleSteppingEquivalence:
     @pytest.mark.parametrize(
         "overrides",
         POLICIES,
         ids=["mar"] + [state.label for state in JoinState],
     )
     @pytest.mark.parametrize("dataset", ["small_dataset", "small_dataset_both"])
-    def test_step_subscriber_changes_nothing_observable(
+    def test_single_stepping_changes_nothing_observable(
         self, request, dataset, overrides
     ):
         dataset = request.getfixturevalue(dataset)
-        fast = make_session(dataset, **overrides)
-        fast_result = fast.run()
+        ran = make_session(dataset, **overrides)
+        ran_result = ran.run()
 
-        bus = EventBus()
-        bus.subscribe(StepResult, lambda result: None)  # opt into per-step
-        slow = make_session(dataset, bus=bus, **overrides)
-        slow_result = slow.run()
-
-        assert fast_result.matches, "the comparison needs matches"
-        assert [event_fields(e) for e in fast_result.matches] == [
-            event_fields(e) for e in slow_result.matches
-        ]
-        assert side_snapshot(fast) == side_snapshot(slow)
-        assert fast_result.counters.as_dict() == slow_result.counters.as_dict()
-        assert fast.trace.steps_per_state == slow.trace.steps_per_state
-        assert fast.trace.total_steps == slow.trace.total_steps
-        assert fast.trace.left_scanned == slow.trace.left_scanned
-        assert fast.trace.right_scanned == slow.trace.right_scanned
-        assert fast.trace.transition_count == slow.trace.transition_count
-        assert fast.monitor.observation() == slow.monitor.observation()
-
-    def test_stepping_equals_running(self, small_dataset):
-        stepped = make_session(small_dataset)
+        stepped = make_session(dataset, **overrides)
         while not stepped.finished:
             stepped.step()
-        ran = make_session(small_dataset)
-        ran_result = ran.run()
-        assert [e.pair_key() for e in stepped.matches] == [
-            e.pair_key() for e in ran_result.matches
+        stepped_result = stepped.result()
+
+        assert ran_result.matches, "the comparison needs matches"
+        assert [event_fields(e) for e in ran_result.matches] == [
+            event_fields(e) for e in stepped_result.matches
         ]
-        assert stepped.monitor.observation() == ran.monitor.observation()
-        assert stepped.trace.steps_per_state == ran.trace.steps_per_state
+        assert side_snapshot(ran) == side_snapshot(stepped)
+        assert ran_result.counters.as_dict() == stepped_result.counters.as_dict()
+        assert ran.trace.steps_per_state == stepped.trace.steps_per_state
+        assert ran.trace.total_steps == stepped.trace.total_steps
+        assert ran.trace.left_scanned == stepped.trace.left_scanned
+        assert ran.trace.right_scanned == stepped.trace.right_scanned
+        assert ran.trace.transition_count == stepped.trace.transition_count
+        assert ran.monitor.observation() == stepped.monitor.observation()
 
 
 class TestTraceBatchFold:

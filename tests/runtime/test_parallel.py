@@ -8,7 +8,7 @@ from repro.core.state_machine import JoinState
 from repro.core.thresholds import Thresholds
 from repro.engine.streams import ListStream
 from repro.engine.tuples import Record, Schema
-from repro.joins.engine import StepResult
+from repro.joins.engine import StepBatch
 from repro.runtime.collectors import ThroughputCollector
 from repro.runtime.config import RunConfig
 from repro.runtime.events import ShardCompleted, ShardEvent
@@ -121,7 +121,7 @@ class TestAggregatedBus:
         bus = AggregatedEventBus()
         tagged = []
         bus.subscribe(ShardEvent, tagged.append)
-        run_sharded(
+        result = run_sharded(
             small_dataset.parent,
             small_dataset.child,
             "location",
@@ -131,18 +131,32 @@ class TestAggregatedBus:
         )
         shard_ids = {event.shard_id for event in tagged}
         assert shard_ids == {0, 1}
-        assert any(isinstance(event.event, StepResult) for event in tagged)
+        # A ShardEvent subscriber leaves every shard engine batched: the
+        # forwarded batches cover each shard's steps contiguously, and
+        # they are not batches of one.
+        batches = [event for event in tagged if isinstance(event.event, StepBatch)]
+        for shard_id in shard_ids:
+            expected_next = 1
+            for event in batches:
+                if event.shard_id == shard_id:
+                    assert event.event.first_step == expected_next
+                    expected_next = event.event.last_step + 1
+            assert expected_next > 1
+        assert sum(event.event.count for event in batches) == (
+            result.trace.total_steps
+        )
+        assert any(event.event.count > 1 for event in batches)
 
     def test_match_streams_stay_unobserved_without_subscribers(self):
         left, right = _streams(["a", "b", "a"])
         bus = AggregatedEventBus()
-        steps = []
-        bus.subscribe(StepResult, steps.append)
+        batches = []
+        bus.subscribe(StepBatch, batches.append)
         plan = ShardPlan.build(left, right, "location", 2)
         ParallelExecutor().run(plan, RunConfig(policy="fixed"), bus=bus)
-        # StepResults forwarded; no MatchEvent forwarders were attached, so
+        # Batches forwarded; no MatchEvent forwarders were attached, so
         # the engine's match channel stayed empty on every shard bus.
-        assert len(steps) == 6
+        assert sum(batch.count for batch in batches) == 6
 
 
 class TestProcessBackend:
@@ -234,14 +248,14 @@ class TestMidRunCancellation:
         and the merged result carries what actually ran."""
         cancel = threading.Event()
         bus = AggregatedEventBus()
-        steps = []
+        steps = [0]
 
-        def on_step(result):
-            steps.append(result)
-            if len(steps) == 100:  # mid shard 0 (each shard is ~200 steps)
+        def on_batch(batch):
+            steps[0] += batch.count
+            if steps[0] >= 100:  # mid shard 0 (each shard is ~200 steps)
                 cancel.set()
 
-        bus.subscribe(StepResult, on_step)
+        bus.subscribe(StepBatch, on_batch)
         result = run_sharded(
             small_dataset.parent, small_dataset.child, "location",
             RunConfig.from_thresholds(FAST),
@@ -260,14 +274,14 @@ class TestMidRunCancellation:
         """Serial threads the token into the running session too."""
         cancel = threading.Event()
         bus = AggregatedEventBus()
-        steps = []
+        steps = [0]
 
-        def on_step(result):
-            steps.append(result)
-            if len(steps) == 100:
+        def on_batch(batch):
+            steps[0] += batch.count
+            if steps[0] >= 100:
                 cancel.set()
 
-        bus.subscribe(StepResult, on_step)
+        bus.subscribe(StepBatch, on_batch)
         result = run_sharded(
             small_dataset.parent, small_dataset.child, "location",
             RunConfig.from_thresholds(FAST),

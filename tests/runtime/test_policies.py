@@ -214,9 +214,6 @@ class TestActivationBoundaries:
             def next_activation_step(self, step_count):
                 return self.trigger if step_count < self.trigger else None
 
-            def should_activate(self, step):
-                return step == self.trigger
-
             def activate(self, step):
                 self.session.force_state(JoinState.LAP_RAP, step)
 
@@ -246,13 +243,15 @@ class TestActivationBoundaries:
             == stepped_result.trace.steps_per_state
         )
 
-    def test_bad_boundary_from_a_policy_is_rejected(self, small_dataset):
+    @pytest.mark.parametrize(
+        "advance",
+        [JoinSession.run, JoinSession.step],
+        ids=["run", "single-step"],
+    )
+    def test_bad_boundary_from_a_policy_is_rejected(self, small_dataset, advance):
         class Stuck(SwitchPolicy):
             def next_activation_step(self, step_count):
                 return step_count  # never ahead of the engine
-
-            def should_activate(self, step):
-                return False
 
         session = JoinSession(
             small_dataset.parent,
@@ -262,7 +261,7 @@ class TestActivationBoundaries:
             policy=Stuck(),
         )
         with pytest.raises(ValueError, match="next_activation_step"):
-            session.run()
+            advance(session)
 
 
 class TestUnsizedStreams:

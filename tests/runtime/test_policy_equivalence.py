@@ -49,9 +49,11 @@ SCHEMA = Schema(["row_id", "location"], name="rows")
 class ReferenceAdaptiveLoop:
     """The pre-refactor AdaptiveJoinProcessor loop, frozen as a test oracle.
 
-    Construction and the ``run`` body are verbatim ports of the PR-1 code:
-    the engine is hand-assembled, the monitor and trace are called
-    explicitly from the loop, the MAR activation (with budget pinning) is
+    Construction is a verbatim port of the PR-1 code and ``run`` keeps its
+    per-step structure: the engine is hand-assembled and advanced one step
+    at a time (``run_batch(1)``), the monitor and trace are fed each step
+    explicitly from the loop, the assessor's own ``should_assess`` decides
+    when to activate, and the MAR activation (with budget pinning) is
     inlined.  Do not "modernise" this class — its whole value is that it
     does NOT go through the runtime layer.
     """
@@ -121,28 +123,24 @@ class ReferenceAdaptiveLoop:
             self.trace.record_transition(step, state_before, new_state, switches)
 
     def run(self):
-        delta = self.thresholds.delta_adapt
         engine = self.engine
         observe = self.monitor.observe_step
         record_step = self.trace.record_step
         matches_extend = self._matches.extend
         while not self._finished:
-            chunk = delta - (engine.step_count % delta)
-            batch = engine.run_steps(chunk)
-            if not batch:
+            batch = engine.run_batch(1)  # exactly one engine step
+            if batch is None:
                 self._finished = True
                 break
-            state = self.state_machine.state
-            for result in batch:
-                observe(result)
-                record_step(state, result.side, len(result.matches))
-                if result.matches:
-                    matches_extend(result.matches)
-            last_step = batch[-1].step
-            if self.assessor.should_assess(last_step):
-                self._activate_control_loop(last_step)
-            if len(batch) < chunk:
-                self._finished = True
+            step = batch.first_step
+            side = JoinSide.LEFT if batch.left_steps else JoinSide.RIGHT
+            mode = batch.left_mode if side is JoinSide.LEFT else batch.right_mode
+            observe(step, side, mode, batch.match_events)
+            record_step(self.state_machine.state, side, len(batch.match_events))
+            if batch.match_events:
+                matches_extend(batch.match_events)
+            if self.assessor.should_assess(step):
+                self._activate_control_loop(step)
         return (
             self._matches,
             self.trace,

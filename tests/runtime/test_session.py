@@ -5,7 +5,7 @@ import pytest
 from repro.core.state_machine import JoinState
 from repro.core.thresholds import Thresholds
 from repro.engine.streams import IteratorStream
-from repro.joins.engine import StepResult, SwitchRecord
+from repro.joins.engine import StepBatch, SwitchRecord
 from repro.runtime.collectors import (
     MatchTap,
     StateDwellCollector,
@@ -130,15 +130,15 @@ class TestImmutableMatches:
 class TestEventFlow:
     def test_step_and_transition_events_flow_to_subscribers(self, small_dataset):
         bus = EventBus()
-        steps, transitions, assessments, switches = [], [], [], []
-        bus.subscribe(StepResult, steps.append)
+        batches, transitions, assessments, switches = [], [], [], []
+        bus.subscribe(StepBatch, batches.append)
         bus.subscribe(TransitionEvent, transitions.append)
         bus.subscribe(AssessmentEvent, assessments.append)
         bus.subscribe(SwitchRecord, switches.append)
         session = make_session(small_dataset, bus=bus)
         result = session.run()
 
-        assert len(steps) == result.trace.total_steps
+        assert sum(batch.count for batch in batches) == result.trace.total_steps
         assert len(transitions) == result.trace.transition_count
         assert len(assessments) == result.trace.assessment_count()
         # Every transition groups the per-side switches the engine performed.
@@ -182,6 +182,39 @@ class TestEventFlow:
         assert len(dwells) == result.trace.transition_count + 1
         if result.trace.transition_count:
             assert dwells[-1][0] == result.final_state.label
+
+    @pytest.mark.parametrize("dataset", ["small_dataset", "small_dataset_both"])
+    def test_step_collectors_agree_between_run_and_single_stepping(
+        self, request, dataset
+    ):
+        """Batched ``run()`` and batches of one feed the step-level
+        collectors the same totals: no batch spans an activation."""
+        dataset = request.getfixturevalue(dataset)
+        readings = []
+        for single_step in (False, True):
+            bus = EventBus()
+            dwell = StateDwellCollector(
+                initial_label=JoinState.LEX_REX.label
+            ).attach(bus)
+            throughput = ThroughputCollector().attach(bus)
+            session = make_session(dataset, bus=bus)
+            if single_step:
+                while not session.finished:
+                    session.step()
+            else:
+                session.run()
+            readings.append(
+                (
+                    dwell.finish(),
+                    throughput.steps,
+                    throughput.matches,
+                    throughput.matches_by_mode,
+                )
+            )
+        assert readings[0] == readings[1]
+        dwells, _, _, matches_by_mode = readings[0]
+        assert len(dwells) > 1, "the comparison needs transitions"
+        assert matches_by_mode["approximate"], "and approximate matches"
 
 
 class TestBusReuse:

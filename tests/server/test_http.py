@@ -11,6 +11,10 @@ import pytest
 
 from repro.jobs import build_job, normalize_payload
 from repro.server import JobScheduler, LinkageServer
+from repro.server.app import MAX_BODY_BYTES
+
+#: A complete second request, sent as the body of a rejected POST.
+_SMUGGLED_REQUEST = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
 
 
 @pytest.fixture
@@ -145,28 +149,45 @@ class TestErrorMapping:
         assert "error" in body
 
     @pytest.mark.parametrize(
-        "head, body",
+        "head, body, status",
         [
-            (b"Content-Length: abc\r\n", b"{}"),
-            (b"Content-Length: 3\r\n", b"\x80ab"),  # not UTF-8
+            (b"Content-Length: abc\r\nConnection: close\r\n", b"{}", b"400"),
+            # not UTF-8
+            (b"Content-Length: 3\r\nConnection: close\r\n", b"\x80ab", b"400"),
+            # The two rejected bodies below carry a second request and no
+            # "Connection: close": the server must not run it.
+            (
+                f"Content-Length: {MAX_BODY_BYTES + 1}\r\n".encode(),
+                _SMUGGLED_REQUEST,
+                b"413",
+            ),
+            (b"Content-Length: -5\r\n", _SMUGGLED_REQUEST, b"400"),
         ],
-        ids=["non-integer-length", "non-utf8-body"],
+        ids=[
+            "non-integer-length",
+            "non-utf8-body",
+            "oversized-length",
+            "negative-length",
+        ],
     )
-    def test_malformed_raw_request_is_400(self, server, head, body):
-        """Requests no HTTP client library would send still get a JSON 400."""
+    def test_malformed_raw_request_is_400(self, server, head, body, status):
+        """Requests no HTTP client library would send still get a JSON
+        error, and a rejected body is never parsed as the next request:
+        the reply is one response, then EOF."""
         address = urllib.parse.urlsplit(server.url)
         with socket.create_connection(
             (address.hostname, address.port), timeout=30
         ) as connection:
             connection.sendall(
                 b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n" + head
-                + b"Connection: close\r\n\r\n" + body
+                + b"\r\n" + body
             )
             reply = b""
             while chunk := connection.recv(65536):
                 reply += chunk
         status_line, _, rest = reply.partition(b"\r\n")
-        assert status_line.split()[1] == b"400"
+        assert status_line.split()[1] == status
+        assert reply.count(b"HTTP/1.") == 1
         assert "error" in json.loads(rest.partition(b"\r\n\r\n")[2])
 
     def test_invalid_payload_is_400(self, server):
