@@ -2,9 +2,9 @@
 """Linkage-as-a-service tour: embed the HTTP server, drive it as a client.
 
 ``repro.server`` turns the jobs layer into a long-lived service: jobs
-are submitted as JSON over HTTP, scheduled fairly across a shared worker
-budget, streamed as NDJSON while they run, and survive restarts when the
-server is given a disk-backed store.  This example embeds a
+are submitted as JSON over HTTP, scheduled fairly across a shared pool
+of worker processes, streamed as NDJSON while they run, and survive
+restarts when the server is given a disk-backed store.  This example embeds a
 :class:`~repro.server.LinkageServer` on an ephemeral port and walks the
 whole client surface with nothing but the standard library:
 

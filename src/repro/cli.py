@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="port to bind (0 = pick an ephemeral port and "
                             "print it)")
     serve.add_argument("--workers", type=int, default=2,
-                       help="shared worker budget: shard sessions running "
+                       help="shared worker budget: worker processes (forked "
+                            "at start-up) running shard sessions "
                             "concurrently across all jobs")
     serve.add_argument("--max-queued", type=int, default=16,
                        help="admission cap on open (non-terminal) jobs; "

@@ -467,8 +467,8 @@ class JobHandle:
     # -- execution: external drivers (the server's scheduler) ------------------------
     #
     # The HTTP server's scheduler interleaves the shards of *many* jobs
-    # on one shared worker budget, so it cannot hand a whole job to
-    # run()/stream_matches() — it drives shard sessions itself and
+    # on one shared pool of worker processes, so it cannot hand a whole
+    # job to run()/stream_matches() — it runs shard sessions itself and
     # funnels lifecycle, progress and results back through the handle so
     # state/progress()/result() behave exactly as for in-handle runs.
 
@@ -520,10 +520,10 @@ class JobHandle:
     def finish_external(self) -> LinkageResult:
         """Merge the recorded outcomes and close the externally-driven run.
 
-        Same merge semantics as the streaming path (shard-id-order dedup,
-        ``backend="serial"`` — the external driver ran sessions one batch
-        at a time, whatever thread they were on); honours the cancel
-        token, so a cancelled job closes as a partial result.
+        Same merge semantics as the streaming path (shard-id-order dedup;
+        ``backend="process"`` — the server's driver runs every shard
+        session on its worker processes); honours the cancel token, so a
+        cancelled job closes as a partial result.
         """
         plan = self._plan
         outcomes = self._external_outcomes
@@ -534,7 +534,7 @@ class JobHandle:
         self._external_outcomes = None
         sharded = ShardedJoinResult(
             shards=tuple(outcomes),
-            backend="serial",
+            backend="process",
             partitioner=self.spec.partitioner,
             left_input_size=plan.left_input_size,
             right_input_size=plan.right_input_size,

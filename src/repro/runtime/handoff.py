@@ -41,9 +41,11 @@ duration of one process-backend run: the coordinator publishes, ships
 descriptors, and unlinks in a ``finally`` (see
 :mod:`repro.runtime.parallel`), so success, shard failure, cancellation
 and resume all tear the segments down; ``JobHandle.resume`` re-publishes
-from the plan's retained blocks.  Every segment created through this
-module is tracked in a registry so tests (and the CI zero-copy smoke) can
-assert :func:`live_block_count` returns to zero.
+from the plan's retained blocks.  The server's scheduler keeps a job's
+segments — its plan blocks plus a one-byte :class:`CancelFlag` — from
+the job's first dispatch until the job closes.  Every segment created
+through this module is tracked in a registry so tests (and the CI
+zero-copy smoke) can assert :func:`live_block_count` returns to zero.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.engine.tuples import Record, Schema
 
 try:  # pragma: no cover - import succeeds on every supported platform
+    from multiprocessing import resource_tracker
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - exercised via _FORCE_UNAVAILABLE
     _shared_memory = None  # type: ignore[assignment]
@@ -63,11 +66,13 @@ except ImportError:  # pragma: no cover - exercised via _FORCE_UNAVAILABLE
 __all__ = [
     "HANDOFF_MODES",
     "BlockDescriptor",
+    "CancelFlag",
     "PublishedBlock",
     "SideBlock",
     "live_block_count",
     "live_block_names",
     "publish_block",
+    "share_segment_tracker",
     "shared_memory_available",
 ]
 
@@ -496,3 +501,80 @@ class PublishedBlock:
 
     def __repr__(self) -> str:
         return f"<PublishedBlock {self.descriptor.name!r} released={self._released}>"
+
+
+class CancelFlag:
+    """A one-byte cancel token that crosses the process boundary.
+
+    The coordinator :meth:`create`\\ s it (a shared-memory segment counted
+    by :func:`live_block_count`, like any published block), ships its
+    :attr:`name` inside a shard task and calls :meth:`set`; a worker
+    :meth:`open`\\ s it by name and hands it to ``run_batches`` as its
+    cancel token, so the shard stops at its next engine-batch boundary
+    exactly as it would on a ``threading.Event``.  :meth:`close` closes a
+    worker's mapping; on the owner it also unlinks the segment.
+    """
+
+    __slots__ = ("_segment", "_owner", "_closed")
+
+    def __init__(self, segment, owner: bool) -> None:
+        self._segment = segment
+        self._owner = owner
+        self._closed = False
+
+    @classmethod
+    def create(cls) -> "CancelFlag":
+        """A fresh, unset flag owned by this process (``OSError`` if the
+        platform refuses the segment)."""
+        if not shared_memory_available():
+            raise OSError("shared_memory is unavailable; cannot create a flag")
+        name = f"repro-cxl-{secrets.token_hex(6)}"
+        segment = _shared_memory.SharedMemory(name=name, create=True, size=1)
+        try:
+            segment.buf[0] = 0
+        except BaseException:
+            segment.close()
+            segment.unlink()
+            raise
+        _LIVE_BLOCKS[name] = segment
+        return cls(segment, owner=True)
+
+    @classmethod
+    def open(cls, name: str) -> "CancelFlag":
+        """Map an existing flag by name (the worker side)."""
+        return cls(_shared_memory.SharedMemory(name=name), owner=False)
+
+    @property
+    def name(self) -> str:
+        return self._segment.name
+
+    def set(self) -> None:
+        self._segment.buf[0] = 1
+
+    def is_set(self) -> bool:
+        return self._segment.buf[0] != 0
+
+    def close(self) -> None:
+        """Close the mapping, unlinking it on the owner (idempotent)."""
+        if self._closed:
+            return
+        self._closed = True
+        self._segment.close()
+        if self._owner:
+            _LIVE_BLOCKS.pop(self._segment.name, None)
+            try:
+                self._segment.unlink()
+            except FileNotFoundError:  # pragma: no cover - already gone
+                pass
+
+
+def share_segment_tracker() -> None:
+    """Start this process's shared-memory resource tracker now.
+
+    Processes forked afterwards inherit the running tracker, so the
+    segments they attach are registered with the coordinator's tracker
+    rather than a private one per worker — which would unlink the
+    coordinator's live segments if that worker died.
+    """
+    if shared_memory_available():
+        resource_tracker.ensure_running()

@@ -87,7 +87,7 @@ from repro.runtime.failures import (
     create_failure_policy,
 )
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedFaultError
-from repro.runtime.handoff import AttachedBlock, BlockDescriptor
+from repro.runtime.handoff import AttachedBlock, BlockDescriptor, CancelFlag
 from repro.runtime.session import AdaptiveJoinResult, JoinSession
 from repro.runtime.sharding import (
     Partitioner,
@@ -255,15 +255,18 @@ def _run_attempt(
     fault: Optional[FaultSpec],
     clock: Callable[[], float],
     sleep: Callable[[float], None],
+    max_batch: Optional[int] = None,
+    batch_delay: float = 0.0,
 ) -> AdaptiveJoinResult:
     """Drive one shard attempt; the single implementation behind both
     backends (the serial runner and the process-pool worker).
 
-    A clean attempt (no fault, no timeout) runs uncapped engine batches,
-    exactly as :meth:`JoinSession.run` does.  A supervised one runs in
-    :data:`_SUPERVISED_BATCH`-step batches, checking the deadline and any
-    injected fault at every boundary; a cooperative hang polls its token
-    through ``sleep``.  Returns the
+    A clean attempt (no fault, no timeout) runs ``max_batch``-step engine
+    batches (uncapped by default, exactly as :meth:`JoinSession.run`
+    does), sleeping ``batch_delay`` seconds after each.  A supervised one
+    runs in :data:`_SUPERVISED_BATCH`-step batches, checking the deadline
+    and any injected fault at every boundary; a cooperative hang polls its
+    token through ``sleep``.  Returns the
     attempt's :class:`AdaptiveJoinResult` (possibly a cancelled partial,
     when the *caller's* token tripped) or raises:
 
@@ -275,8 +278,8 @@ def _run_attempt(
     token: Optional[object] = cancel
     if timeout_seconds is not None:
         token = _AttemptDeadline(cancel, clock, timeout_seconds)
-    supervised = fault is not None or timeout_seconds is not None
-    max_batch = _SUPERVISED_BATCH if supervised else None
+    if fault is not None or timeout_seconds is not None:
+        max_batch = _SUPERVISED_BATCH
     batches = 0
     try:
         session = JoinSession(left, right, attribute, config, bus=shard_bus)
@@ -288,6 +291,8 @@ def _run_attempt(
         if not hang_now:
             for _ in session.run_batches(max_batch=max_batch, cancel=token):
                 batches += 1
+                if batch_delay:
+                    sleep(batch_delay)
                 if fault is not None and batches >= fault.after_batches:
                     if fault.kind == "fail":
                         raise InjectedFaultError(
@@ -527,6 +532,12 @@ class _ShardTask:
     descriptor-only too), while the per-attempt timeout and any injected
     faults are enforced *inside* the worker — the only place that can see
     the attempt's engine-batch boundaries.
+
+    ``cancel_flag`` / ``max_batch`` / ``batch_delay`` serve drivers that
+    cancel in-flight shards (the server's scheduler): the worker opens the
+    named :class:`~repro.runtime.handoff.CancelFlag` and runs
+    ``max_batch``-step engine batches, checking it (and sleeping
+    ``batch_delay`` seconds, a testing hook) at every boundary.
     """
 
     shard_id: int
@@ -539,6 +550,9 @@ class _ShardTask:
     attempt: int = 1
     timeout_seconds: Optional[float] = None
     faults: Optional[FaultPlan] = None
+    cancel_flag: Optional[str] = None
+    max_batch: Optional[int] = None
+    batch_delay: float = 0.0
 
 
 def _shard_task(
@@ -549,6 +563,9 @@ def _shard_task(
     descriptors: Optional[Tuple[BlockDescriptor, BlockDescriptor]],
     timeout_seconds: Optional[float] = None,
     faults: Optional[FaultPlan] = None,
+    cancel_flag: Optional[str] = None,
+    max_batch: Optional[int] = None,
+    batch_delay: float = 0.0,
 ) -> _ShardTask:
     """The one task factory: first attempts, retries and size estimates.
 
@@ -575,6 +592,9 @@ def _shard_task(
         attempt=attempt,
         timeout_seconds=timeout_seconds,
         faults=faults.for_shard(shard_id) if faults else None,
+        cancel_flag=cancel_flag,
+        max_batch=max_batch,
+        batch_delay=batch_delay,
     )
 
 
@@ -593,7 +613,10 @@ def _run_shard_task(task: _ShardTask) -> Tuple[int, AdaptiveJoinResult, float]:
     """
     started = time.perf_counter()
     attachments: List[AttachedBlock] = []
+    cancel: Optional[CancelFlag] = None
     try:
+        if task.cancel_flag is not None:
+            cancel = CancelFlag.open(task.cancel_flag)
         streams: List[RecordStream] = []
         for payload, name in (
             (task.left, task.left_name),
@@ -623,15 +646,19 @@ def _run_shard_task(task: _ShardTask) -> Tuple[int, AdaptiveJoinResult, float]:
             task.shard_id,
             task.attempt,
             None,
-            None,
+            cancel,
             task.timeout_seconds,
             fault,
             time.perf_counter,
             time.sleep,
+            max_batch=task.max_batch,
+            batch_delay=task.batch_delay,
         )
     finally:
         for attached in reversed(attachments):
             attached.close()
+        if cancel is not None:
+            cancel.close()
     return task.shard_id, result, time.perf_counter() - started
 
 

@@ -715,9 +715,8 @@ class ShardPlan:
         Record-backed shards replay a :class:`ListStream`; block-backed
         shards replay a :class:`~repro.engine.streams.RowSliceStream`
         over the plan's side blocks — this is how in-process readers
-        (supervised serial attempts, sharded streaming, the scheduler's
-        shard driver) read the zero-copy representation without any
-        shipping at all.
+        (supervised serial attempts, sharded streaming) read the
+        zero-copy representation without any shipping at all.
         """
         return (
             self.left_shards[shard_id].stream(),

@@ -23,9 +23,11 @@ Built on :class:`http.server.ThreadingHTTPServer`: one thread per
 connection, which is exactly right here because the expensive work runs
 on the scheduler's workers — request threads only parse, enqueue and
 stream buffers.  ``/matches`` responses use HTTP/1.1 chunked transfer
-encoding written by hand (one chunk per engine batch), so clients see
-matches long before the job finishes without the server ever buffering
-the whole feed.
+encoding written by hand (one chunk per completed shard, or the whole
+remaining feed of a finished job), so clients see matches long before a
+multi-shard job finishes.  An exception a route lets escape is answered
+with a 500 and the uniform error body while no response has started; a
+stream already in flight is cut off and its connection closed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.jobs.serialization import PayloadError
 from repro.server.scheduler import (
@@ -42,7 +44,7 @@ from repro.server.scheduler import (
     QueueFull,
     UnknownJob,
 )
-from repro.server.wire import error_body, match_line, render_metrics
+from repro.server.wire import error_body, render_metrics
 
 __all__ = ["LinkageRequestHandler", "LinkageServer"]
 
@@ -56,6 +58,8 @@ class LinkageRequestHandler(BaseHTTPRequestHandler):
     #: Chunked transfer encoding requires 1.1 (and keeps keep-alive).
     protocol_version = "HTTP/1.1"
     server_version = "repro-linkage"
+    #: Whether the current request's status line has been sent.
+    _responded = False
 
     # The scheduler rides on the server object (set by LinkageServer).
     @property
@@ -67,6 +71,23 @@ class LinkageRequestHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     # -- response plumbing -----------------------------------------------------------
+
+    def send_response(self, code: int, message: Optional[str] = None) -> None:
+        self._responded = True
+        super().send_response(code, message)
+
+    def _guarded(self, route: Callable[[], None]) -> None:
+        """Run one route so that an escaping exception still gets an answer."""
+        self._responded = False
+        try:
+            route()
+        except Exception as error:  # noqa: BLE001 - the handlers' safety net
+            self.close_connection = True
+            self.log_error("unhandled %s: %s", type(error).__name__, error)
+            if not self._responded:
+                self._send_error_json(
+                    500, f"internal server error: {type(error).__name__}: {error}"
+                )
 
     def _send_json(self, status: int, body: object) -> None:
         data = (json.dumps(body) + "\n").encode("utf-8")
@@ -119,6 +140,15 @@ class LinkageRequestHandler(BaseHTTPRequestHandler):
     # -- verbs -----------------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server's naming
+        self._guarded(self._get)
+
+    def do_POST(self) -> None:  # noqa: N802
+        self._guarded(self._post)
+
+    def do_DELETE(self) -> None:  # noqa: N802
+        self._guarded(self._delete)
+
+    def _get(self) -> None:
         parts = self._route()
         try:
             if parts == ("healthz",):
@@ -142,7 +172,7 @@ class LinkageRequestHandler(BaseHTTPRequestHandler):
         except MatchesUnavailable as error:
             self._send_error_json(409, str(error))
 
-    def do_POST(self) -> None:  # noqa: N802
+    def _post(self) -> None:
         if self._route() != ("jobs",):
             self._send_error_json(404, f"no such route: POST {self.path}")
             return
@@ -164,7 +194,7 @@ class LinkageRequestHandler(BaseHTTPRequestHandler):
             return
         self._send_json(201, self.scheduler.describe(job_id))
 
-    def do_DELETE(self) -> None:  # noqa: N802
+    def _delete(self) -> None:
         parts = self._route()
         if len(parts) != 2 or parts[0] != "jobs":
             self._send_error_json(404, f"no such route: DELETE {self.path}")
@@ -181,7 +211,7 @@ class LinkageRequestHandler(BaseHTTPRequestHandler):
     def _stream_matches(self, job_id: str) -> None:
         """Chunk the job's NDJSON feed out as the scheduler produces it."""
         stream = self.scheduler.stream_matches(job_id)
-        # Pull the first match *before* committing the 200: the
+        # Pull the first chunk *before* committing the 200: the
         # generator validates lazily, so an unknown or unstreamable job
         # raises here and still gets its clean JSON error status.
         first = next(stream, None)
@@ -191,9 +221,9 @@ class LinkageRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         try:
             if first is not None:
-                self._write_chunk(match_line(first))
-            for match in stream:
-                self._write_chunk(match_line(match))
+                self._write_chunk(first)
+            for chunk in stream:
+                self._write_chunk(chunk)
             self.wfile.write(b"0\r\n\r\n")
         except (BrokenPipeError, ConnectionResetError):
             # The client hung up mid-stream; the job keeps running (a

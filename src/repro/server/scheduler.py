@@ -1,8 +1,8 @@
-"""Multi-job fair-share scheduling over one shared worker budget.
+"""Multi-job fair-share scheduling over one shared pool of worker processes.
 
 The scheduler is what turns :class:`~repro.jobs.handle.JobHandle` — a
 one-shot, in-process object — into a *service*: N concurrent jobs share
-``max_workers`` worker threads at **shard** granularity, so a long job
+``max_workers`` worker processes at **shard** granularity, so a long job
 cannot monopolise the budget while short ones queue behind it.
 
 Admission and dispatch
@@ -26,31 +26,58 @@ Execution modes
 ---------------
 
 Adaptive jobs without failure knobs are driven *shard-granular*: the
-scheduler builds the job's :class:`~repro.runtime.sharding.ShardPlan`,
-runs one :class:`~repro.runtime.session.JoinSession` per shard (each
-dispatch is one whole shard, run batch-by-batch so cancellation lands
-promptly), records every batch's matches into per-shard buffers for the
-streaming readers, and funnels outcomes back through the handle's
-external-driver surface (``begin_external`` / ``record_shard_outcome`` /
-``finish_external``).  Three job shapes instead run as a single
-scheduled unit (costed at their full volume): baseline strategies (their
+scheduler builds the job's :class:`~repro.runtime.sharding.ShardPlan`
+and runs each shard's :class:`~repro.runtime.session.JoinSession` on one
+long-lived ``ProcessPoolExecutor`` of ``max_workers`` processes.  The
+``max_workers`` scheduler threads are the fair-share dispatchers: each
+picks a shard, submits it as the process backend's own task
+(:func:`~repro.runtime.parallel._shard_task`, run by
+:func:`~repro.runtime.parallel._run_shard_task`) and blocks on its
+future, which releases the GIL.  The job's plan blocks are published to
+shared memory once, at its first dispatch, so a task ships descriptors
+only (or its shard's records, under the pickle handoff); they are
+released when the job closes, however it closes.  Outcomes come back
+through the handle's external-driver surface (``begin_external`` /
+``record_shard_outcome`` / ``finish_external``).  The workers are forked
+in :meth:`start`, before any scheduler thread exists; a worker that dies
+fails the shards it was running, and later work gets a fresh pool.
+
+Three job shapes instead run as a single scheduled unit on a scheduler
+thread (costed at their full volume): baseline strategies (their
 operators are not incremental), jobs with a failure policy or fault plan
 (retry/timeout/degrade semantics live in the
 :class:`~repro.runtime.parallel.ParallelExecutor`, so the whole job runs
 through :meth:`JobHandle.run`), and restart-resumes
 (:meth:`JobHandle.resume` re-runs exactly the missing shards).
 
+Cancellation
+------------
+
+Each shard-driven job owns a one-byte
+:class:`~repro.runtime.handoff.CancelFlag` in shared memory.  Its name
+travels in every task; the worker passes the flag to ``run_batches`` as
+its cancel token.  :meth:`cancel` and :meth:`shutdown` set it next to the
+handle's own token, so a shard running in a worker stops at its next
+engine batch (``shard_batch`` steps).  A partial shard's matches stay in
+the job's result and feed, but it is never persisted.
+
 Match feeds
 -----------
 
-Readers (:meth:`stream_matches`) walk the per-shard buffers in shard-id
-order, each with its *own*
+Matches and progress surface **per shard**: when a shard completes, its
+matches are encoded as NDJSON lines, and once every lower shard has
+completed they are folded into the job's feed through one
 :class:`~repro.runtime.sharding.FirstShardWins` dedup — the merge path's
-rule, applied reader-side — and block on a condition variable until more
-matches arrive.  Buffers hold the raw per-shard sequences, so any number
-of readers, attaching at any time (including after completion, or after
-a restart rebuilt the buffers from persisted outcomes), see the same
-byte sequence ``repro link --stream`` would print for the same spec.
+rule.  Readers (:meth:`stream_matches`) receive the folded chunks as they
+appear, blocking on a condition variable for more.  Any number of
+readers, attaching at any time (including after completion, or after a
+restart rebuilt the feed from persisted outcomes), receive the same byte
+sequence ``repro link --stream`` prints for the same spec.
+
+A job that closes is compacted: it keeps its state, priority, error, the
+spec echo, the final progress snapshot, statistics, result size and its
+deduplicated feed as one ``bytes`` object — not its handle, plan, inputs
+or match objects.
 
 Restart
 -------
@@ -65,20 +92,40 @@ bit-identically to an uninterrupted one.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import threading
-import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.jobs.builder import JobSpec
 from repro.jobs.handle import DEFAULT_STREAM_BATCH, JobHandle, StreamedMatch
 from repro.jobs.serialization import PayloadError, build_job, normalize_payload
 from repro.runtime.collectors import ProgressSnapshot
 from repro.runtime.events import EventBus, ShardCompleted
-from repro.runtime.sharding import FirstShardWins, ShardOutcome, ShardPlan
-from repro.runtime.session import JoinSession
+from repro.runtime.handoff import CancelFlag, share_segment_tracker
+from repro.runtime.parallel import _run_shard_task, _shard_task, _ShardTask
+from repro.runtime.session import AdaptiveJoinResult
+from repro.runtime.sharding import (
+    FirstShardWins,
+    PublishedPlanBlocks,
+    ShardOutcome,
+    ShardPlan,
+)
 from repro.server.store import JobStore, MemoryJobStore
-from repro.server.wire import job_status_body
+from repro.server.wire import job_status_body, match_line, spec_echo
 
 __all__ = [
     "JobScheduler",
@@ -103,39 +150,64 @@ class MatchesUnavailable(RuntimeError):
 #: Sentinel shard id for single-unit dispatches (whole-job runs).
 _WHOLE_JOB = -1
 
+#: One shard's feed before dedup: each match's global pair and NDJSON line.
+_FeedLines = List[Tuple[Tuple[int, int], bytes]]
 
-@dataclass
+
+@dataclass(eq=False)
 class _Job:
-    """One admitted job's scheduler-side state (all mutation under the lock)."""
+    """One admitted job's scheduler-side state (all mutation under the lock).
+
+    While the job is open it holds its live machinery: the handle, the
+    plan, the published blocks and cancel flag, and the feed lines of
+    completed shards that wait for a lower shard.  Closing it
+    (:meth:`JobScheduler._compact`) drops all of that and keeps what the
+    status body and the match feed need.
+    """
 
     job_id: str
     seq: int
-    handle: JobHandle
-    payload: Dict[str, object]
     priority: int
     #: ``shard`` (scheduler-driven sessions) or ``whole`` (single unit).
     mode: str
+    #: The status body's spec echo: the payload without its inline rows.
+    spec: Dict[str, object]
+    #: Whether the job has a match feed (adaptive jobs only).
+    streamable: bool
+    handle: Optional[JobHandle]
     plan: Optional[ShardPlan] = None
+    #: The plan's shared-memory blocks and the job's cancel flag, from
+    #: the first dispatch until the job closes.
+    blocks: Optional[PublishedPlanBlocks] = None
+    cancel_flag: Optional[CancelFlag] = None
     #: Pairwise-volume cost per dispatch unit (``whole`` jobs: one entry).
     costs: Dict[int, float] = field(default_factory=dict)
     consumed: float = 0.0
     pending: List[int] = field(default_factory=list)
     running: Set[int] = field(default_factory=set)
     dispatched: bool = False
+    #: Set by the one thread that closes the job (see ``_claim_close``).
+    closing: bool = False
+    #: Terminal and compacted.
     finalized: bool = False
-    #: Raw (pre-dedup) per-shard match buffers for streaming readers.
-    buffers: Dict[int, List[StreamedMatch]] = field(default_factory=dict)
-    #: Shards whose buffers are complete (no more appends coming).
-    buffer_done: Set[int] = field(default_factory=set)
     #: Shard ids already written to the store (restored or recorded live).
     persisted: Set[int] = field(default_factory=set)
-    #: Whether buffers will ever exist (adaptive jobs only).
-    streamable: bool = True
     error: Optional[str] = None
     resume: bool = False
-    #: Terminal status read back from the store: a job restored as ended
-    #: reports it, not its rebuilt handle's (a baseline's never ran).
-    stored_state: Optional[str] = None
+    #: Completed shards' feed lines, by shard id, not yet folded.
+    unfolded: Dict[int, _FeedLines] = field(default_factory=dict)
+    #: The lowest shard id not yet folded into :attr:`chunks`.
+    next_fold: int = 0
+    owner: Optional[FirstShardWins] = field(default_factory=FirstShardWins)
+    #: The deduplicated feed so far, one chunk per folded shard.
+    chunks: List[bytes] = field(default_factory=list)
+    # -- what a closed job keeps ---------------------------------------------------
+    final_state: Optional[str] = None
+    progress: Optional[ProgressSnapshot] = None
+    statistics: Optional[Dict[str, object]] = None
+    result_size: Optional[int] = None
+    #: The whole deduplicated NDJSON feed (``b""`` for failed jobs).
+    feed: Optional[bytes] = None
 
     @property
     def virtual_time(self) -> float:
@@ -143,13 +215,30 @@ class _Job:
 
     @property
     def state(self) -> str:
-        """Lifecycle state: the stored one for a job restored as ended."""
-        return self.stored_state or self.handle.state
+        """Lifecycle state: the final one once closed, else the handle's."""
+        return self.final_state or self.handle.state
 
     @property
     def open(self) -> bool:
         """Still counts against the admission queue depth."""
         return not self.finalized
+
+
+def _feed_lines(outcome: ShardOutcome, tag_shards: bool) -> _FeedLines:
+    """One shard's matches as (global pair, NDJSON line), in emission order."""
+    left_origins = outcome.left_origins
+    right_origins = outcome.right_origins
+    tag = outcome.shard_id if tag_shards else None
+    lines: _FeedLines = []
+    for event in outcome.result.matches:
+        match = StreamedMatch(
+            left_origins[event.left.ordinal],
+            right_origins[event.right.ordinal],
+            event,
+            tag,
+        )
+        lines.append((match.pair, match_line(match)))
+    return lines
 
 
 class JobScheduler:
@@ -158,24 +247,25 @@ class JobScheduler:
     Parameters
     ----------
     max_workers:
-        The shared worker budget: how many shard sessions (or single-unit
-        jobs) run concurrently, across *all* jobs.
+        The shared worker budget: how many worker processes (and
+        dispatching threads) run shard sessions or single-unit jobs
+        concurrently, across *all* jobs.
     max_queued:
         Admission bound on open jobs; exceeding it raises
         :class:`QueueFull`.
     store:
         The persistence backend (defaults to :class:`MemoryJobStore`).
     autostart:
-        Start the worker threads immediately.  Fairness tests pass
-        ``False``, queue several jobs, then :meth:`start` — making the
-        dispatch order deterministic and observable.
+        Start the workers immediately.  Fairness tests pass ``False``,
+        queue several jobs, then :meth:`start` — making the dispatch
+        order deterministic and observable.
     shard_batch:
         Engine steps per batch in scheduler-driven shard sessions (the
-        granularity at which matches surface and cancellation lands).
+        granularity at which cancellation lands in a worker).
     shard_delay:
-        Testing/CI hook: seconds to sleep after each engine batch of a
-        scheduler-driven shard, so smoke tests can reliably catch jobs
-        mid-run (cancel them, SIGTERM the server).  0 in production.
+        Testing/CI hook: seconds a worker sleeps after each engine batch
+        of a scheduler-driven shard, so smoke tests can reliably catch
+        jobs mid-run (cancel them, SIGTERM the server).  0 in production.
     on_shard_complete:
         Testing hook called (without the lock held) after each
         scheduler-driven shard completes, with ``(job_id, shard_id)``.
@@ -213,6 +303,10 @@ class JobScheduler:
         self._stopping = False
         self._started = False
         self._workers: List[threading.Thread] = []
+        #: The shard processes; replaced (under ``_pool_lock``) when a
+        #: worker death breaks it.
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_lock = threading.Lock()
         self._counters: Dict[str, int] = {
             "jobs_submitted": 0,
             "jobs_finished": 0,
@@ -227,11 +321,15 @@ class JobScheduler:
     # -- lifecycle -------------------------------------------------------------------
 
     def start(self) -> None:
-        """Start the worker threads (idempotent)."""
+        """Fork the worker processes, then start the threads (idempotent)."""
         with self._lock:
             if self._started:
                 return
             self._started = True
+            # Fork before any scheduler thread exists: a child forked
+            # from a threaded process inherits every lock those threads
+            # held, with no thread left to release it.
+            self._pool = self._launch_pool()
             for index in range(self.max_workers):
                 thread = threading.Thread(
                     target=self._worker_loop,
@@ -241,10 +339,21 @@ class JobScheduler:
                 self._workers.append(thread)
                 thread.start()
 
+    def _launch_pool(self) -> ProcessPoolExecutor:
+        """A pool whose ``max_workers`` processes are all forked on return."""
+        share_segment_tracker()
+        pool = ProcessPoolExecutor(
+            max_workers=self.max_workers,
+            mp_context=multiprocessing.get_context("fork"),
+        )
+        # Under fork the first submit launches every worker at once.
+        pool.submit(os.getpid).result()
+        return pool
+
     def shutdown(self, timeout: Optional[float] = None) -> None:
         """Stop dispatching, interrupt running jobs, join the workers.
 
-        Running shard sessions observe their job's cancel token at the
+        Running shard sessions observe their job's cancel flag at the
         next batch boundary and stop *without* being recorded (only
         complete shards are persisted), so a disk-backed server resumes
         them whole after restart.  No terminal status is written for
@@ -253,11 +362,18 @@ class JobScheduler:
         with self._cond:
             self._stopping = True
             for job in self._jobs.values():
-                if not job.finalized:
-                    job.handle.cancel_token.set()
+                if not job.closing:
+                    self._request_cancel(job)
             self._cond.notify_all()
         for thread in self._workers:
             thread.join(timeout)
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+        with self._cond:
+            for job in self._jobs.values():
+                self._release_shared(job)
         self.store.close()
 
     # -- admission -------------------------------------------------------------------
@@ -291,7 +407,7 @@ class JobScheduler:
         return job.job_id
 
     def _admit(
-        self, job_id: str, handle: JobHandle, canonical: Dict[str, object]
+        self, job_id: str, handle: JobHandle, canonical: Mapping[str, object]
     ) -> _Job:
         """Register a built handle under the lock and enqueue its work."""
         spec = handle.spec
@@ -303,11 +419,11 @@ class JobScheduler:
         job = _Job(
             job_id=job_id,
             seq=self._next_seq,
-            handle=handle,
-            payload=canonical,
             priority=int(canonical.get("priority", 1)),
             mode="shard" if shard_driven else "whole",
+            spec=spec_echo(canonical),
             streamable=spec.strategy == "adaptive",
+            handle=handle,
         )
         self._next_seq += 1
         if job.mode == "shard":
@@ -315,7 +431,6 @@ class JobScheduler:
             sizes = job.plan.shard_sizes()
             for shard_id, (left_size, right_size) in enumerate(sizes):
                 job.costs[shard_id] = float(max(left_size * right_size, 1))
-                job.buffers[shard_id] = []
             job.pending = list(range(job.plan.shard_count))
         else:
             left = len(spec.left) if hasattr(spec.left, "__len__") else 1
@@ -374,7 +489,7 @@ class JobScheduler:
             with self._cond:
                 if seq is not None:
                     self._next_seq = max(self._next_seq, seq)
-                job = self._admit(stored.job_id, handle, dict(stored.payload))
+                job = self._admit(stored.job_id, handle, stored.payload)
                 job.pending.clear()
                 job.persisted = set(stored.outcomes)
                 if spec.strategy == "adaptive":
@@ -385,7 +500,10 @@ class JobScheduler:
                         for shard_id in sorted(stored.outcomes)
                     ]
                     handle.restore(plan, outcomes)
-                    self._rebuild_buffers(job)
+                    job.unfolded.update(
+                        self._unfolded_lines(job, handle.shard_outcomes)
+                    )
+                    self._fold(job)
                     if stored.status is None and not handle.finished:
                         # Interrupted mid-run: re-enqueue as one resume
                         # unit, costed at the missing shards' volume.
@@ -402,10 +520,9 @@ class JobScheduler:
                         resumed.append(job.job_id)
                         self._counters["jobs_resumed"] += 1
                     else:
-                        job.finalized = True
-                        job.stored_state = stored.status
                         if stored.status == "failed":
                             job.error = "failed before restart"
+                        self._compact(job, stored.status or handle.state)
                 elif stored.status is None:
                     # Interrupted baseline: re-run it whole on the fresh
                     # handle (pending from _admit is already correct).
@@ -415,39 +532,11 @@ class JobScheduler:
                 else:
                     # Terminal baseline: listable, but its result was
                     # never persisted (baselines record no outcomes).
-                    job.finalized = True
-                    job.stored_state = stored.status
                     if stored.status != "finished":
                         job.error = f"{stored.status} before restart"
+                    self._compact(job, stored.status)
                 self._cond.notify_all()
         return resumed
-
-    def _rebuild_buffers(self, job: _Job) -> None:
-        """Recreate the match feed from the handle's shard outcomes.
-
-        Each outcome holds its shard's full raw match sequence in
-        emission order, so replaying it through the origin maps yields
-        the exact buffer a live run would have produced.  Only shards
-        *with* outcomes are marked buffer-complete: a restored partial
-        run's missing shards stay open so readers wait for the resume to
-        fill them.
-        """
-        tag_shards = job.handle.spec.shards > 1
-        for outcome in job.handle.shard_outcomes:
-            shard_id = outcome.shard_id
-            left_origins = outcome.left_origins
-            right_origins = outcome.right_origins
-            tag = shard_id if tag_shards else None
-            job.buffers[shard_id] = [
-                StreamedMatch(
-                    left_origins[event.left.ordinal],
-                    right_origins[event.right.ordinal],
-                    event,
-                    tag,
-                )
-                for event in outcome.result.matches
-            ]
-            job.buffer_done.add(shard_id)
 
     # -- queries ---------------------------------------------------------------------
 
@@ -467,37 +556,25 @@ class JobScheduler:
         with self._lock:
             job = self._get(job_id)
             state = job.state
-            if (
-                not job.finalized
-                and state != "running"
-                and (state == "pending" or job.pending or job.running)
-            ):
-                # Admitted but not dispatched yet — including a restored
-                # partial run awaiting its resume unit.
-                state = "queued"
-            progress: Optional[ProgressSnapshot] = None
-            collector = job.handle.progress_collector
-            if collector is not None:
-                progress = collector.snapshot()
-            statistics: Optional[Dict[str, object]] = None
-            result_size: Optional[int] = None
-            if job.finalized and state in ("finished", "cancelled"):
-                try:
-                    result = job.handle.result()
-                except RuntimeError:
-                    # Restored terminal baseline: listable, result gone.
-                    result = None
-                if result is not None:
-                    statistics = result.statistics
-                    result_size = result.pair_count
+            progress = job.progress
+            if not job.finalized:
+                if state != "running" and (
+                    state == "pending" or job.pending or job.running
+                ):
+                    # Admitted but not dispatched yet — including a
+                    # restored partial run awaiting its resume unit.
+                    state = "queued"
+                collector = job.handle.progress_collector
+                if collector is not None:
+                    progress = collector.snapshot()
             return job_status_body(
                 job_id=job.job_id,
                 state=state,
                 priority=job.priority,
-                payload=job.payload,
+                payload=job.spec,
                 progress=progress,
-                statistics=statistics,
-                result_size=result_size,
+                statistics=job.statistics,
+                result_size=job.result_size,
                 error=job.error,
             )
 
@@ -518,85 +595,104 @@ class JobScheduler:
 
         Running work stops at the next engine-batch boundary; a job that
         never started is finalised as ``cancelled`` immediately.
-        Idempotent, and a no-op on terminal jobs.
+        Idempotent, and a no-op on a job that is already closing.
         """
-        finalize = False
+        close = False
         with self._cond:
             job = self._get(job_id)
-            if not job.finalized:
-                job.handle.cancel_token.set()
+            if not job.closing:
+                self._request_cancel(job)
                 job.pending.clear()
-                if not job.running:
-                    # Nothing is running and nothing will start: close it
-                    # out here rather than waiting for a worker.
-                    finalize = True
+                # Nothing is running and nothing will start: close it out
+                # here rather than waiting for a worker.
+                close = not job.running and self._claim_close(job)
                 self._cond.notify_all()
-        if finalize:
+        if close:
             self._finalize(job)
         with self._lock:
             state = job.state
         return "queued" if state == "pending" else state
 
+    @staticmethod
+    def _request_cancel(job: _Job) -> None:
+        """Set the job's cancel tokens, in-process and cross-process."""
+        job.handle.cancel_token.set()
+        if job.cancel_flag is not None:
+            job.cancel_flag.set()
+
     # -- the match feed --------------------------------------------------------------
 
     def stream_matches(
         self, job_id: str, poll_seconds: float = 0.05
-    ) -> Iterator[StreamedMatch]:
-        """Yield the job's deduplicated match stream, blocking for more.
+    ) -> Iterator[bytes]:
+        """Yield the job's deduplicated NDJSON feed, blocking for more.
 
-        Walks the per-shard buffers in shard-id order with a private
-        :class:`FirstShardWins`, exactly like the merge path — so the
-        yielded sequence is the one ``repro link --stream`` prints, no
-        matter how the shards were interleaved across workers, when the
-        reader attached, or whether the buffers were rebuilt after a
-        restart.  The iterator ends when every shard's buffer is closed.
-        Whole-unit jobs (failure-policy runs, resumes) buffer nothing
-        until they complete, so their readers block until then.
+        Each yielded chunk holds whole lines: one completed shard's new
+        lines while the job runs, or all that is left of a closed job's
+        feed.  Their concatenation is the byte sequence ``repro link
+        --stream`` prints, no matter how the shards were interleaved
+        across workers, when the reader attached, or whether the feed was
+        rebuilt after a restart.  The iterator ends when the job closes.
+        Whole-unit jobs (failure-policy runs, resumes) fold nothing until
+        they complete, so their readers block until then.
         """
         with self._cond:
             job = self._get(job_id)
             if not job.streamable:
                 raise MatchesUnavailable(
                     f"{job_id} has no match feed: the "
-                    f"{job.handle.spec.strategy!r} strategy materialises "
+                    f"{job.spec['strategy']!r} strategy materialises "
                     f"its result in one shot (and keeps no events a feed "
                     f"could replay) — use the status endpoint"
                 )
-            if job.plan is not None:
-                shard_ids = list(range(job.plan.shard_count))
-            else:
-                # Whole-unit adaptive job admitted without a plan (fresh
-                # failure-policy run): its buffers appear when it ends.
-                while not job.finalized:
-                    self._cond.wait(poll_seconds)
-                shard_ids = sorted(job.buffers)
             if job.state == "failed":
                 raise MatchesUnavailable(
                     f"{job_id} failed: {job.error or 'the run raised'}"
                 )
-        owner = FirstShardWins()
-        for shard_id in shard_ids:
-            index = 0
-            while True:
-                with self._cond:
-                    buffer = job.buffers.get(shard_id, ())
-                    chunk = list(buffer[index:])
-                    done = (
-                        shard_id in job.buffer_done
-                        or (job.finalized and not job.running)
-                    )
-                    if not chunk and not done:
-                        self._cond.wait(poll_seconds)
-                        continue
-                index += len(chunk)
-                for match in chunk:
-                    if owner.owns(match.pair, shard_id):
-                        yield match
-                if done:
-                    if not chunk:
-                        break
-                    # Drain once more in case appends raced the flag.
-                    continue
+        folded = 0  # chunks of job.chunks yielded so far
+        sent = 0  # their bytes: a prefix of the closed job's feed
+        while True:
+            with self._cond:
+                while job.feed is None and len(job.chunks) == folded:
+                    self._cond.wait(poll_seconds)
+                feed, fresh = job.feed, job.chunks[folded:]
+            if feed is not None:
+                if len(feed) > sent:
+                    yield feed[sent:]
+                return
+            folded += len(fresh)
+            for chunk in fresh:
+                sent += len(chunk)
+                yield chunk
+
+    def _unfolded_lines(
+        self, job: _Job, outcomes: Iterable[ShardOutcome]
+    ) -> Dict[int, _FeedLines]:
+        """Feed lines of the outcomes the job's feed has not seen yet."""
+        tag_shards = job.handle.spec.shards > 1
+        return {
+            outcome.shard_id: _feed_lines(outcome, tag_shards)
+            for outcome in outcomes
+            if outcome.shard_id >= job.next_fold
+            and outcome.shard_id not in job.unfolded
+        }
+
+    def _fold(self, job: _Job) -> None:
+        """Fold every completed shard whose lower shards are all folded."""
+        while job.next_fold in job.unfolded:
+            self._fold_shard(job, job.next_fold)
+            job.next_fold += 1
+
+    @staticmethod
+    def _fold_shard(job: _Job, shard_id: int) -> None:
+        owns = job.owner.owns
+        chunk = b"".join(
+            line
+            for pair, line in job.unfolded.pop(shard_id)
+            if owns(pair, shard_id)
+        )
+        if chunk:
+            job.chunks.append(chunk)
 
     # -- dispatch --------------------------------------------------------------------
 
@@ -638,84 +734,100 @@ class JobScheduler:
                     best.dispatched = True
                     if best.mode == "shard":
                         best.handle.begin_external(best.plan)
+                        self._publish(best)
                 return best, unit
 
+    @staticmethod
+    def _publish(job: _Job) -> None:
+        """Give a job its shared memory: plan blocks and cancel flag."""
+        try:
+            job.blocks = job.plan.publish_blocks()
+        except OSError:
+            job.blocks = None  # tasks ship their shards' records instead
+        try:
+            job.cancel_flag = CancelFlag.create()
+        except OSError:
+            # In-flight shards then stop at their end, not mid-shard.
+            job.cancel_flag = None
+
+    def _run_on_pool(
+        self, task: _ShardTask
+    ) -> Tuple[int, AdaptiveJoinResult, float]:
+        """Run one shard task on the pool; blocks without holding the GIL."""
+        with self._pool_lock:
+            try:
+                future = self._pool.submit(_run_shard_task, task)
+            except BrokenProcessPool:
+                # A worker died; the shards it took down have failed.
+                # Later work runs on a fresh pool.
+                self._pool.shutdown(wait=False)
+                self._pool = self._launch_pool()
+                future = self._pool.submit(_run_shard_task, task)
+        return future.result()
+
     def _run_shard(self, job: _Job, shard_id: int) -> None:
-        """Execute one shard session, feeding the buffers batch by batch."""
+        """Execute one shard session on the pool and fold its matches."""
         handle = job.handle
-        spec = handle.spec
         plan = job.plan
-        left_origins = plan.left_shards[shard_id].origins
-        right_origins = plan.right_shards[shard_id].origins
-        tag = shard_id if spec.shards > 1 else None
         outcome: Optional[ShardOutcome] = None
         try:
-            left, right = plan.shard_streams(shard_id)
-            bus = EventBus()
-            collector = handle.progress_collector
-            if collector is not None:
-                collector.attach(bus)
-            started = time.perf_counter()
-            session = JoinSession(
-                left, right, plan.attribute, spec.run_config, bus=bus
+            task = _shard_task(
+                plan,
+                handle.spec.run_config,
+                shard_id,
+                1,
+                job.blocks.descriptors if job.blocks is not None else None,
+                cancel_flag=(
+                    job.cancel_flag.name if job.cancel_flag is not None else None
+                ),
+                max_batch=self._shard_batch,
+                batch_delay=self._shard_delay,
             )
-            for batch in session.run_batches(
-                max_batch=self._shard_batch, cancel=handle.cancel_token
-            ):
-                matches = [
-                    StreamedMatch(
-                        left_origins[event.left.ordinal],
-                        right_origins[event.right.ordinal],
-                        event,
-                        tag,
-                    )
-                    for event in batch
-                ]
-                with self._cond:
-                    job.buffers[shard_id].extend(matches)
-                    self._cond.notify_all()
-                if self._shard_delay:
-                    time.sleep(self._shard_delay)
-            result = session.result()
+            _, result, wall_seconds = self._run_on_pool(task)
             if not result.never_ran:
                 outcome = ShardOutcome(
                     shard_id=shard_id,
                     result=result,
-                    left_origins=left_origins,
-                    right_origins=right_origins,
-                    wall_seconds=time.perf_counter() - started,
+                    left_origins=plan.left_shards[shard_id].origins,
+                    right_origins=plan.right_shards[shard_id].origins,
+                    wall_seconds=wall_seconds,
                 )
                 handle.record_shard_outcome(outcome)
-                bus.publish(
-                    ShardCompleted(shard_id, outcome.result, outcome.wall_seconds)
-                )
+                collector = handle.progress_collector
+                if collector is not None:
+                    bus = EventBus()
+                    collector.attach(bus)
+                    bus.publish(ShardCompleted(shard_id, result, wall_seconds))
                 if not result.cancelled:
                     # Partial (cancelled) shards are never persisted: a
                     # restarted server re-runs them whole, which is what
                     # keeps resume bit-identical.
                     self.store.record_shard(job.job_id, outcome)
+                lines = _feed_lines(outcome, handle.spec.shards > 1)
         except BaseException as error:  # noqa: BLE001 - a shard died; fail the job
             with self._cond:
                 job.error = f"{type(error).__name__}: {error}"
                 job.pending.clear()
                 job.running.discard(shard_id)
-                handle.cancel_token.set()
-                close = not job.running and not job.finalized
+                self._request_cancel(job)
+                close = not job.running and self._claim_close(job)
                 self._cond.notify_all()
             if close:
                 self._fail(job)
             return
-        finalize = False
+        close = False
         with self._cond:
             job.running.discard(shard_id)
-            if outcome is not None and not outcome.result.cancelled:
-                job.buffer_done.add(shard_id)
-                job.persisted.add(shard_id)
-                self._counters["shards_completed"] += 1
-            if not job.pending and not job.running and not job.finalized:
-                finalize = True
+            if outcome is not None:
+                job.unfolded[shard_id] = lines
+                self._fold(job)
+                if not outcome.result.cancelled:
+                    job.persisted.add(shard_id)
+                    self._counters["shards_completed"] += 1
+            if not job.pending and not job.running:
+                close = self._claim_close(job)
             self._cond.notify_all()
-        if finalize:
+        if close:
             if job.error is not None:
                 # A sibling shard raised while this one was draining.
                 self._fail(job)
@@ -736,8 +848,10 @@ class JobScheduler:
             with self._cond:
                 job.error = f"{type(error).__name__}: {error}"
                 job.running.discard(_WHOLE_JOB)
+                close = self._claim_close(job)
                 self._cond.notify_all()
-            self._fail(job)
+            if close:
+                self._fail(job)
             return
         # Persist the shards this run produced (a resume reuses restored
         # outcomes verbatim — those are already on disk).
@@ -749,15 +863,36 @@ class JobScheduler:
         ]
         for outcome in fresh:
             self.store.record_shard(job.job_id, outcome)
+        lines = (
+            self._unfolded_lines(job, handle.shard_outcomes)
+            if job.streamable
+            else {}
+        )
         with self._cond:
             job.running.discard(_WHOLE_JOB)
             for outcome in fresh:
                 job.persisted.add(outcome.shard_id)
-            if job.streamable:
-                self._rebuild_buffers(job)
+            job.unfolded.update(lines)
+            self._fold(job)
             self._counters["shards_completed"] += len(fresh)
+            close = self._claim_close(job)
             self._cond.notify_all()
-        self._finalize(job)
+        if close:
+            self._finalize(job)
+
+    # -- closing a job ---------------------------------------------------------------
+
+    @staticmethod
+    def _claim_close(job: _Job) -> bool:
+        """Claim the job's one close (call with the lock held).
+
+        A cancel and the last shard's completion can both find a job with
+        nothing left to run; only the first to claim it closes it.
+        """
+        if job.closing:
+            return False
+        job.closing = True
+        return True
 
     def _finalize(self, job: _Job) -> None:
         """Close the job out: merge (shard mode), set status, persist it."""
@@ -774,12 +909,8 @@ class JobScheduler:
             # the pre-set token immediately and returns the empty
             # cancelled result without executing anything.
             handle.run()
-        state = handle.state
         with self._cond:
-            self._close_job(job, state)
-            for shard_id in list(job.buffers):
-                job.buffer_done.add(shard_id)
-            self._cond.notify_all()
+            self._close_job(job, handle.state)
 
     def _fail(self, job: _Job) -> None:
         """Close the job out as ``failed`` (its error is already recorded)."""
@@ -788,15 +919,9 @@ class JobScheduler:
             handle.fail_external(RuntimeError(job.error or "job failed"))
         with self._cond:
             self._close_job(job, "failed")
-            for shard_id in list(job.buffers):
-                job.buffer_done.add(shard_id)
-            self._cond.notify_all()
 
     def _close_job(self, job: _Job, state: str) -> None:
-        """Mark terminal state + persist it (call with the lock held)."""
-        if job.finalized:
-            return
-        job.finalized = True
+        """Count, persist and compact a terminal job (lock held)."""
         if state == "finished":
             self._counters["jobs_finished"] += 1
         elif state == "cancelled":
@@ -805,3 +930,53 @@ class JobScheduler:
             self._counters["jobs_failed"] += 1
         if not self._stopping:
             self.store.set_status(job.job_id, state)
+        self._compact(job, state)
+
+    def _compact(self, job: _Job, state: str) -> None:
+        """Keep only what a terminal job reports; drop the rest (lock held).
+
+        What stays: the state, the final progress snapshot, the result's
+        statistics and size, and the deduplicated feed as one ``bytes``.
+        The handle, plan, shared memory, inputs and match objects go.
+        """
+        handle = job.handle
+        job.closing = job.finalized = True
+        job.final_state = state
+        collector = handle.progress_collector
+        if collector is not None:
+            job.progress = collector.snapshot()
+        if state in ("finished", "cancelled"):
+            try:
+                result = handle.result()
+            except RuntimeError:
+                # A restored terminal baseline: its result was never
+                # persisted.
+                result = None
+            if result is not None:
+                job.statistics = result.statistics
+                job.result_size = result.pair_count
+        if state == "failed":
+            job.feed = b""
+        else:
+            # A cancelled job may have gaps: fold what completed, in order.
+            for shard_id in sorted(job.unfolded):
+                self._fold_shard(job, shard_id)
+            job.feed = b"".join(job.chunks)
+        self._release_shared(job)
+        job.handle = None
+        job.plan = None
+        job.owner = None
+        job.unfolded = {}
+        job.chunks = []
+        job.costs = {}
+        self._cond.notify_all()
+
+    @staticmethod
+    def _release_shared(job: _Job) -> None:
+        """Unlink the job's plan blocks and cancel flag (idempotent)."""
+        if job.blocks is not None:
+            job.blocks.release()
+            job.blocks = None
+        if job.cancel_flag is not None:
+            job.cancel_flag.close()
+            job.cancel_flag = None

@@ -11,7 +11,7 @@ for result statistics — so the CLI and the server can never drift apart.
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.jobs.handle import StreamedMatch
 from repro.runtime.collectors import ProgressSnapshot
@@ -21,6 +21,7 @@ __all__ = [
     "job_status_body",
     "match_line",
     "render_metrics",
+    "spec_echo",
 ]
 
 
@@ -38,11 +39,20 @@ def error_body(message: str) -> Dict[str, object]:
     return {"error": message}
 
 
+def spec_echo(payload: Mapping[str, object]) -> Dict[str, object]:
+    """The descriptive subset of a job payload that status bodies echo
+    (never the inline tables)."""
+    return {
+        key: payload.get(key)
+        for key in ("strategy", "attribute", "shards", "backend", "partitioner", "policy")
+    }
+
+
 def job_status_body(
     job_id: str,
     state: str,
     priority: int,
-    payload: Dict[str, object],
+    payload: Mapping[str, object],
     progress: Optional[ProgressSnapshot] = None,
     statistics: Optional[Dict[str, object]] = None,
     result_size: Optional[int] = None,
@@ -60,14 +70,7 @@ def job_status_body(
         "id": job_id,
         "state": state,
         "priority": priority,
-        "spec": {
-            "strategy": payload.get("strategy"),
-            "attribute": payload.get("attribute"),
-            "shards": payload.get("shards"),
-            "backend": payload.get("backend"),
-            "partitioner": payload.get("partitioner"),
-            "policy": payload.get("policy"),
-        },
+        "spec": spec_echo(payload),
     }
     if progress is not None:
         body["progress"] = progress.to_json()

@@ -123,6 +123,9 @@ def _build_instances():
             attempt=2,
             timeout_seconds=1.5,
             faults=fault_plan,
+            cancel_flag="cancel_seg",
+            max_batch=64,
+            batch_delay=0.01,
         ),
     }
 

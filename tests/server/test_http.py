@@ -1,5 +1,6 @@
 """End-to-end tests over real HTTP: the full job API on an ephemeral port."""
 
+import http.client
 import json
 import socket
 import time
@@ -253,3 +254,57 @@ class TestErrorMapping:
             assert "queue depth cap" in body["error"]
         finally:
             instance.shutdown()
+
+
+class _ExplodingScheduler(JobScheduler):
+    """A scheduler stub whose every route raises something unexpected."""
+
+    def submit(self, payload):
+        raise RuntimeError("submit exploded")
+
+    def describe(self, job_id):
+        raise RuntimeError("describe exploded")
+
+    def cancel(self, job_id):
+        raise RuntimeError("cancel exploded")
+
+    def stream_matches(self, job_id, poll_seconds=0.05):
+        yield b'{"left_index": 0}\n'
+        raise RuntimeError("stream exploded")
+
+
+class TestSafetyNet:
+    @pytest.fixture
+    def exploding(self):
+        instance = LinkageServer(
+            port=0, scheduler=_ExplodingScheduler(autostart=False)
+        )
+        instance.start()
+        yield instance
+        instance.shutdown()
+
+    @pytest.mark.parametrize(
+        "method, path, body, what",
+        [
+            ("GET", "/jobs/job-1", None, "describe"),
+            ("POST", "/jobs", b"{}", "submit"),
+            ("DELETE", "/jobs/job-1", None, "cancel"),
+        ],
+    )
+    def test_an_escaping_error_is_a_500(self, exploding, method, path, body, what):
+        code, reply = _request_error(
+            f"{exploding.url}{path}", method=method, raw_body=body
+        )
+        assert code == 500
+        assert f"{what} exploded" in reply["error"]
+        # The server itself keeps serving.
+        assert _request(f"{exploding.url}/healthz")[0] == 200
+
+    def test_a_stream_in_flight_is_cut_off(self, exploding):
+        with urllib.request.urlopen(
+            f"{exploding.url}/jobs/job-1/matches", timeout=30
+        ) as response:
+            assert response.status == 200
+            with pytest.raises(http.client.IncompleteRead) as excinfo:
+                response.read()
+        assert excinfo.value.partial == b'{"left_index": 0}\n'

@@ -55,10 +55,7 @@ def _wait_terminal(scheduler, job_id, timeout=30.0):
 
 
 def _lines(scheduler, job_id):
-    return [
-        json.dumps(match.to_json())
-        for match in scheduler.stream_matches(job_id)
-    ]
+    return b"".join(scheduler.stream_matches(job_id)).decode("utf-8").splitlines()
 
 
 def _reference_lines(payload):

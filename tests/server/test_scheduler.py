@@ -30,6 +30,11 @@ def _reference_lines(payload):
     return [json.dumps(match.to_json()) for match in handle.stream_matches()]
 
 
+def _lines(scheduler, job_id):
+    """The scheduler's NDJSON feed for ``job_id``, split into lines."""
+    return b"".join(scheduler.stream_matches(job_id)).decode("utf-8").splitlines()
+
+
 class TestValidation:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError, match="max_workers"):
@@ -153,20 +158,14 @@ class TestStreaming:
     def test_sharded_stream_matches_cli_bytes(self, small_payload):
         scheduler = JobScheduler(max_workers=3)
         job_id = scheduler.submit(small_payload)
-        lines = [
-            json.dumps(match.to_json())
-            for match in scheduler.stream_matches(job_id)
-        ]
+        lines = _lines(scheduler, job_id)
         assert lines == _reference_lines(small_payload)
         scheduler.shutdown()
 
     def test_unsharded_stream_has_no_shard_key(self, tiny_payload):
         scheduler = JobScheduler(max_workers=1)
         job_id = scheduler.submit(tiny_payload)
-        lines = [
-            json.dumps(match.to_json())
-            for match in scheduler.stream_matches(job_id)
-        ]
+        lines = _lines(scheduler, job_id)
         assert lines == _reference_lines(tiny_payload)
         assert all('"shard"' not in line for line in lines)
         scheduler.shutdown()
@@ -177,9 +176,7 @@ class TestStreaming:
         results = {}
 
         def read(name):
-            results[name] = [
-                match.to_json() for match in scheduler.stream_matches(job_id)
-            ]
+            results[name] = _lines(scheduler, job_id)
 
         threads = [
             threading.Thread(target=read, args=(name,)) for name in ("a", "b")
@@ -196,10 +193,7 @@ class TestStreaming:
         scheduler = JobScheduler(max_workers=2)
         job_id = scheduler.submit(small_payload)
         _wait_terminal(scheduler, job_id)
-        lines = [
-            json.dumps(match.to_json())
-            for match in scheduler.stream_matches(job_id)
-        ]
+        lines = _lines(scheduler, job_id)
         assert lines == _reference_lines(small_payload)
         scheduler.shutdown()
 
@@ -223,10 +217,7 @@ class TestStreaming:
         payload["on_failure"] = {"policy": "retry", "retries": 1}
         scheduler = JobScheduler(max_workers=1)
         job_id = scheduler.submit(payload)
-        lines = [
-            json.dumps(match.to_json())
-            for match in scheduler.stream_matches(job_id)
-        ]
+        lines = _lines(scheduler, job_id)
         assert lines == _reference_lines(small_payload)
         scheduler.shutdown()
 
@@ -253,8 +244,34 @@ class TestCancel:
         state = _wait_terminal(scheduler, job_id)
         assert state == "cancelled"
         full = len(_reference_lines(small_payload))
-        streamed = sum(1 for _ in scheduler.stream_matches(job_id))
+        streamed = len(_lines(scheduler, job_id))
         assert streamed < full
+        scheduler.shutdown()
+
+    def test_cancel_racing_the_last_shard_closes_the_job_once(self, tiny_payload):
+        """A DELETE that arrives while the last shard's completion is
+        merging must not merge a second time (it used to, and the second
+        ``finish_external`` raised)."""
+        scheduler = JobScheduler(max_workers=1, autostart=False)
+        job_id = scheduler.submit(tiny_payload)
+        handle = scheduler._jobs[job_id].handle
+        finish_external = handle.finish_external
+        merges = []
+
+        def finish_with_a_racing_cancel():
+            merges.append(job_id)
+            if len(merges) == 1:
+                # The cancel lands between the closer's state check and
+                # its merge: exactly the window the race needed.
+                scheduler.cancel(job_id)
+            return finish_external()
+
+        handle.finish_external = finish_with_a_racing_cancel
+        scheduler.start()
+        assert _wait_terminal(scheduler, job_id) == "finished"
+        assert merges == [job_id]
+        assert scheduler.counters()["jobs_finished"] == 1
+        assert scheduler.counters()["jobs_cancelled"] == 0
         scheduler.shutdown()
 
     def test_cancel_is_idempotent(self, tiny_payload):
