@@ -127,8 +127,10 @@ class JobHandle:
         #: The last sharded merge (kept so resume knows which shards
         #: completed and can reuse their outcomes verbatim).
         self._sharded: Optional[ShardedJoinResult] = None
-        #: Open externally-driven run's outcomes (see begin_external).
+        #: Open externally-driven run's outcomes and progress bus (see
+        #: begin_external).
         self._external_outcomes: Optional[List[ShardOutcome]] = None
+        self._external_bus: Optional[AggregatedEventBus] = None
         self._progress: Optional[ProgressCollector] = None
         if spec.progress_enabled:
             left_size = input_size(spec.left)
@@ -476,8 +478,8 @@ class JobHandle:
     def progress_collector(self) -> Optional[ProgressCollector]:
         """The handle's progress collector (``None`` unless ``with_progress``).
 
-        External drivers attach it to the buses of the shard sessions
-        they run, the way the in-handle paths do.
+        An external run feeds it one ``ShardCompleted`` per recorded
+        outcome (see :meth:`record_shard_outcome`).
         """
         return self._progress
 
@@ -508,14 +510,24 @@ class JobHandle:
         self._start()
         self._plan = plan
         self._external_outcomes = []
+        self._external_bus = self._make_bus()
 
     def record_shard_outcome(self, outcome: ShardOutcome) -> None:
-        """Record one externally-executed shard's complete outcome."""
+        """Record one externally-executed shard's outcome.
+
+        Publishes its ``ShardCompleted`` to the progress collector, if
+        any; drivers may call this from several threads at once.
+        """
         if self._external_outcomes is None:
             raise RuntimeError(
                 "no external run is open: call begin_external(plan) first"
             )
         self._external_outcomes.append(outcome)
+        if self._external_bus is not None:
+            completed = ShardCompleted(
+                outcome.shard_id, outcome.result, outcome.wall_seconds
+            )
+            self._external_bus.publish(completed)
 
     def finish_external(self) -> LinkageResult:
         """Merge the recorded outcomes and close the externally-driven run.
@@ -532,6 +544,7 @@ class JobHandle:
                 "no external run is open: call begin_external(plan) first"
             )
         self._external_outcomes = None
+        self._external_bus = None
         sharded = ShardedJoinResult(
             shards=tuple(outcomes),
             backend="process",
@@ -556,6 +569,7 @@ class JobHandle:
         """
         del error  # the driver reports it; the handle only keeps the state
         self._external_outcomes = None
+        self._external_bus = None
         self._state = "failed"
 
     def restore(self, plan: ShardPlan, outcomes: Iterable[ShardOutcome]) -> None:

@@ -23,8 +23,9 @@ Built on :class:`http.server.ThreadingHTTPServer`: one thread per
 connection, which is exactly right here because the expensive work runs
 on the scheduler's workers — request threads only parse, enqueue and
 stream buffers.  ``/matches`` responses use HTTP/1.1 chunked transfer
-encoding written by hand (one chunk per completed shard, or the whole
-remaining feed of a finished job), so clients see matches long before a
+encoding written by hand (one chunk per read of the job's feed: the
+lines its completed shards added since the last, or the whole remaining
+feed of a finished job), so clients see matches long before a
 multi-shard job finishes.  An exception a route lets escape is answered
 with a 500 and the uniform error body while no response has started; a
 stream already in flight is cut off and its connection closed.

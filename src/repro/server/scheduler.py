@@ -39,8 +39,22 @@ only (or its shard's records, under the pickle handoff); they are
 released when the job closes, however it closes.  Outcomes come back
 through the handle's external-driver surface (``begin_external`` /
 ``record_shard_outcome`` / ``finish_external``).  The workers are forked
-in :meth:`start`, before any scheduler thread exists; a worker that dies
-fails the shards it was running, and later work gets a fresh pool.
+in :meth:`start`, before any scheduler thread exists.  They ignore
+SIGINT, so a Ctrl-C (which signals the whole process group) reaches the
+server alone, and the server stops them itself (cancel flag, then the
+pool's shutdown).
+
+A worker that dies (killed, out of memory, or caught by a process-group
+SIGTERM) breaks the whole pool: every shard in flight on it is lost,
+whichever job it belongs to.  Such a shard never completed and nothing
+of it was persisted, so it is re-queued and runs again; a shard lost to
+a broken pool a second time fails its job.  A worker death therefore
+fails no bystander job, and a group SIGTERM followed by the server's
+shutdown leaves jobs resumable.  The re-run goes to a replacement pool,
+forked at the next dispatch — the one fork the server makes while its
+threads (scheduler and HTTP handlers) are running, so a child could
+inherit a lock another thread held at that instant (Python 3.12 warns
+about such forks with a ``DeprecationWarning``).
 
 Three job shapes instead run as a single scheduled unit on a scheduler
 thread (costed at their full volume): baseline strategies (their
@@ -66,18 +80,18 @@ Match feeds
 
 Matches and progress surface **per shard**: when a shard completes, its
 matches are encoded as NDJSON lines, and once every lower shard has
-completed they are folded into the job's feed through one
+completed they are appended to the job's feed buffer through one
 :class:`~repro.runtime.sharding.FirstShardWins` dedup — the merge path's
-rule.  Readers (:meth:`stream_matches`) receive the folded chunks as they
-appear, blocking on a condition variable for more.  Any number of
+rule.  Readers (:meth:`stream_matches`) each keep one byte offset into
+that buffer and block on a condition variable for more.  Any number of
 readers, attaching at any time (including after completion, or after a
 restart rebuilt the feed from persisted outcomes), receive the same byte
 sequence ``repro link --stream`` prints for the same spec.
 
 A job that closes is compacted: it keeps its state, priority, error, the
 spec echo, the final progress snapshot, statistics, result size and its
-deduplicated feed as one ``bytes`` object — not its handle, plan, inputs
-or match objects.
+deduplicated feed, frozen into one ``bytes`` object — not its handle,
+plan, inputs or match objects.
 
 Restart
 -------
@@ -94,6 +108,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -108,13 +123,13 @@ from typing import (
     Optional,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.jobs.builder import JobSpec
 from repro.jobs.handle import DEFAULT_STREAM_BATCH, JobHandle, StreamedMatch
 from repro.jobs.serialization import PayloadError, build_job, normalize_payload
 from repro.runtime.collectors import ProgressSnapshot
-from repro.runtime.events import EventBus, ShardCompleted
 from repro.runtime.handoff import CancelFlag, share_segment_tracker
 from repro.runtime.parallel import _run_shard_task, _shard_task, _ShardTask
 from repro.runtime.session import AdaptiveJoinResult
@@ -161,8 +176,8 @@ class _Job:
     While the job is open it holds its live machinery: the handle, the
     plan, the published blocks and cancel flag, and the feed lines of
     completed shards that wait for a lower shard.  Closing it
-    (:meth:`JobScheduler._compact`) drops all of that and keeps what the
-    status body and the match feed need.
+    (:meth:`JobScheduler._compact`) drops all of that, freezes the feed
+    and keeps what the status body needs.
     """
 
     job_id: str
@@ -185,6 +200,8 @@ class _Job:
     consumed: float = 0.0
     pending: List[int] = field(default_factory=list)
     running: Set[int] = field(default_factory=set)
+    #: Shards re-queued after a worker death broke the pool under them.
+    requeued: Set[int] = field(default_factory=set)
     dispatched: bool = False
     #: Set by the one thread that closes the job (see ``_claim_close``).
     closing: bool = False
@@ -196,18 +213,17 @@ class _Job:
     resume: bool = False
     #: Completed shards' feed lines, by shard id, not yet folded.
     unfolded: Dict[int, _FeedLines] = field(default_factory=dict)
-    #: The lowest shard id not yet folded into :attr:`chunks`.
+    #: The lowest shard id not yet folded into :attr:`feed`.
     next_fold: int = 0
     owner: Optional[FirstShardWins] = field(default_factory=FirstShardWins)
-    #: The deduplicated feed so far, one chunk per folded shard.
-    chunks: List[bytes] = field(default_factory=list)
-    # -- what a closed job keeps ---------------------------------------------------
+    #: The deduplicated NDJSON feed: appended to while the job is open,
+    #: frozen into ``bytes`` when it closes (``b""`` for failed jobs).
+    feed: Union[bytearray, bytes] = field(default_factory=bytearray)
+    # -- what a closed job keeps besides its feed ----------------------------------
     final_state: Optional[str] = None
     progress: Optional[ProgressSnapshot] = None
     statistics: Optional[Dict[str, object]] = None
     result_size: Optional[int] = None
-    #: The whole deduplicated NDJSON feed (``b""`` for failed jobs).
-    feed: Optional[bytes] = None
 
     @property
     def virtual_time(self) -> float:
@@ -239,6 +255,21 @@ def _feed_lines(outcome: ShardOutcome, tag_shards: bool) -> _FeedLines:
         )
         lines.append((match.pair, match_line(match)))
     return lines
+
+
+def _worker_signals() -> None:
+    """Pool-worker initializer: ignore SIGINT, die on SIGTERM.
+
+    Ctrl-C signals the whole foreground process group; a worker that
+    raised ``KeyboardInterrupt`` mid-shard would fail its job, where the
+    server's own shutdown leaves it resumable.  SIGTERM keeps its default
+    action even if the embedding process installed a handler before the
+    fork: when a worker dies, the pool terminates the survivors with
+    SIGTERM and then joins them, and a survivor that lived on would hang
+    that join for good.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 class JobScheduler:
@@ -345,6 +376,7 @@ class JobScheduler:
         pool = ProcessPoolExecutor(
             max_workers=self.max_workers,
             mp_context=multiprocessing.get_context("fork"),
+            initializer=_worker_signals,
         )
         # Under fork the first submit launches every worker at once.
         pool.submit(os.getpid).result()
@@ -627,14 +659,14 @@ class JobScheduler:
     ) -> Iterator[bytes]:
         """Yield the job's deduplicated NDJSON feed, blocking for more.
 
-        Each yielded chunk holds whole lines: one completed shard's new
-        lines while the job runs, or all that is left of a closed job's
-        feed.  Their concatenation is the byte sequence ``repro link
-        --stream`` prints, no matter how the shards were interleaved
-        across workers, when the reader attached, or whether the feed was
-        rebuilt after a restart.  The iterator ends when the job closes.
-        Whole-unit jobs (failure-policy runs, resumes) fold nothing until
-        they complete, so their readers block until then.
+        Each yielded chunk holds whole lines: whatever the feed gained
+        since the reader's last chunk.  Their concatenation is the byte
+        sequence ``repro link --stream`` prints, no matter how the shards
+        were interleaved across workers, when the reader attached, or
+        whether the feed was rebuilt after a restart.  The iterator ends
+        when the job closes.  Whole-unit jobs (failure-policy runs,
+        resumes) fold nothing until they complete, so their readers block
+        until then.
         """
         with self._cond:
             job = self._get(job_id)
@@ -649,21 +681,18 @@ class JobScheduler:
                 raise MatchesUnavailable(
                     f"{job_id} failed: {job.error or 'the run raised'}"
                 )
-        folded = 0  # chunks of job.chunks yielded so far
-        sent = 0  # their bytes: a prefix of the closed job's feed
+        sent = 0  # bytes of job.feed yielded so far
         while True:
             with self._cond:
-                while job.feed is None and len(job.chunks) == folded:
+                while len(job.feed) == sent and not job.finalized:
                     self._cond.wait(poll_seconds)
-                feed, fresh = job.feed, job.chunks[folded:]
-            if feed is not None:
-                if len(feed) > sent:
-                    yield feed[sent:]
-                return
-            folded += len(fresh)
-            for chunk in fresh:
+                chunk = bytes(job.feed[sent:])
+                done = job.finalized
+            if chunk:
                 sent += len(chunk)
                 yield chunk
+            if done:
+                return
 
     def _unfolded_lines(
         self, job: _Job, outcomes: Iterable[ShardOutcome]
@@ -686,13 +715,9 @@ class JobScheduler:
     @staticmethod
     def _fold_shard(job: _Job, shard_id: int) -> None:
         owns = job.owner.owns
-        chunk = b"".join(
-            line
-            for pair, line in job.unfolded.pop(shard_id)
-            if owns(pair, shard_id)
-        )
-        if chunk:
-            job.chunks.append(chunk)
+        for pair, line in job.unfolded.pop(shard_id):
+            if owns(pair, shard_id):
+                job.feed += line
 
     # -- dispatch --------------------------------------------------------------------
 
@@ -758,8 +783,9 @@ class JobScheduler:
             try:
                 future = self._pool.submit(_run_shard_task, task)
             except BrokenProcessPool:
-                # A worker died; the shards it took down have failed.
-                # Later work runs on a fresh pool.
+                # A worker died and broke the pool; later work runs on a
+                # fresh one, forked from this (threaded) process — see
+                # the module docstring.
                 self._pool.shutdown(wait=False)
                 self._pool = self._launch_pool()
                 future = self._pool.submit(_run_shard_task, task)
@@ -793,11 +819,6 @@ class JobScheduler:
                     wall_seconds=wall_seconds,
                 )
                 handle.record_shard_outcome(outcome)
-                collector = handle.progress_collector
-                if collector is not None:
-                    bus = EventBus()
-                    collector.attach(bus)
-                    bus.publish(ShardCompleted(shard_id, result, wall_seconds))
                 if not result.cancelled:
                     # Partial (cancelled) shards are never persisted: a
                     # restarted server re-runs them whole, which is what
@@ -806,6 +827,20 @@ class JobScheduler:
                 lines = _feed_lines(outcome, handle.spec.shards > 1)
         except BaseException as error:  # noqa: BLE001 - a shard died; fail the job
             with self._cond:
+                if (
+                    isinstance(error, BrokenProcessPool)
+                    and shard_id not in job.requeued
+                    and job.error is None
+                ):
+                    # A worker died and took every shard in flight down
+                    # with it.  Nothing of this one was persisted, so it
+                    # runs again — once: a shard caught in a second
+                    # broken pool fails its job.
+                    job.requeued.add(shard_id)
+                    job.running.discard(shard_id)
+                    job.pending.insert(0, shard_id)
+                    self._cond.notify_all()
+                    return
                 job.error = f"{type(error).__name__}: {error}"
                 job.pending.clear()
                 job.running.discard(shard_id)
@@ -936,8 +971,9 @@ class JobScheduler:
         """Keep only what a terminal job reports; drop the rest (lock held).
 
         What stays: the state, the final progress snapshot, the result's
-        statistics and size, and the deduplicated feed as one ``bytes``.
-        The handle, plan, shared memory, inputs and match objects go.
+        statistics and size, and the deduplicated feed, frozen into one
+        ``bytes``.  The handle, plan, shared memory, inputs and match
+        objects go.
         """
         handle = job.handle
         job.closing = job.finalized = True
@@ -961,13 +997,12 @@ class JobScheduler:
             # A cancelled job may have gaps: fold what completed, in order.
             for shard_id in sorted(job.unfolded):
                 self._fold_shard(job, shard_id)
-            job.feed = b"".join(job.chunks)
+            job.feed = bytes(job.feed)
         self._release_shared(job)
         job.handle = None
         job.plan = None
         job.owner = None
         job.unfolded = {}
-        job.chunks = []
         job.costs = {}
         self._cond.notify_all()
 

@@ -1,5 +1,5 @@
-"""The scheduler's worker processes: cancel, shared memory, worker death,
-fork order, and what a closed job keeps."""
+"""The scheduler's worker processes: cancel, shared memory, stop signals,
+worker death, fork order, and what a closed job keeps."""
 
 import gc
 import json
@@ -138,15 +138,78 @@ class TestSharedMemory:
         assert live_block_count() == 0
 
 
+class TestStopSignals:
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+    )
+    def test_a_signalled_worker_leaves_the_job_resumable(
+        self, tmp_path, small_payload, signum
+    ):
+        """Ctrl-C and group-wide SIGTERMs reach the workers too.  A worker
+        ignores SIGINT and dies of SIGTERM; either way the job keeps
+        running, and the server's shutdown leaves it resumable."""
+        path = str(tmp_path / "jobs.jsonl")
+        scheduler = _slow_scheduler(store=JsonlJobStore(path))
+        job_id = scheduler.submit(small_payload)
+        _wait_state(scheduler, job_id, {"running"})
+        time.sleep(0.3)  # mid-shard: shard 0 runs >= 0.66 s
+        workers = list(scheduler._pool._processes.values())
+        for worker in workers:
+            os.kill(worker.pid, signum)
+        time.sleep(0.3)
+        if signum == signal.SIGINT:
+            assert all(worker.is_alive() for worker in workers)
+        body = scheduler.describe(job_id)
+        assert (body["state"], body.get("error")) == ("running", None)
+        scheduler.shutdown(timeout=30)
+        (stored,) = JsonlJobStore(path).load()
+        assert stored.status is None
+
+        revived = JobScheduler(max_workers=2, store=JsonlJobStore(path))
+        assert revived.restore() == [job_id]
+        assert _wait_terminal(revived, job_id) == "finished"
+        lines = _lines(revived, job_id)
+        revived.shutdown()
+        assert lines == _reference_lines(small_payload)
+
+
+def _kill_workers_mid_shard(scheduler, job_ids, previous_pool=None):
+    """SIGKILL the pool's workers once every job has a shard in flight on
+    a pool other than ``previous_pool``; returns the pool hit."""
+    jobs = [scheduler._jobs[job_id] for job_id in job_ids]
+    deadline = time.monotonic() + 30
+    while True:
+        pool = scheduler._pool
+        if pool is not previous_pool and all(job.running for job in jobs):
+            break
+        assert time.monotonic() < deadline, "the jobs never ran"
+        time.sleep(0.005)
+    for pid in list(pool._processes):
+        os.kill(pid, signal.SIGKILL)
+    return pool
+
+
 class TestWorkerDeath:
-    def test_a_killed_worker_fails_its_job_and_the_next_one_runs(
+    def test_lost_shards_rerun_and_no_job_fails(self, small_payload):
+        """A dead worker breaks the whole pool: the shards in flight of
+        both jobs are lost, re-run on a fresh pool, and both jobs finish
+        with the reference feed."""
+        scheduler = JobScheduler(max_workers=2, shard_batch=8, shard_delay=0.02)
+        job_ids = [scheduler.submit(small_payload) for _ in range(2)]
+        _kill_workers_mid_shard(scheduler, job_ids)
+        for job_id in job_ids:
+            assert _wait_terminal(scheduler, job_id) == "finished"
+            assert _lines(scheduler, job_id) == _reference_lines(small_payload)
+        scheduler.shutdown()
+        assert live_block_count() == 0
+
+    def test_a_shard_lost_twice_fails_its_job_and_the_next_one_runs(
         self, small_payload, tiny_payload
     ):
         scheduler = _slow_scheduler()
         job_id = scheduler.submit(small_payload)
-        _wait_state(scheduler, job_id, {"running"})
-        for pid in list(scheduler._pool._processes):
-            os.kill(pid, signal.SIGKILL)
+        first = _kill_workers_mid_shard(scheduler, [job_id])
+        _kill_workers_mid_shard(scheduler, [job_id], previous_pool=first)
         assert _wait_terminal(scheduler, job_id) == "failed"
         assert "BrokenProcessPool" in scheduler.describe(job_id)["error"]
 
