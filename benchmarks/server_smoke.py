@@ -20,6 +20,10 @@ HTTP and asserts the contracts that must never rot:
 5. **Resume after an interrupt** — a job SIGTERMed *mid-run* is resumed
    automatically by the restarted server (only its missing shards
    re-run) and its completed stream is byte-identical to the reference.
+6. **Kill -9** — a server SIGKILLed mid-run leaves no child process
+   behind (its pool workers exit on their own within 5 s), and a server
+   restarted over the same store resumes the job from the shard lines
+   the killed one wrote, byte-identical to the reference again.
 
 Zero third-party deps; everything runs on the bare interpreter.
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -126,6 +131,21 @@ def _read_stream(url: str) -> List[str]:
         return response.read().decode("utf-8").splitlines()
 
 
+def _children(pid: int) -> List[int]:
+    """The live child processes of ``pid`` (Linux ``/proc``)."""
+    path = Path(f"/proc/{pid}/task/{pid}/children")
+    return [int(child) for child in path.read_text().split()]
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie awaiting its reaper does not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def _wait_state(base: str, job_id: str, states, timeout: float = 60.0) -> dict:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -183,6 +203,21 @@ class _Server:
             f"server exited {self.process.returncode}: {stderr}",
         )
         return stdout
+
+
+def _submit_and_catch_mid_run(base: str, csvs: Dict[str, Path]) -> str:
+    """Submit a job and return once >= 1 shard is done and the job runs."""
+    _, body = _request(f"{base}/jobs", method="POST", body=_payload(csvs))
+    job_id = body["id"]
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        _, body = _request(f"{base}/jobs/{job_id}")
+        progress = body.get("progress") or {}
+        if body["state"] == "running" and progress.get("shards_done", 0) >= 1:
+            break
+        time.sleep(0.02)
+    check(body["state"] == "running", f"never caught {job_id} mid-run: {body}")
+    return job_id
 
 
 def run_smoke(workdir: Path) -> Dict[str, object]:
@@ -257,20 +292,7 @@ def run_smoke(workdir: Path) -> Dict[str, object]:
     # SIGTERM reliably lands with at least one shard persisted and at
     # least one missing.
     server = _Server(store, shard_delay=0.1, shard_batch=8)
-    base = server.url
-    _, body = _request(f"{base}/jobs", method="POST", body=_payload(csvs))
-    third_job = body["id"]
-    deadline = time.monotonic() + 60
-    while time.monotonic() < deadline:
-        _, body = _request(f"{base}/jobs/{third_job}")
-        progress = body.get("progress") or {}
-        if body["state"] == "running" and progress.get("shards_done", 0) >= 1:
-            break
-        time.sleep(0.02)
-    check(
-        body["state"] == "running",
-        f"never caught {third_job} mid-run: {body}",
-    )
+    third_job = _submit_and_catch_mid_run(server.url, csvs)
     server.terminate()  # interrupt: >=1 shard persisted, job unfinished
 
     server = _Server(store)
@@ -291,11 +313,47 @@ def run_smoke(workdir: Path) -> Dict[str, object]:
         f"resuming server leaked blocks: {stdout!r}",
     )
 
+    # -- leg 4: SIGKILL mid-run, no orphans, restart, auto-resume -------
+    server = _Server(store, shard_delay=0.1, shard_batch=8)
+    children = _children(server.process.pid)
+    check(len(children) >= 2, f"no pool workers under the server: {children}")
+    fourth_job = _submit_and_catch_mid_run(server.url, csvs)
+    server.process.kill()
+    # wait(), not communicate(): an orphaned worker would hold the pipes.
+    server.process.wait(timeout=60)
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline and any(map(_alive, children)):
+        time.sleep(0.05)
+    orphans = [pid for pid in children if _alive(pid)]
+    for pid in orphans:  # leave nothing running, then fail
+        os.kill(pid, signal.SIGKILL)
+    check(orphans == [], f"processes outlived the killed server: {orphans}")
+
+    server = _Server(store)
+    base = server.url
+    resumed = _wait_state(base, fourth_job, {"finished"})
+    check(
+        resumed["statistics"].get("resumed") is True,
+        f"restart did not resume {fourth_job} after SIGKILL: {resumed}",
+    )
+    completed = _read_stream(f"{base}/jobs/{fourth_job}/matches")
+    check(
+        completed == reference,
+        "stream resumed after SIGKILL is not bit-identical to the reference",
+    )
+    stdout = server.terminate()
+    check(
+        "live shared-memory blocks: 0" in stdout,
+        f"server resuming after SIGKILL leaked blocks: {stdout!r}",
+    )
+
     return {
         "streamed_lines": len(reference),
         "jobs": states,
         "restart_replay_identical": True,
         "resume_after_sigterm_identical": True,
+        "children_left_after_sigkill": len(orphans),
+        "resume_after_sigkill_identical": True,
     }
 
 

@@ -40,6 +40,7 @@ PICKLE_BOUNDARY: Tuple[Tuple[str, str], ...] = (
     ("repro.runtime.handoff", "BlockDescriptor"),
     ("repro.runtime.parallel", "ShardInputPayload"),
     ("repro.runtime.parallel", "_ShardTask"),
+    ("repro.runtime.shard_result", "ShardResult"),
 )
 
 #: The subset that crosses a *spawned worker* boundary in production (the
@@ -52,6 +53,7 @@ SUBPROCESS_CLASSES: Tuple[str, ...] = (
     "ShardExecutionError",
     "ShardTimeoutError",
     "InjectedFaultError",
+    "ShardResult",
 )
 
 

@@ -33,9 +33,9 @@ wrapper over this builder, so existing call sites keep working
 unchanged.  See ARCHITECTURE.md ("Jobs layer") for the full picture.
 
 :mod:`repro.jobs.serialization` adds the network-facing half: JSON job
-payloads (validated through the same builder) and the pickle+base64
-codec the HTTP server's disk store uses to persist shard outcomes
-across restarts.
+payloads (validated through the same builder) and the shard-outcome
+codec (match columns, base64-wrapped once) the HTTP server's job stores
+use to persist shard outcomes across restarts.
 """
 
 from repro.jobs.builder import STRATEGIES, JobSpec, LinkageJob

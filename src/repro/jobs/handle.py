@@ -43,6 +43,7 @@ from repro.runtime.events import EventBus, ShardCompleted
 from repro.runtime.faults import FaultPlan
 from repro.runtime.parallel import AggregatedEventBus, ParallelExecutor
 from repro.runtime.session import AdaptiveJoinResult, JoinSession
+from repro.runtime.shard_result import ShardResult
 from repro.runtime.sharding import (
     PARTITIONERS,
     FirstShardWins,
@@ -55,6 +56,35 @@ from repro.runtime.sharding import (
 #: cancellation surface promptly, large enough to amortise the generator
 #: round-trip over the fast-path probe loop.
 DEFAULT_STREAM_BATCH = 256
+
+
+def match_json(
+    left_index: int,
+    right_index: int,
+    similarity: float,
+    mode: str,
+    step: int,
+    shard_id: Optional[int] = None,
+) -> Dict[str, object]:
+    """One match as the NDJSON wire mapping (the one stable format).
+
+    Exactly the object the CLI ``--stream`` path has always printed — key
+    order included, so ``json.dumps`` output is byte-identical.
+    :meth:`StreamedMatch.to_json` and the HTTP server's match feed (which
+    reads a shard's match columns, never events) both build it here.
+    ``mode`` is the :class:`~repro.joins.base.JoinMode` value; ``shard``
+    only appears on matches from sharded runs (``shard_id is not None``).
+    """
+    payload: Dict[str, object] = {
+        "left_index": left_index,
+        "right_index": right_index,
+        "similarity": round(similarity, 4),
+        "mode": mode,
+        "step": step,
+    }
+    if shard_id is not None:
+        payload["shard"] = shard_id
+    return payload
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,23 +109,16 @@ class StreamedMatch:
         return (self.left_index, self.right_index)
 
     def to_json(self) -> Dict[str, object]:
-        """The match as the NDJSON wire mapping (one stable format).
-
-        Exactly the object the CLI ``--stream`` path has always printed —
-        key order included, so ``json.dumps`` output is byte-identical —
-        and the one the HTTP server's match feed emits.  ``shard`` only
-        appears on matches from sharded runs (``shard_id is not None``).
-        """
-        payload: Dict[str, object] = {
-            "left_index": self.left_index,
-            "right_index": self.right_index,
-            "similarity": round(self.event.similarity, 4),
-            "mode": self.event.mode.value,
-            "step": self.event.step,
-        }
-        if self.shard_id is not None:
-            payload["shard"] = self.shard_id
-        return payload
+        """The match as the NDJSON wire mapping (see :func:`match_json`)."""
+        event = self.event
+        return match_json(
+            self.left_index,
+            self.right_index,
+            event.similarity,
+            event.mode.value,
+            event.step,
+            self.shard_id,
+        )
 
 
 class JobHandle:
@@ -493,7 +516,8 @@ class JobHandle:
         """Per-shard outcomes of the last sharded run (empty before one).
 
         What a job store persists and a match feed can be rebuilt from:
-        each outcome carries its shard's full match events plus the
+        each outcome carries its shard's match columns (ordinals,
+        similarity, step, flags), counters and trace, bound to the plan's
         origin maps that globalise them.
         """
         return self._sharded.shards if self._sharded is not None else ()
@@ -589,7 +613,13 @@ class JobHandle:
                 f"cannot restore a {self._state} handle: restore() "
                 "rehydrates a freshly built one"
             )
-        complete = tuple(o for o in outcomes if not o.result.cancelled)
+        # Decoded outcomes carry columns only: bind them to this plan's
+        # origin maps and shard records (planning is deterministic).
+        complete = tuple(
+            ShardOutcome.of(plan, o.shard_id, o.result, o.wall_seconds)
+            for o in outcomes
+            if not o.result.cancelled
+        )
         self._plan = plan
         self._state = "running"
         sharded = ShardedJoinResult(
@@ -735,12 +765,11 @@ class JobHandle:
             session = None
             if result.never_ran:
                 return None
-            outcome = ShardOutcome(
-                shard_id=shard_id,
-                result=result,
-                left_origins=plan.left_shards[shard_id].origins,
-                right_origins=plan.right_shards[shard_id].origins,
-                wall_seconds=time.perf_counter() - shard_started,
+            outcome = ShardOutcome.of(
+                plan,
+                shard_id,
+                ShardResult.from_session(result),
+                time.perf_counter() - shard_started,
             )
             outcomes.append(outcome)
             return outcome

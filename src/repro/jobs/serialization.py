@@ -12,11 +12,13 @@ here, next to the builder they feed, so the payload schema and the
 * :func:`build_job` — compile a canonical payload into a runnable
   :class:`~repro.jobs.handle.JobHandle` through the fluent builder (every
   builder validation applies; nothing is re-implemented here).
-* :func:`encode_shard_outcome` / :func:`decode_shard_outcome` — the
-  pickle+base64 codec for persisted :class:`~repro.runtime.sharding.ShardOutcome`
-  records (shard results already cross the process-backend boundary by
-  pickle, so the representation is proven; base64 keeps it line-oriented
-  for the append-only JSONL store).
+* :func:`encode_shard_outcome` / :func:`decode_shard_outcome` — the codec
+  for persisted :class:`~repro.runtime.sharding.ShardOutcome` records: the
+  shard's match columns (:class:`~repro.runtime.shard_result.ShardResult`,
+  the same pickle a worker returns to its parent) with its shard id and
+  wall time, base64-wrapped once so it sits on one JSONL line.  No match
+  event or record is written; restore binds the columns to the rebuilt
+  plan.
 
 Payload schema (all keys optional unless noted)::
 
@@ -55,6 +57,7 @@ from repro.engine.table import Table
 from repro.engine.tuples import Schema
 from repro.jobs.builder import STRATEGIES, LinkageJob
 from repro.jobs.handle import JobHandle
+from repro.runtime.shard_result import ShardResult
 from repro.runtime.sharding import ShardOutcome
 
 __all__ = [
@@ -356,23 +359,50 @@ def build_job(payload: Mapping) -> JobHandle:
         raise PayloadError(str(error)) from error
 
 
-def encode_shard_outcome(outcome: ShardOutcome) -> str:
-    """One ASCII line for a shard outcome (pickle + base64).
+#: Leads every encoded outcome; a line without it is from another format.
+_OUTCOME_TAG = "shard-columns/1"
 
-    The pickle representation is the same one shard results already use
-    to cross the process-backend boundary (guarded by the RL005 pickle
-    audit); base64 makes it safe inside a JSON string on one line.
+
+def encode_shard_outcome(outcome: ShardOutcome) -> str:
+    """One ASCII line for a shard outcome: its match columns, base64-wrapped.
+
+    The payload pickles ``(tag, shard id, wall seconds, columns)``, where
+    the columns are the :class:`~repro.runtime.shard_result.ShardResult`
+    a worker returns — arrays, counters and trace, no match events, stored
+    tuples or records.  The origin maps are not written: they are the
+    rebuilt plan's.
     """
+    payload = (_OUTCOME_TAG, outcome.shard_id, outcome.wall_seconds, outcome.result)
     return base64.b64encode(
-        pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     ).decode("ascii")
 
 
 def decode_shard_outcome(encoded: str) -> ShardOutcome:
-    """Inverse of :func:`encode_shard_outcome`."""
-    outcome = pickle.loads(base64.b64decode(encoded.encode("ascii")))
-    if not isinstance(outcome, ShardOutcome):
+    """Inverse of :func:`encode_shard_outcome`: an *unbound* outcome.
+
+    The result carries columns only; bind it to the plan that ran it
+    (:meth:`ShardOutcome.of`, which :meth:`JobHandle.restore` does) before
+    reading global pairs or events.  Anything that is not an encoded
+    outcome of this format — corrupt base64, a pickle of something else,
+    a line written by an older build — raises :class:`PayloadError`.
+    """
+    try:
+        payload = pickle.loads(base64.b64decode(encoded.encode("ascii"), validate=True))
+    except Exception as error:  # noqa: BLE001 - any undecodable line is one error
         raise PayloadError(
-            f"decoded object is not a ShardOutcome: {type(outcome).__name__}"
+            f"not an encoded ShardOutcome: {type(error).__name__}: {error}"
+        ) from error
+    if not (
+        isinstance(payload, tuple)
+        and len(payload) == 4
+        and payload[0] == _OUTCOME_TAG
+        and isinstance(payload[1], int)
+        and isinstance(payload[3], ShardResult)
+    ):
+        raise PayloadError(
+            f"not an encoded ShardOutcome of this format: decoded a "
+            f"{type(payload).__name__}"
         )
-    return outcome
+    _, shard_id, wall_seconds, result = payload
+    return ShardOutcome(shard_id=shard_id, result=result, wall_seconds=wall_seconds)

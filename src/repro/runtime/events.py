@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Type
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.runtime.session import AdaptiveJoinResult
+    from repro.runtime.shard_result import ShardResult
 
 __all__ = [
     "EventBus",
@@ -93,7 +93,8 @@ class ShardCompleted:
     """
 
     shard_id: int
-    result: "AdaptiveJoinResult"
+    #: The shard's match columns (counts, trace and final state included).
+    result: "ShardResult"
     wall_seconds: float
 
 

@@ -22,9 +22,14 @@
     up front with a clear error rather than a deep traceback out of the
     pool.
 
-Both backends produce the same merged result for the same plan (the
-per-shard sessions are deterministic; backends only change *where* they
-run), which `tests/runtime/test_sharding_equivalence.py` pins.
+Both backends reduce each shard session's result to match columns
+(:class:`~repro.runtime.shard_result.ShardResult`) — the process
+backend in the worker, so only columns, counters and the trace cross
+back — and bind them to the plan's shard inputs
+(:meth:`~repro.runtime.sharding.ShardOutcome.of`).  They produce the
+same merged result for the same plan (the per-shard sessions are
+deterministic; backends only change *where* they run), which
+`tests/runtime/test_sharding_equivalence.py` pins.
 
 Observers: pass an :class:`AggregatedEventBus` to keep existing collectors
 working across shards.  The serial backend forwards every shard event
@@ -89,6 +94,7 @@ from repro.runtime.failures import (
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedFaultError
 from repro.runtime.handoff import AttachedBlock, BlockDescriptor, CancelFlag
 from repro.runtime.session import AdaptiveJoinResult, JoinSession
+from repro.runtime.shard_result import ShardResult
 from repro.runtime.sharding import (
     Partitioner,
     PublishedPlanBlocks,
@@ -412,12 +418,11 @@ class FailureContext:
                     self.clock,
                     self.sleep,
                 )
-                outcome = ShardOutcome(
-                    shard_id=shard_id,
-                    result=result,
-                    left_origins=self.plan.left_shards[shard_id].origins,
-                    right_origins=self.plan.right_shards[shard_id].origins,
-                    wall_seconds=self.clock() - started,
+                outcome = ShardOutcome.of(
+                    self.plan,
+                    shard_id,
+                    ShardResult.from_session(result),
+                    self.clock() - started,
                 )
                 return None if _never_ran(outcome) else outcome
             except Exception as error:  # noqa: BLE001 - policy decides below
@@ -598,7 +603,7 @@ def _shard_task(
     )
 
 
-def _run_shard_task(task: _ShardTask) -> Tuple[int, AdaptiveJoinResult, float]:
+def _run_shard_task(task: _ShardTask) -> Tuple[int, ShardResult, float]:
     """Process-pool worker: run one shard *attempt* from its pickled task.
 
     Timeouts and injected faults are enforced here, in-worker, through
@@ -607,9 +612,10 @@ def _run_shard_task(task: _ShardTask) -> Tuple[int, AdaptiveJoinResult, float]:
     process boundary.  Failures come back as picklable
     :class:`ShardExecutionError`\\ s; the coordinator applies the policy
     (retry = resubmit, degrade = record, fail-fast = raise).  Shared-memory
-    attachments are closed before returning on every path; the result
-    carries only decoded records, so nothing in it references a segment
-    once the worker is done.
+    attachments are closed before returning on every path.  The result
+    goes back as match columns (:class:`ShardResult`): no match event,
+    stored tuple or record crosses back to the parent, which already holds
+    the shard's records in its plan.
     """
     started = time.perf_counter()
     attachments: List[AttachedBlock] = []
@@ -659,7 +665,11 @@ def _run_shard_task(task: _ShardTask) -> Tuple[int, AdaptiveJoinResult, float]:
             attached.close()
         if cancel is not None:
             cancel.close()
-    return task.shard_id, result, time.perf_counter() - started
+    return (
+        task.shard_id,
+        ShardResult.from_session(result),
+        time.perf_counter() - started,
+    )
 
 
 def _ensure_picklable(obj: object, what: str) -> None:
@@ -783,7 +793,7 @@ def _process_backend(
             published.release()
         raise
     failed = True
-    completed: Dict[int, Tuple[AdaptiveJoinResult, float]] = {}
+    completed: Dict[int, ShardOutcome] = {}
     next_publish = 0
     try:
         future_tasks = {
@@ -887,7 +897,9 @@ def _process_backend(
                 if future.exception() is not None:
                     continue
                 shard_id, result, wall_seconds = future.result()
-                completed[shard_id] = (result, wall_seconds)
+                completed[shard_id] = ShardOutcome.of(
+                    plan, shard_id, result, wall_seconds
+                )
             # Stream completions progressively, in shard-id order: shard
             # k's event goes out as soon as shards 0..k have finished,
             # without waiting for the whole run (a live progress feed).
@@ -895,9 +907,11 @@ def _process_backend(
             # shard's gap after the loop, like cancellation does.
             if bus is not None:
                 while next_publish in completed:
-                    result, wall_seconds = completed[next_publish]
+                    outcome = completed[next_publish]
                     bus.publish(
-                        ShardCompleted(next_publish, result, wall_seconds)
+                        ShardCompleted(
+                            next_publish, outcome.result, outcome.wall_seconds
+                        )
                     )
                     next_publish += 1
         failed = False
@@ -907,8 +921,10 @@ def _process_backend(
         if bus is not None:
             for shard_id in sorted(completed):
                 if shard_id >= next_publish:
-                    result, wall_seconds = completed[shard_id]
-                    bus.publish(ShardCompleted(shard_id, result, wall_seconds))
+                    outcome = completed[shard_id]
+                    bus.publish(
+                        ShardCompleted(shard_id, outcome.result, outcome.wall_seconds)
+                    )
     finally:
         pool.shutdown(wait=not failed, cancel_futures=True)
         # Segments live exactly one run: close + unlink on success,
@@ -916,16 +932,7 @@ def _process_backend(
         # close before returning, so nothing dangles.
         if published is not None:
             published.release()
-    return [
-        ShardOutcome(
-            shard_id=shard_id,
-            result=result,
-            left_origins=plan.left_shards[shard_id].origins,
-            right_origins=plan.right_shards[shard_id].origins,
-            wall_seconds=wall_seconds,
-        )
-        for shard_id, (result, wall_seconds) in sorted(completed.items())
-    ]
+    return [completed[shard_id] for shard_id in sorted(completed)]
 
 
 #: The execution backends by name.  A backend is a callable ``(plan,

@@ -17,10 +17,10 @@ in :mod:`repro.runtime.parallel`):
   and remembers each shard record's *origin* index so merged results can
   report global pair identities;
 * :class:`ShardedJoinResult` — the mergeable aggregate over per-shard
-  :class:`~repro.runtime.session.AdaptiveJoinResult`s: merged match
-  tuple, merged :class:`~repro.joins.base.OperationCounters`, a
-  shard-tagged step-offset-aware merged
-  :class:`~repro.core.trace.ExecutionTrace`
+  results, each a :class:`~repro.runtime.shard_result.ShardResult` of
+  match columns: merged pairs (events rebuilt only on demand), merged
+  :class:`~repro.joins.base.OperationCounters`, a shard-tagged
+  step-offset-aware merged :class:`~repro.core.trace.ExecutionTrace`
   (:func:`repro.core.trace.merge_traces`), with the per-shard detail
   preserved for debugging.
 
@@ -96,7 +96,7 @@ from repro.runtime.handoff import (
     publish_block,
     shared_memory_available,
 )
-from repro.runtime.session import AdaptiveJoinResult
+from repro.runtime.shard_result import ShardResult
 
 #: Chunk size for splitting bulk-capable streams (one slice per chunk).
 _BULK_SPLIT_BATCH = 8192
@@ -946,8 +946,9 @@ class FirstShardWins:
     The first (lowest-id in merge order, first-to-discover in streaming
     order) shard to produce a global pair *owns* it and contributes all
     its events for that pair; later shards' rediscoveries are dropped.
-    Shared by :attr:`ShardedJoinResult._deduped` (merge time) and the
-    jobs layer's incremental sharded streaming — one rule, no drift.
+    Shared by :attr:`ShardedJoinResult._deduped` (merge time), the jobs
+    layer's incremental sharded streaming and the server's match feed —
+    one rule, no drift.
     """
 
     __slots__ = ("_owner",)
@@ -959,33 +960,89 @@ class FirstShardWins:
         """Whether ``shard_id`` owns ``pair`` (claiming it if unclaimed)."""
         return self._owner.setdefault(pair, shard_id) == shard_id
 
+    def owned(
+        self, pairs: Sequence[Tuple[int, int]], shard_id: int
+    ) -> Optional[List[int]]:
+        """Positions of the ``pairs`` that ``shard_id`` owns (claiming them).
+
+        ``None`` when it owns every one — the common, disjoint case — so
+        callers can keep a shard's columns whole without copying them.
+        """
+        claim = self._owner.setdefault
+        kept = [
+            index
+            for index, pair in enumerate(pairs)
+            if claim(pair, shard_id) == shard_id
+        ]
+        return None if len(kept) == len(pairs) else kept
+
 
 @dataclass
 class ShardOutcome:
-    """One shard's complete result, with the origin maps to globalise it."""
+    """One shard's result as match columns, bound to the plan that ran it.
+
+    ``result`` is a :class:`~repro.runtime.shard_result.ShardResult`; the
+    origin maps translate its shard-local ordinals into global input
+    positions.  Build one with :meth:`of`, which also binds the result to
+    the plan's shard inputs so its ``matches`` can be rebuilt on demand.
+    A decoded outcome (:func:`repro.jobs.serialization.decode_shard_outcome`)
+    carries no origins until it is bound the same way.
+    """
 
     shard_id: int
-    result: AdaptiveJoinResult
+    result: ShardResult
     #: Shard-local ordinal → original input index, per side.
-    left_origins: List[int]
-    right_origins: List[int]
+    left_origins: Sequence[int] = ()
+    right_origins: Sequence[int] = ()
     #: Wall-clock seconds the shard session took (as measured by its
     #: backend worker; includes session construction).
     wall_seconds: float = 0.0
 
+    @classmethod
+    def of(
+        cls,
+        plan: "ShardPlan",
+        shard_id: int,
+        result: ShardResult,
+        wall_seconds: float = 0.0,
+    ) -> "ShardOutcome":
+        """The outcome of ``plan``'s shard ``shard_id``, bound to its inputs."""
+        left_input = plan.left_shards[shard_id]
+        right_input = plan.right_shards[shard_id]
+        result.bind(left_input, right_input, plan.attribute)
+        return cls(
+            shard_id=shard_id,
+            result=result,
+            left_origins=left_input.origins,
+            right_origins=right_input.origins,
+            wall_seconds=wall_seconds,
+        )
+
+    def fits(self, plan: "ShardPlan") -> bool:
+        """Whether this (decoded) outcome can belong to ``plan``.
+
+        The shard id must exist and every ordinal must fall inside that
+        shard's inputs — what a job store checks before it binds an
+        outcome read back from disk.
+        """
+        return 0 <= self.shard_id < plan.shard_count and self.result.fits(
+            len(plan.left_shards[self.shard_id]),
+            len(plan.right_shards[self.shard_id]),
+        )
+
     def matched_pairs(self) -> List[Tuple[int, int]]:
         """Global ``(left index, right index)`` pairs of this shard.
 
-        :class:`~repro.joins.base.MatchEvent` ordinals are shard-local
-        arrival positions; the origin maps recorded by the
-        :class:`ShardPlan` translate them back to positions in the
-        original inputs, so pairs are comparable with an unsharded run.
+        The result's ordinals are shard-local arrival positions; the
+        origin maps recorded by the :class:`ShardPlan` translate them
+        back to positions in the original inputs, so pairs are
+        comparable with an unsharded run.
         """
         left_origins = self.left_origins
         right_origins = self.right_origins
         return [
-            (left_origins[event.left.ordinal], right_origins[event.right.ordinal])
-            for event in self.result.matches
+            (left_origins[left], right_origins[right])
+            for left, right in zip(self.result.left, self.result.right)
         ]
 
 
@@ -1054,39 +1111,53 @@ class ShardedJoinResult:
         return len(self.shards)
 
     @cached_property
-    def _deduped(self) -> Tuple[Tuple[MatchEvent, ...], Tuple[Tuple[int, int], ...]]:
-        """(events, global pairs) with cross-shard duplicates removed.
+    def _deduped(
+        self,
+    ) -> Tuple[Tuple[Optional[List[int]], ...], Tuple[Tuple[int, int], ...]]:
+        """(kept match positions per shard, global pairs), duplicates removed.
 
-        One pass in shard-id order: the first shard to discover a global
-        pair owns it (:class:`FirstShardWins`) and contributes *all* its
-        events for that pair (so a session configured with
-        ``deduplicate=False`` keeps its intra-shard repeats); later
-        shards' rediscoveries are dropped.
+        One pass over the match columns in shard-id order: the first
+        shard to discover a global pair owns it (:class:`FirstShardWins`)
+        and contributes *all* its matches for that pair (so a session
+        configured with ``deduplicate=False`` keeps its intra-shard
+        repeats); later shards' rediscoveries are dropped.  A shard's
+        entry is ``None`` when it keeps every match.
         """
         owner = FirstShardWins()
-        events: List[MatchEvent] = []
+        kept: List[Optional[List[int]]] = []
         pairs: List[Tuple[int, int]] = []
         for outcome in self.shards:
-            shard_id = outcome.shard_id
-            for event, pair in zip(outcome.result.matches, outcome.matched_pairs()):
-                if owner.owns(pair, shard_id):
-                    events.append(event)
-                    pairs.append(pair)
-        return tuple(events), tuple(pairs)
+            shard_pairs = outcome.matched_pairs()
+            positions = owner.owned(shard_pairs, outcome.shard_id)
+            kept.append(positions)
+            if positions is None:
+                pairs.extend(shard_pairs)
+            else:
+                pairs.extend(shard_pairs[index] for index in positions)
+        return tuple(kept), tuple(pairs)
 
-    @property
+    @cached_property
     def matches(self) -> Tuple[MatchEvent, ...]:
         """Deduplicated matched pairs: shard-id order, emission order within.
 
         Events carry *shard-local* tuple ordinals; use
         :meth:`matched_pairs` for globally comparable pair identities.
+        Rebuilt from the shards' match columns on first access (see
+        :class:`~repro.runtime.shard_result.ShardResult`).
         """
-        return self._deduped[0]
+        events: List[MatchEvent] = []
+        for outcome, positions in zip(self.shards, self._deduped[0]):
+            shard_events = outcome.result.matches
+            if positions is None:
+                events.extend(shard_events)
+            else:
+                events.extend(shard_events[index] for index in positions)
+        return tuple(events)
 
     @property
     def result_size(self) -> int:
         """Number of matched pairs after cross-shard dedup (``r_abs``)."""
-        return len(self._deduped[0])
+        return len(self._deduped[1])
 
     @property
     def raw_result_size(self) -> int:

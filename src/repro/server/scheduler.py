@@ -42,7 +42,11 @@ through the handle's external-driver surface (``begin_external`` /
 in :meth:`start`, before any scheduler thread exists.  They ignore
 SIGINT, so a Ctrl-C (which signals the whole process group) reaches the
 server alone, and the server stops them itself (cancel flag, then the
-pool's shutdown).
+pool's shutdown); a server killed outright leaves no worker behind,
+since each one exits once its parent pid changes.  A shard's result
+comes back as match columns
+(:class:`~repro.runtime.shard_result.ShardResult`), which the store
+persists and the feed formats without building a match event.
 
 A worker that dies (killed, out of memory, or caught by a process-group
 SIGTERM) breaks the whole pool: every shard in flight on it is lost,
@@ -110,6 +114,7 @@ import multiprocessing
 import os
 import signal
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -127,12 +132,12 @@ from typing import (
 )
 
 from repro.jobs.builder import JobSpec
-from repro.jobs.handle import DEFAULT_STREAM_BATCH, JobHandle, StreamedMatch
+from repro.jobs.handle import DEFAULT_STREAM_BATCH, JobHandle
 from repro.jobs.serialization import PayloadError, build_job, normalize_payload
 from repro.runtime.collectors import ProgressSnapshot
 from repro.runtime.handoff import CancelFlag, share_segment_tracker
 from repro.runtime.parallel import _run_shard_task, _shard_task, _ShardTask
-from repro.runtime.session import AdaptiveJoinResult
+from repro.runtime.shard_result import ShardResult, mode_of
 from repro.runtime.sharding import (
     FirstShardWins,
     PublishedPlanBlocks,
@@ -241,24 +246,34 @@ class _Job:
 
 
 def _feed_lines(outcome: ShardOutcome, tag_shards: bool) -> _FeedLines:
-    """One shard's matches as (global pair, NDJSON line), in emission order."""
-    left_origins = outcome.left_origins
-    right_origins = outcome.right_origins
+    """One shard's matches as (global pair, NDJSON line), in emission order.
+
+    Read straight off the shard's match columns; no event is built.
+    """
+    result = outcome.result
     tag = outcome.shard_id if tag_shards else None
     lines: _FeedLines = []
-    for event in outcome.result.matches:
-        match = StreamedMatch(
-            left_origins[event.left.ordinal],
-            right_origins[event.right.ordinal],
-            event,
-            tag,
-        )
-        lines.append((match.pair, match_line(match)))
+    for pair, similarity, step, flags in zip(
+        outcome.matched_pairs(), result.similarity, result.step, result.flags
+    ):
+        mode = mode_of(flags).value
+        lines.append((pair, match_line(pair[0], pair[1], similarity, mode, step, tag)))
     return lines
 
 
-def _worker_signals() -> None:
-    """Pool-worker initializer: ignore SIGINT, die on SIGTERM.
+#: Seconds between a pool worker's checks that its server is still alive.
+_PARENT_POLL_SECONDS = 0.5
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Exit this worker process once ``parent`` is no longer its parent."""
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(1)
+
+
+def _worker_signals(server_pid: int) -> None:
+    """Pool-worker initializer: ignore SIGINT, die on SIGTERM, die with the server.
 
     Ctrl-C signals the whole foreground process group; a worker that
     raised ``KeyboardInterrupt`` mid-shard would fail its job, where the
@@ -266,10 +281,20 @@ def _worker_signals() -> None:
     action even if the embedding process installed a handler before the
     fork: when a worker dies, the pool terminates the survivors with
     SIGTERM and then joins them, and a survivor that lived on would hang
-    that join for good.
+    that join for good.  A server killed outright (SIGKILL, the OOM
+    killer) runs no shutdown, so each worker also watches its parent pid
+    from a daemon thread and exits when it is no longer ``server_pid`` —
+    taken before the fork, so a server that dies before this initializer
+    runs is noticed too.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    threading.Thread(
+        target=_exit_with_parent,
+        args=(server_pid,),
+        name="linkage-parent-watch",
+        daemon=True,
+    ).start()
 
 
 class JobScheduler:
@@ -377,6 +402,7 @@ class JobScheduler:
             max_workers=self.max_workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_worker_signals,
+            initargs=(os.getpid(),),
         )
         # Under fork the first submit launches every worker at once.
         pool.submit(os.getpid).result()
@@ -498,9 +524,12 @@ class JobScheduler:
         mid-run: adaptive ones are restored as cancelled-partial runs and
         re-enqueued as resume units (only the missing shards re-run);
         baseline ones re-run whole (their operators keep no partial
-        state).  A job whose stored payload no longer builds is skipped
-        and recorded in :attr:`unrestorable`; every other job still
-        restores.  Job numbering continues after the highest stored id,
+        state).  A shard record that does not decode, or does not fit the
+        rebuilt plan, counts as never persisted: its job is re-enqueued
+        as a resume unit even when its stored status is terminal, and the
+        shard runs again.  A job whose stored payload no longer builds is
+        skipped and recorded in :attr:`unrestorable`; every other job
+        still restores.  Job numbering continues after the highest stored id,
         so restored, skipped and new ids never collide.
         """
         resumed: List[str] = []
@@ -523,20 +552,24 @@ class JobScheduler:
                     self._next_seq = max(self._next_seq, seq)
                 job = self._admit(stored.job_id, handle, stored.payload)
                 job.pending.clear()
-                job.persisted = set(stored.outcomes)
                 if spec.strategy == "adaptive":
                     plan = job.plan or self._build_plan(spec)
                     job.plan = plan
                     outcomes = [
                         stored.outcomes[shard_id]
                         for shard_id in sorted(stored.outcomes)
+                        if stored.outcomes[shard_id].fits(plan)
                     ]
+                    lost = len(outcomes) < len(stored.outcomes) or bool(
+                        stored.undecodable
+                    )
+                    job.persisted = {outcome.shard_id for outcome in outcomes}
                     handle.restore(plan, outcomes)
                     job.unfolded.update(
                         self._unfolded_lines(job, handle.shard_outcomes)
                     )
                     self._fold(job)
-                    if stored.status is None and not handle.finished:
+                    if (stored.status is None or lost) and not handle.finished:
                         # Interrupted mid-run: re-enqueue as one resume
                         # unit, costed at the missing shards' volume.
                         job.resume = True
@@ -545,7 +578,7 @@ class JobScheduler:
                         missing_cost = sum(
                             max(sizes[s][0] * sizes[s][1], 1)
                             for s in range(plan.shard_count)
-                            if s not in stored.outcomes
+                            if s not in job.persisted
                         )
                         job.costs = {_WHOLE_JOB: float(max(missing_cost, 1))}
                         job.pending = [_WHOLE_JOB]
@@ -775,9 +808,7 @@ class JobScheduler:
             # In-flight shards then stop at their end, not mid-shard.
             job.cancel_flag = None
 
-    def _run_on_pool(
-        self, task: _ShardTask
-    ) -> Tuple[int, AdaptiveJoinResult, float]:
+    def _run_on_pool(self, task: _ShardTask) -> Tuple[int, ShardResult, float]:
         """Run one shard task on the pool; blocks without holding the GIL."""
         with self._pool_lock:
             try:
@@ -811,13 +842,7 @@ class JobScheduler:
             )
             _, result, wall_seconds = self._run_on_pool(task)
             if not result.never_ran:
-                outcome = ShardOutcome(
-                    shard_id=shard_id,
-                    result=result,
-                    left_origins=plan.left_shards[shard_id].origins,
-                    right_origins=plan.right_shards[shard_id].origins,
-                    wall_seconds=wall_seconds,
-                )
+                outcome = ShardOutcome.of(plan, shard_id, result, wall_seconds)
                 handle.record_shard_outcome(outcome)
                 if not result.cancelled:
                     # Partial (cancelled) shards are never persisted: a

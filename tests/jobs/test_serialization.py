@@ -12,6 +12,7 @@ from repro.jobs import (
     encode_shard_outcome,
     normalize_payload,
 )
+from repro.runtime.sharding import ShardOutcome, ShardPlan
 
 
 def _inline(table):
@@ -200,8 +201,20 @@ class TestOutcomeCodec:
         outcome = handle.shard_outcomes[0]
         decoded = decode_shard_outcome(encode_shard_outcome(outcome))
         assert decoded.shard_id == outcome.shard_id
-        assert decoded.left_origins == outcome.left_origins
-        assert decoded.result.matches == outcome.result.matches
+        assert decoded.wall_seconds == outcome.wall_seconds
+        assert decoded.result == outcome.result
+        # The columns carry no origins: bound to the rebuilt (same) plan,
+        # they give back the same pairs and events.
+        plan = ShardPlan.build(
+            small_dataset.parent, small_dataset.child, "location", 2,
+            config=handle.spec.run_config,
+        )
+        bound = ShardOutcome.of(
+            plan, decoded.shard_id, decoded.result, decoded.wall_seconds
+        )
+        assert bound.left_origins == outcome.left_origins
+        assert bound.matched_pairs() == outcome.matched_pairs()
+        assert bound.result.matches == outcome.result.matches
 
     def test_decode_rejects_garbage(self):
         import base64

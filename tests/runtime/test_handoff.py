@@ -60,6 +60,7 @@ from repro.runtime.parallel import (
 from repro.runtime.session import JoinSession
 from repro.runtime.sharding import (
     PrefixGramPartitioner,
+    ShardOutcome,
     ShardPlan,
 )
 
@@ -355,6 +356,10 @@ class TestShardTaskFactory:
                         published.descriptors,
                     )
                 )
+                # Workers return match columns; bind each to its own
+                # plan's records to compare the rebuilt events.
+                ShardOutcome.of(record_plan, shard_id, from_records)
+                ShardOutcome.of(block_plan, shard_id, from_blocks)
                 assert self._pairs(from_blocks) == self._pairs(from_records)
                 assert from_blocks.counters == from_records.counters
                 matched += len(from_blocks.matches)

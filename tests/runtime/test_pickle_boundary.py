@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import base64
 import importlib
+from array import array
 import pickle
 import subprocess
 import sys
@@ -34,8 +35,10 @@ from repro.devtools.pickle_boundary import (
     SUBPROCESS_CLASSES,
     registry_by_module,
 )
+from repro.core.state_machine import JoinState
+from repro.core.trace import ExecutionTrace
 from repro.engine.tuples import Record, Schema
-from repro.joins.base import JoinAttribute
+from repro.joins.base import JoinAttribute, OperationCounters
 from repro.runtime.config import RunConfig
 from repro.runtime.errors import (
     ShardError,
@@ -46,6 +49,7 @@ from repro.runtime.failures import ShardFailure
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedFaultError
 from repro.runtime.handoff import BlockDescriptor
 from repro.runtime.parallel import ShardInputPayload, _ShardTask
+from repro.runtime.shard_result import ShardResult
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -69,6 +73,24 @@ def _descriptor(name: str) -> BlockDescriptor:
         row_count=4,
         payload_size=128,
         shard_extents=(2, 2),
+    )
+
+
+def _shard_result() -> ShardResult:
+    trace = ExecutionTrace()
+    trace.total_steps = 9
+    trace.total_matches = 2
+    return ShardResult(
+        array("i", [0, 3]),
+        array("i", [1, 1]),
+        array("d", [1.0, 0.875]),
+        array("q", [2, 9]),
+        bytes([0x24, 0x7B]),
+        OperationCounters(exact_probes=4, matches_emitted=2),
+        trace,
+        JoinState.LEX_RAP,
+        SCHEMA.concat(SCHEMA, name="join"),
+        cancelled=True,
     )
 
 
@@ -110,6 +132,8 @@ def _build_instances():
         ),
         ("repro.runtime.handoff", "BlockDescriptor"): _descriptor("audit_seg"),
         ("repro.runtime.parallel", "ShardInputPayload"): _payload(),
+        # A worker's return: match columns plus counters and trace.
+        ("repro.runtime.shard_result", "ShardResult"): _shard_result(),
         # Both side-payload kinds in one task: a shared-memory descriptor
         # on the left, shipped records on the right.
         ("repro.runtime.parallel", "_ShardTask"): _ShardTask(

@@ -26,7 +26,7 @@ def _event(similarity=0.91234, step=7):
 class TestMatchLine:
     def test_is_the_cli_stream_line(self):
         match = StreamedMatch(3, 9, _event(), shard_id=1)
-        line = match_line(match)
+        line = match_line(3, 9, 0.91234, "approximate", 7, 1)
         assert line == (json.dumps(match.to_json()) + "\n").encode("utf-8")
         decoded = json.loads(line)
         assert decoded == {
@@ -39,8 +39,10 @@ class TestMatchLine:
         }
 
     def test_unsharded_match_has_no_shard_key(self):
-        decoded = json.loads(match_line(StreamedMatch(3, 9, _event())))
-        assert "shard" not in decoded
+        match = StreamedMatch(3, 9, _event())
+        line = match_line(3, 9, 0.91234, "approximate", 7)
+        assert line == (json.dumps(match.to_json()) + "\n").encode("utf-8")
+        assert "shard" not in json.loads(line)
 
 
 class TestBodies:
