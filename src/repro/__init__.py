@@ -6,13 +6,13 @@ The package is organised in layers, bottom-up:
 
 ``repro.engine``
     A small pipelined, iterator-based query-engine substrate: records,
-    schemas, in-memory tables, streaming sources and relational operators
-    built on the classical OPEN/NEXT/CLOSE protocol with explicit quiescent
-    states (the property that makes safe operator replacement possible).
+    schemas, in-memory tables, streaming sources and the classical
+    OPEN/NEXT/CLOSE protocol with explicit quiescent states (the property
+    that makes safe operator replacement possible).
 
 ``repro.similarity``
     String-similarity substrate: q-gram tokenisation and Jaccard similarity
-    (the measure used by the paper), plus edit-based and hybrid measures.
+    (the measure used by the paper).
 
 ``repro.stats``
     Probability and streaming-statistics substrate: binomial distribution,
@@ -41,9 +41,9 @@ The package is organised in layers, bottom-up:
     the ``EventBus`` the engine publishes step/match/switch events onto.
 
 ``repro.linkage``
-    A thin record-linkage toolkit layer (decision rules, blocking,
-    evaluation against ground truth) and the high-level ``link_tables``
-    entry point (a compatibility wrapper over the jobs layer).
+    A thin record-linkage toolkit layer (evaluation against ground truth)
+    and the high-level ``link_tables`` entry point (a compatibility wrapper
+    over the jobs layer).
 
 ``repro.jobs``
     The job-oriented public API: the fluent ``LinkageJob`` builder

@@ -4,32 +4,12 @@ This package provides the minimal relational machinery the adaptive join
 needs: typed records and schemas, in-memory tables that can also be consumed
 as streams, the classical ``OPEN``/``NEXT``/``CLOSE`` iterator protocol with
 explicit *quiescent states* (the hook exploited by adaptive operator
-replacement, following Eurviriyanukul et al.), and a handful of relational
-operators (scan, select, project, limit, union, materialise) so that the
-join operators can be composed into small pipelined plans.
+replacement, following Eurviriyanukul et al.), and the record streams the
+symmetric join operators consume.
 """
 
 from repro.engine.errors import EngineError, IteratorProtocolError, SchemaError
-from repro.engine.expressions import (
-    AttributeRef,
-    Comparison,
-    Conjunction,
-    Constant,
-    Disjunction,
-    Expression,
-    Negation,
-    attr,
-    const,
-)
 from repro.engine.iterators import Operator, OperatorState, OperatorStats
-from repro.engine.operators import (
-    Limit,
-    Materialise,
-    Project,
-    Select,
-    TableScan,
-    Union,
-)
 from repro.engine.streams import ListStream, RecordStream, interleave
 from repro.engine.table import Table
 from repro.engine.tuples import Record, Schema
@@ -38,24 +18,9 @@ __all__ = [
     "EngineError",
     "IteratorProtocolError",
     "SchemaError",
-    "Expression",
-    "AttributeRef",
-    "Constant",
-    "Comparison",
-    "Conjunction",
-    "Disjunction",
-    "Negation",
-    "attr",
-    "const",
     "Operator",
     "OperatorState",
     "OperatorStats",
-    "TableScan",
-    "Select",
-    "Project",
-    "Limit",
-    "Union",
-    "Materialise",
     "RecordStream",
     "ListStream",
     "interleave",

@@ -17,8 +17,7 @@ This module captures that protocol:
   tuples produced, NEXT calls, …) that the MAR monitor can observe.
 
 The join operators in :mod:`repro.joins` extend :class:`Operator` with an
-explicit ``is_quiescent()`` test; relational operators in
-:mod:`repro.engine.operators` are trivially quiescent after every ``NEXT``.
+explicit ``is_quiescent()`` test.
 """
 
 from __future__ import annotations

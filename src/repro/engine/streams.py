@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
-from repro.engine.iterators import Operator
 from repro.engine.table import Table
 from repro.engine.tuples import Record, Schema
 
@@ -222,28 +221,6 @@ class IteratorStream(RecordStream):
 
     def _next(self) -> Optional[Record]:
         return next(self._iterator, None)
-
-
-class OperatorStream(RecordStream):
-    """A stream over the output of an :class:`~repro.engine.iterators.Operator`.
-
-    The operator is opened lazily on first pull and closed on exhaustion,
-    allowing pipelined plans to feed the symmetric joins.
-    """
-
-    def __init__(self, operator: Operator, name: str = "") -> None:
-        super().__init__(operator.output_schema, name=name or operator.name)
-        self._operator = operator
-        self._opened = False
-
-    def _next(self) -> Optional[Record]:
-        if not self._opened:
-            self._operator.open()
-            self._opened = True
-        record = self._operator.next_record()
-        if record is None:
-            self._operator.close()
-        return record
 
 
 class GeneratorStream(RecordStream):

@@ -2,9 +2,8 @@
 
 A :class:`Table` is an ordered, in-memory collection of
 :class:`~repro.engine.tuples.Record` objects sharing one schema.  Tables can
-be scanned through the iterator protocol (:class:`~repro.engine.operators.TableScan`)
-or consumed as streams, which is the mode of use in the paper (joins over
-inputs that "are actually data streams").
+be iterated or consumed as streams, which is the mode of use in the paper
+(joins over inputs that "are actually data streams").
 """
 
 from __future__ import annotations

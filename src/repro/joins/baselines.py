@@ -6,7 +6,7 @@ Three baselines accompany the adaptive operator:
   role is as a correctness oracle: any exact join must produce the same set
   of pairs.
 * :class:`NestedLoopSimilarityJoin` — the naive O(n·m) similarity join that
-  compares every pair with the similarity function directly.  It is the
+  compares every pair with the q-gram Jaccard similarity directly.  It is the
   correctness oracle for SSHJoin (same result set) and the illustration of
   the quadratic cost the paper wants to avoid.
 * :class:`BlockingLinkageJoin` — the conventional *offline* record-linkage
@@ -26,7 +26,7 @@ from repro.engine.iterators import Operator
 from repro.engine.table import Table
 from repro.engine.tuples import Record, Schema
 from repro.joins.base import JoinAttribute
-from repro.similarity.registry import SimilarityFunction, get_similarity
+from repro.similarity.setsim import jaccard_qgram_similarity
 
 
 def _resolve_attribute(attribute: Union[str, JoinAttribute]) -> JoinAttribute:
@@ -85,11 +85,9 @@ class NestedLoopSimilarityJoin(Operator):
 
     Parameters
     ----------
-    similarity:
-        A similarity function ``(str, str) -> float`` or the name of a
-        registered one; defaults to the paper's q-gram Jaccard.
     threshold:
-        Minimum similarity for a pair to be part of the result.
+        Minimum q-gram Jaccard similarity for a pair to be part of the
+        result.
     """
 
     def __init__(
@@ -98,7 +96,6 @@ class NestedLoopSimilarityJoin(Operator):
         right: Table,
         attribute: Union[str, JoinAttribute],
         threshold: float = 0.85,
-        similarity: Union[str, SimilarityFunction] = "jaccard_qgram",
         name: str = "",
     ) -> None:
         super().__init__(
@@ -110,7 +107,6 @@ class NestedLoopSimilarityJoin(Operator):
         self._right = right
         self._attribute = _resolve_attribute(attribute)
         self._threshold = threshold
-        self._similarity = get_similarity(similarity)
         self._results: List[Record] = []
         self._cursor = 0
         self.comparisons = 0
@@ -126,7 +122,7 @@ class NestedLoopSimilarityJoin(Operator):
             for right_record in self._right:
                 self.comparisons += 1
                 if (
-                    self._similarity(left_value, str(right_record[right_attr]))
+                    jaccard_qgram_similarity(left_value, str(right_record[right_attr]))
                     >= self._threshold
                 ):
                     self._results.append(
@@ -172,7 +168,6 @@ class BlockingLinkageJoin(Operator):
         right: Table,
         attribute: Union[str, JoinAttribute],
         threshold: float = 0.85,
-        similarity: Union[str, SimilarityFunction] = "jaccard_qgram",
         blocking_key: Callable[[str], str] = default_blocking_key,
         name: str = "",
     ) -> None:
@@ -181,7 +176,6 @@ class BlockingLinkageJoin(Operator):
         self._right = right
         self._attribute = _resolve_attribute(attribute)
         self._threshold = threshold
-        self._similarity = get_similarity(similarity)
         self._blocking_key = blocking_key
         self._results: List[Record] = []
         self._cursor = 0
@@ -202,7 +196,7 @@ class BlockingLinkageJoin(Operator):
             for left_record in blocks.get(self._blocking_key(right_value), ()):
                 self.comparisons += 1
                 if (
-                    self._similarity(str(left_record[left_attr]), right_value)
+                    jaccard_qgram_similarity(str(left_record[left_attr]), right_value)
                     >= self._threshold
                 ):
                     self._results.append(

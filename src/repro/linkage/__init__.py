@@ -1,42 +1,16 @@
 """Record-linkage toolkit layer.
 
 A thin layer above the join operators that speaks the vocabulary of the
-record-linkage literature the paper builds on: match decision rules
-(threshold classification with an optional "possible match" band), blocking
-strategies for the offline baseline, evaluation of a linkage result against
-ground truth, and a high-level :func:`~repro.linkage.api.link_tables` entry
-point that picks between the exact, approximate, blocking and adaptive
-strategies.
+record-linkage literature the paper builds on: evaluation of a linkage
+result against ground truth, and a high-level
+:func:`~repro.linkage.api.link_tables` entry point that picks between the
+exact, approximate, blocking and adaptive strategies.
 """
 
-from repro.linkage.blocking import (
-    BlockingStrategy,
-    FirstCharactersBlocking,
-    QGramBlocking,
-    SortedNeighbourhoodBlocking,
-    candidate_pairs,
-)
 from repro.linkage.evaluation import LinkageEvaluation, evaluate_pairs
-from repro.linkage.rules import (
-    MatchDecision,
-    MatchRule,
-    ThresholdRule,
-    TwoThresholdRule,
-    classify_pair,
-)
 from repro.linkage.api import LinkageResult, link_tables
 
 __all__ = [
-    "MatchDecision",
-    "MatchRule",
-    "ThresholdRule",
-    "TwoThresholdRule",
-    "classify_pair",
-    "BlockingStrategy",
-    "FirstCharactersBlocking",
-    "QGramBlocking",
-    "SortedNeighbourhoodBlocking",
-    "candidate_pairs",
     "LinkageEvaluation",
     "evaluate_pairs",
     "LinkageResult",

@@ -518,7 +518,7 @@ class ShardPlan:
     Splitting honours the stream contract: inputs advertising
     ``supports_bulk_pull`` (tables, in-memory streams) are split through
     chunked bulk pulls; lazy sources (``IteratorStream``,
-    ``GeneratorStream``, operators) are fanned out in a single pass of
+    ``GeneratorStream``) are fanned out in a single pass of
     ``next_record`` — each record is pulled exactly once and never ahead
     of need, so a partially consumed or expensive producer is drained
     without over-pull.

@@ -9,8 +9,8 @@ skin, in three stdlib-only pieces:
   jobs on one shared worker budget, weighted fair-share dispatch at
   shard granularity, per-shard match buffers for any number of streaming
   readers, restart-resume from a job store.
-* :mod:`repro.server.store` — the :class:`JobStore` contract plus the
-  in-memory and append-only JSONL backends.
+* :mod:`repro.server.store` — the :class:`JobStore` contract (whose
+  default keeps nothing) and the append-only JSONL backend.
 * :mod:`repro.server.app` — :class:`LinkageServer`: the
   :mod:`http.server`-based front end (``POST /jobs``, ``GET /jobs/{id}``,
   chunked NDJSON ``/matches`` byte-identical to ``repro link --stream``,
@@ -35,7 +35,7 @@ from repro.server.scheduler import (
     QueueFull,
     UnknownJob,
 )
-from repro.server.store import JobStore, JsonlJobStore, MemoryJobStore, StoredJob
+from repro.server.store import JobStore, JsonlJobStore, StoredJob
 
 __all__ = [
     "JobScheduler",
@@ -43,7 +43,6 @@ __all__ = [
     "JsonlJobStore",
     "LinkageServer",
     "MatchesUnavailable",
-    "MemoryJobStore",
     "QueueFull",
     "StoredJob",
     "UnknownJob",

@@ -144,7 +144,7 @@ from repro.runtime.sharding import (
     ShardOutcome,
     ShardPlan,
 )
-from repro.server.store import JobStore, MemoryJobStore
+from repro.server.store import JobStore
 from repro.server.wire import job_status_body, match_line, spec_echo
 
 __all__ = [
@@ -310,7 +310,8 @@ class JobScheduler:
         Admission bound on open jobs; exceeding it raises
         :class:`QueueFull`.
     store:
-        The persistence backend (defaults to :class:`MemoryJobStore`).
+        The persistence backend (defaults to :class:`JobStore`, which
+        keeps nothing).
     autostart:
         Start the workers immediately.  Fairness tests pass ``False``,
         queue several jobs, then :meth:`start` — making the dispatch
@@ -341,7 +342,7 @@ class JobScheduler:
             raise ValueError(f"max_workers must be at least 1, got {max_workers}")
         if max_queued < 1:
             raise ValueError(f"max_queued must be at least 1, got {max_queued}")
-        self.store = store if store is not None else MemoryJobStore()
+        self.store = store if store is not None else JobStore()
         self.max_workers = max_workers
         self.max_queued = max_queued
         self._shard_batch = shard_batch

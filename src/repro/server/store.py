@@ -5,11 +5,10 @@ at admission, each completed (non-partial) shard outcome as it lands,
 and the terminal status — and asks for all of it back at startup.  That
 contract is deliberately small, so backends are trivial to add:
 
-* :class:`MemoryJobStore` — the in-process default.  Nothing survives a
-  restart (its :meth:`~MemoryJobStore.load` only ever feeds a scheduler
-  sharing the same process), but it keeps the very lines the JSONL
-  backend writes and replays them through the same code, so tests run
-  against the real record/replay logic.
+* :class:`JobStore` — the default, which keeps nothing: its writes are
+  no-ops and :meth:`~JobStore.load` returns no job.  A server without a
+  store never calls ``restore()``, so a retained log would serve no one
+  and only grow with every job it ran.
 * :class:`JsonlJobStore` — an append-only JSON-lines file.  Every write
   is one appended line (``job`` / ``shard`` / ``status``), flushed
   immediately; :meth:`~JsonlJobStore.load` replays the log into per-job
@@ -31,9 +30,9 @@ What restart-resume relies on, exactly:
   lists its shard id in :attr:`StoredJob.undecodable` and goes on, and the
   scheduler re-runs that shard through resume.
 
-Both backends hold a shard outcome as the one encoded string
+The JSONL backend holds a shard outcome as the one encoded string
 :func:`~repro.jobs.serialization.encode_shard_outcome` makes — match
-columns, no match events or records — and decode it in ``load()``.
+columns, no match events or records — and decodes it in ``load()``.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.jobs.serialization import (
     PayloadError,
@@ -51,7 +50,7 @@ from repro.jobs.serialization import (
 )
 from repro.runtime.sharding import ShardOutcome
 
-__all__ = ["JobStore", "JsonlJobStore", "MemoryJobStore", "StoredJob"]
+__all__ = ["JobStore", "JsonlJobStore", "StoredJob"]
 
 
 @dataclass
@@ -91,117 +90,34 @@ class StoredJob:
 
 
 class JobStore:
-    """The persistence contract the scheduler writes through.
+    """The persistence contract the scheduler writes through — and the
+    default backend, which keeps nothing.
 
-    Implementations must be safe to call from multiple scheduler worker
-    threads; each method is one small atomic append-style operation.
+    Every write is a no-op and :meth:`load` returns ``[]``, so a server
+    on the default store holds no payload, outcome or status for the
+    jobs it has run.  Implementations that persist must be safe to call
+    from multiple scheduler worker threads; each method is one small
+    atomic append-style operation.
     """
 
     def add_job(self, job_id: str, payload: Dict[str, object]) -> None:
         """Record a newly admitted job and its canonical payload."""
-        raise NotImplementedError
 
     def record_shard(self, job_id: str, outcome: ShardOutcome) -> None:
         """Record one *complete* shard outcome (never partial ones)."""
-        raise NotImplementedError
 
     def set_status(self, job_id: str, status: str) -> None:
         """Record a job's terminal status."""
-        raise NotImplementedError
 
     def load(self) -> List[StoredJob]:
         """Replay the store into one row per known job, in admission order."""
-        raise NotImplementedError
+        return []
 
     def close(self) -> None:
         """Release any underlying resources (idempotent)."""
 
 
-class _LineLogStore(JobStore):
-    """A job store kept as the JSON-lines log both backends share.
-
-    Every write is one line (``job`` / ``shard`` / ``status``, see
-    :class:`JsonlJobStore`); :meth:`load` replays the lines in order.
-    Subclasses say where lines go (:meth:`_write_line`) and where they
-    come back from (:meth:`_read_lines`).
-    """
-
-    def _write_line(self, line: str) -> None:
-        raise NotImplementedError
-
-    def _read_lines(self) -> Iterable[str]:
-        raise NotImplementedError
-
-    def add_job(self, job_id: str, payload: Dict[str, object]) -> None:
-        self._write_line(
-            json.dumps({"type": "job", "job": job_id, "payload": payload})
-        )
-
-    def record_shard(self, job_id: str, outcome: ShardOutcome) -> None:
-        self._write_line(
-            json.dumps(
-                {
-                    "type": "shard",
-                    "job": job_id,
-                    "shard": outcome.shard_id,
-                    "outcome": encode_shard_outcome(outcome),
-                }
-            )
-        )
-
-    def set_status(self, job_id: str, status: str) -> None:
-        self._write_line(
-            json.dumps({"type": "status", "job": job_id, "status": status})
-        )
-
-    def load(self) -> List[StoredJob]:
-        jobs: Dict[str, StoredJob] = {}
-        for line in self._read_lines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # A crash mid-append can truncate the last line;
-                # everything before it is intact — skip and go on.
-                continue
-            if not isinstance(record, dict):
-                continue
-            kind = record.get("type")
-            job_id = record.get("job")
-            if kind == "job":
-                jobs[job_id] = StoredJob(job_id=job_id, payload=record["payload"])
-            elif kind == "shard" and job_id in jobs:
-                jobs[job_id].add_encoded(record.get("shard"), record.get("outcome"))
-            elif kind == "status" and job_id in jobs:
-                jobs[job_id].status = record["status"]
-        return list(jobs.values())
-
-
-class MemoryJobStore(_LineLogStore):
-    """The zero-persistence default backend: the log's lines, in memory.
-
-    Holds exactly the text :class:`JsonlJobStore` would write — payload
-    JSON and encoded match columns — so a long-lived server on this
-    store keeps no match events, records, tables or result objects for
-    the jobs it has run, and :meth:`load` replays through the same code.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._lines: List[str] = []
-
-    def _write_line(self, line: str) -> None:
-        with self._lock:
-            self._lines.append(line)
-
-    def _read_lines(self) -> Iterable[str]:
-        with self._lock:
-            return list(self._lines)
-
-
-class JsonlJobStore(_LineLogStore):
+class JsonlJobStore(JobStore):
     """Append-only JSON-lines disk backend (the restart-survivable one).
 
     Line types, one JSON object per line::
@@ -214,11 +130,13 @@ class JsonlJobStore(_LineLogStore):
     :func:`~repro.jobs.serialization.encode_shard_outcome`'s string: the
     shard's match columns, counters and trace — the pickle a worker
     returns — base64-wrapped once; no match event or record is written.
-    A shard line that does not decode is listed in
-    :attr:`StoredJob.undecodable` and skipped, never fatal.  The file is
-    opened in append mode and every write is flushed and fsync'd, so a
-    SIGTERM'd server's completed shards are on disk before the process
-    dies.
+    A line that does not parse, or parses to a record of the wrong shape
+    (a ``job`` that is not a string, a ``payload`` that is not an
+    object, a ``status`` that is not a string), is skipped; a shard line
+    that does not decode is listed in :attr:`StoredJob.undecodable` —
+    never fatal.  The file is opened in append mode and every write is
+    flushed and fsync'd, so a SIGTERM'd server's completed shards are on
+    disk before the process dies.
     """
 
     def __init__(self, path: str) -> None:
@@ -227,19 +145,79 @@ class JsonlJobStore(_LineLogStore):
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         self._file = open(path, "a", encoding="utf-8")
+        if self._file.tell() and not self._ends_with_newline():
+            # A crash mid-append left a torn last line: end it, so the
+            # next record starts a line of its own instead of being glued
+            # to the fragment and lost with it on the next load.
+            self._file.write("\n")
+            self._file.flush()
+            os.fsync(self._file.fileno())
 
-    def _write_line(self, line: str) -> None:
+    def _ends_with_newline(self) -> bool:
+        with open(self.path, "rb") as handle:
+            handle.seek(-1, os.SEEK_END)
+            return handle.read(1) == b"\n"
+
+    def _write_line(self, record: Dict[str, object]) -> None:
+        line = json.dumps(record)
         with self._lock:
             self._file.write(line + "\n")
             self._file.flush()
             os.fsync(self._file.fileno())
 
-    def _read_lines(self) -> Iterator[str]:
+    def add_job(self, job_id: str, payload: Dict[str, object]) -> None:
+        self._write_line({"type": "job", "job": job_id, "payload": payload})
+
+    def record_shard(self, job_id: str, outcome: ShardOutcome) -> None:
+        self._write_line(
+            {
+                "type": "shard",
+                "job": job_id,
+                "shard": outcome.shard_id,
+                "outcome": encode_shard_outcome(outcome),
+            }
+        )
+
+    def set_status(self, job_id: str, status: str) -> None:
+        self._write_line({"type": "status", "job": job_id, "status": status})
+
+    def load(self) -> List[StoredJob]:
+        jobs: Dict[str, StoredJob] = {}
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                yield from handle
+            # Lines are ASCII (``json.dumps`` escapes the rest); a byte
+            # that is not UTF-8 spoils only the line it is on.
+            with open(self.path, "r", encoding="utf-8", errors="replace") as handle:
+                for line in handle:
+                    self._replay(jobs, line)
         except FileNotFoundError:
+            pass
+        return list(jobs.values())
+
+    @staticmethod
+    def _replay(jobs: Dict[str, StoredJob], line: str) -> None:
+        """Fold one log line into ``jobs``; a malformed line changes nothing."""
+        line = line.strip()
+        if not line:
             return
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            # A crash mid-append can truncate the last line;
+            # everything before it is intact — skip and go on.
+            return
+        if not isinstance(record, dict) or not isinstance(record.get("job"), str):
+            return
+        kind, job_id = record.get("type"), record["job"]
+        if kind == "job":
+            payload = record.get("payload")
+            if isinstance(payload, dict):
+                jobs[job_id] = StoredJob(job_id=job_id, payload=payload)
+        elif kind == "shard" and job_id in jobs:
+            jobs[job_id].add_encoded(record.get("shard"), record.get("outcome"))
+        elif kind == "status" and job_id in jobs:
+            status = record.get("status")
+            if isinstance(status, str):
+                jobs[job_id].status = status
 
     def close(self) -> None:
         with self._lock:

@@ -2,58 +2,16 @@
 
 The paper measures string similarity with the Jaccard coefficient over
 q-grams (q = 3 by default).  This package implements that measure together
-with the q-gram machinery the SSHJoin operator needs (per-string q-gram
-sets, multisets and positional grams), and a set of alternative similarity
-functions (overlap, Dice, cosine over q-grams, Levenshtein, Damerau-
-Levenshtein, Jaro, Jaro-Winkler) used as extensions and in the linkage
-toolkit layer.
+with the q-gram tokenisation the SSHJoin operator needs.
 """
 
-from repro.similarity.qgrams import (
-    PADDING_CHAR,
-    qgram_multiset,
-    qgram_profile,
-    qgram_set,
-    qgrams,
-)
-from repro.similarity.setsim import (
-    cosine_qgram_similarity,
-    dice_similarity,
-    jaccard_qgram_similarity,
-    jaccard_similarity,
-    overlap_coefficient,
-)
-from repro.similarity.editdistance import (
-    damerau_levenshtein_distance,
-    levenshtein_distance,
-    levenshtein_similarity,
-)
-from repro.similarity.jaro import jaro_similarity, jaro_winkler_similarity
-from repro.similarity.registry import (
-    SimilarityFunction,
-    available_similarities,
-    get_similarity,
-    register_similarity,
-)
+from repro.similarity.qgrams import PADDING_CHAR, qgram_set, qgrams
+from repro.similarity.setsim import jaccard_qgram_similarity, jaccard_similarity
 
 __all__ = [
     "PADDING_CHAR",
     "qgrams",
     "qgram_set",
-    "qgram_multiset",
-    "qgram_profile",
     "jaccard_similarity",
     "jaccard_qgram_similarity",
-    "overlap_coefficient",
-    "dice_similarity",
-    "cosine_qgram_similarity",
-    "levenshtein_distance",
-    "levenshtein_similarity",
-    "damerau_levenshtein_distance",
-    "jaro_similarity",
-    "jaro_winkler_similarity",
-    "SimilarityFunction",
-    "register_similarity",
-    "get_similarity",
-    "available_similarities",
 ]

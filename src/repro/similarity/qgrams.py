@@ -14,8 +14,7 @@ the padded variant to match the paper's cost accounting.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, FrozenSet, List, Tuple
+from typing import FrozenSet, List
 
 PADDING_CHAR = "¤"  # unlikely to occur in real join-attribute values
 
@@ -60,41 +59,3 @@ def qgrams(text: str, q: int = 3, padded: bool = True) -> List[str]:
 def qgram_set(text: str, q: int = 3, padded: bool = True) -> FrozenSet[str]:
     """Return the *set* ``q(s)`` of distinct q-grams of ``text``."""
     return frozenset(qgrams(text, q=q, padded=padded))
-
-
-def qgram_multiset(text: str, q: int = 3, padded: bool = True) -> Counter:
-    """Return the multiset (Counter) of q-grams of ``text``.
-
-    Multiset semantics matter for strings with repeated substrings; the
-    SSHJoin counter-based probing works on multisets of grams so that the
-    threshold ``c(t') ≥ k`` has the intended meaning.
-    """
-    return Counter(qgrams(text, q=q, padded=padded))
-
-
-def qgram_profile(text: str, q: int = 3, padded: bool = True) -> Dict[str, int]:
-    """Return a plain-dict q-gram frequency profile of ``text``."""
-    return dict(qgram_multiset(text, q=q, padded=padded))
-
-
-def positional_qgrams(
-    text: str, q: int = 3, padded: bool = True
-) -> List[Tuple[int, str]]:
-    """Return ``(position, gram)`` pairs for ``text``.
-
-    Positional q-grams support positional filters (not used by the paper's
-    operator but exposed for the linkage toolkit layer and extensions).
-    """
-    return list(enumerate(qgrams(text, q=q, padded=padded)))
-
-
-def expected_qgram_count(value_length: int, q: int = 3) -> int:
-    """The paper's gram count for a value of length ``value_length``.
-
-    Table 1 of the paper uses ``|jA| + q − 1`` grams per value; this helper
-    centralises that formula so the cost model and tests agree with the
-    tokeniser.
-    """
-    if value_length <= 0:
-        return 0
-    return value_length + q - 1

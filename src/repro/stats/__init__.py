@@ -8,9 +8,7 @@ size is "statistically significantly" behind expectation:
 * the result-size model of Sec. 3.2 (``O_n ~ bin(n, n/|R|)``) and the
   outlier test of Eq. 1 — :mod:`repro.stats.completeness`;
 * sliding-window counters used by the ``µ`` predicates —
-  :mod:`repro.stats.windows`;
-* small online estimators (mean/variance, rate) used by the cost
-  calibration benches — :mod:`repro.stats.online`.
+  :mod:`repro.stats.windows`.
 """
 
 from repro.stats.binomial import (
@@ -26,7 +24,6 @@ from repro.stats.completeness import (
     binomial_outlier_probability,
     is_result_size_outlier,
 )
-from repro.stats.online import OnlineMeanVariance, RateEstimator
 from repro.stats.windows import BooleanHistory, SlidingWindowCounter
 
 __all__ = [
@@ -41,6 +38,4 @@ __all__ = [
     "is_result_size_outlier",
     "SlidingWindowCounter",
     "BooleanHistory",
-    "OnlineMeanVariance",
-    "RateEstimator",
 ]

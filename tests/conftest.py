@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import List
 
 import pytest
 
@@ -73,6 +74,82 @@ def reference_binomial_cdf():
 def summed_binomial_cdf():
     """The O(k) term-by-term binomial CDF the tail walk replaced."""
     return _summed_binomial_cdf
+
+
+def _levenshtein_distance(left: str, right: str) -> int:
+    """Levenshtein (insert/delete/substitute) distance between two strings.
+
+    A standard two-row dynamic program; O(len(left) * len(right)) time,
+    O(min(len)) space.
+    """
+    if left == right:
+        return 0
+    if not left:
+        return len(right)
+    if not right:
+        return len(left)
+    # Keep the shorter string as the column dimension to bound memory.
+    if len(right) > len(left):
+        left, right = right, left
+    previous: List[int] = list(range(len(right) + 1))
+    for i, left_char in enumerate(left, start=1):
+        current = [i] + [0] * len(right)
+        for j, right_char in enumerate(right, start=1):
+            substitution = previous[j - 1] + (0 if left_char == right_char else 1)
+            current[j] = min(previous[j] + 1, current[j - 1] + 1, substitution)
+        previous = current
+    return previous[-1]
+
+
+def _damerau_levenshtein_distance(left: str, right: str) -> int:
+    """Damerau-Levenshtein distance (adds adjacent transposition).
+
+    The restricted ("optimal string alignment") variant, which suffices for
+    recognising single-typo variants such as transposed characters.
+    """
+    if left == right:
+        return 0
+    if not left:
+        return len(right)
+    if not right:
+        return len(left)
+    rows = len(left) + 1
+    cols = len(right) + 1
+    table: List[List[int]] = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        table[i][0] = i
+    for j in range(cols):
+        table[0][j] = j
+    for i in range(1, rows):
+        for j in range(1, cols):
+            cost = 0 if left[i - 1] == right[j - 1] else 1
+            table[i][j] = min(
+                table[i - 1][j] + 1,
+                table[i][j - 1] + 1,
+                table[i - 1][j - 1] + cost,
+            )
+            if (
+                i > 1
+                and j > 1
+                and left[i - 1] == right[j - 2]
+                and left[i - 2] == right[j - 1]
+            ):
+                table[i][j] = min(table[i][j], table[i - 2][j - 2] + 1)
+    return table[-1][-1]
+
+
+@pytest.fixture(scope="session")
+def levenshtein_distance():
+    """Edit distance ``(str, str) -> int``: the data generator's variants
+    are one insert, delete or substitution away from the clean value."""
+    return _levenshtein_distance
+
+
+@pytest.fixture(scope="session")
+def damerau_levenshtein_distance():
+    """Edit distance that also counts one adjacent transposition as one
+    edit ``(str, str) -> int``, for transposition variants."""
+    return _damerau_levenshtein_distance
 
 
 @pytest.fixture

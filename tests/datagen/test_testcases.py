@@ -9,7 +9,6 @@ from repro.datagen.testcases import (
     generate_all_standard_cases,
     generate_test_case,
 )
-from repro.similarity.editdistance import levenshtein_distance
 
 
 class TestAccidentsGenerator:
@@ -102,7 +101,9 @@ class TestGeneratedDataset:
     def test_child_only_case_has_clean_parent(self, dataset):
         assert dataset.parent_variant_count == 0
 
-    def test_variants_are_single_edits_of_their_parent(self, dataset):
+    def test_variants_are_single_edits_of_their_parent(
+        self, dataset, levenshtein_distance
+    ):
         parent_locations = dataset.parent.column("location")
         for (parent_index, child_index) in dataset.true_pairs:
             child_location = dataset.child[child_index]["location"]

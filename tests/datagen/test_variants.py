@@ -12,7 +12,6 @@ from repro.datagen.variants import (
     substitute_character,
     transpose_characters,
 )
-from repro.similarity.editdistance import damerau_levenshtein_distance, levenshtein_distance
 
 
 @pytest.fixture
@@ -21,14 +20,14 @@ def rng():
 
 
 class TestOperators:
-    def test_substitute_changes_exactly_one_character(self, rng):
+    def test_substitute_changes_exactly_one_character(self, rng, levenshtein_distance):
         value = "TAA BZ SANTA CRISTINA VALGARDENA"
         variant = substitute_character(value, rng)
         assert variant != value
         assert len(variant) == len(value)
         assert levenshtein_distance(value, variant) == 1
 
-    def test_delete_removes_one_character(self, rng):
+    def test_delete_removes_one_character(self, rng, levenshtein_distance):
         value = "LIG GE GENOVA"
         variant = delete_character(value, rng)
         assert len(variant) == len(value) - 1
@@ -39,13 +38,15 @@ class TestOperators:
         assert len(variant) == 1
         assert variant != "A"
 
-    def test_insert_adds_one_character(self, rng):
+    def test_insert_adds_one_character(self, rng, levenshtein_distance):
         value = "LIG GE GENOVA"
         variant = insert_character(value, rng)
         assert len(variant) == len(value) + 1
         assert levenshtein_distance(value, variant) == 1
 
-    def test_transpose_swaps_adjacent_characters(self, rng):
+    def test_transpose_swaps_adjacent_characters(
+        self, rng, damerau_levenshtein_distance
+    ):
         value = "LIG GE GENOVA"
         variant = transpose_characters(value, rng)
         assert variant != value
@@ -66,14 +67,16 @@ class TestMakeVariant:
         for _ in range(50):
             assert make_variant(value, rng) != value
 
-    def test_default_operator_is_substitution(self, rng):
+    def test_default_operator_is_substitution(self, rng, levenshtein_distance):
         value = "LOM MI MILANO CENTRO"
         for _ in range(20):
             variant = make_variant(value, rng)
             assert len(variant) == len(value)
             assert levenshtein_distance(value, variant) == 1
 
-    def test_edit_distance_one_with_all_operators(self, rng):
+    def test_edit_distance_one_with_all_operators(
+        self, rng, damerau_levenshtein_distance
+    ):
         value = "VEN VE VENEZIA MESTRE"
         operators = ("substitute", "delete", "insert", "transpose")
         for _ in range(40):

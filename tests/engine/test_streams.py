@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.engine.operators import TableScan
 from repro.engine.streams import (
     GeneratorStream,
     IteratorStream,
     ListStream,
-    OperatorStream,
     TableStream,
     interleave,
 )
@@ -114,13 +112,6 @@ class TestIteratorAndGeneratorStreams:
         assert calls == []
         assert stream.next_record()["value"] == 9
         assert calls == [True]
-
-
-class TestOperatorStream:
-    def test_wraps_operator_output(self, schema):
-        table = Table(schema, _records(schema, [1, 2, 3]))
-        stream = OperatorStream(TableScan(table))
-        assert [r["value"] for r in stream] == [1, 2, 3]
 
 
 class TestInterleave:

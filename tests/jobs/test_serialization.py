@@ -126,6 +126,144 @@ class TestNormalize:
         assert len(handle.spec.right) == len(accidents_table)
 
 
+_SIDE = {"columns": ["row_id", "location"], "rows": [[0, "LIG GE GENOVA"]]}
+
+
+class TestNormalizeRejectsEachMalformedField:
+    """Every shape check of :func:`normalize_payload` answers with a
+    :class:`PayloadError` naming the field, never a ``KeyError`` or
+    ``TypeError`` the server would turn into a 500."""
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"left": None, "left_csv": ""}, "'left_csv' must be a non-empty path"),
+            ({"left": None, "left_csv": 5}, "'left_csv' must be a non-empty path"),
+            ({"left": [[0, "x"]]}, "'left' must be a JSON object"),
+            (
+                {"left": {**_SIDE, "types": ["int", "str"]}},
+                "unknown 'left' inline-table",
+            ),
+            ({"left": {**_SIDE, "columns": []}}, r"'left\.columns' must be"),
+            ({"left": {**_SIDE, "columns": [0, 1]}}, r"'left\.columns' must be"),
+            (
+                {"left": {**_SIDE, "columns": ["row_id", ""]}},
+                r"'left\.columns' must be",
+            ),
+            ({"left": {**_SIDE, "rows": "0,GENOVA"}}, r"'left\.rows' must be a list"),
+            (
+                {"left": {**_SIDE, "rows": [[0]]}},
+                r"'left\.rows\[0\]' must be a list of 2",
+            ),
+            ({"left": {**_SIDE, "rows": ["0,GENOVA"]}}, r"'left\.rows\[0\]'"),
+            (
+                {"right": {**_SIDE, "rows": [[0, "x"], [1, "y", "z"]]}},
+                r"'right\.rows\[1\]'",
+            ),
+            ({"attribute": ""}, "'attribute' is required"),
+            ({"attribute": 5}, "'attribute' is required"),
+            (
+                {"attribute": {"left": "location", "right": "location", "both": 1}},
+                "unknown 'attribute' key",
+            ),
+            ({"attribute": {"right": "location"}}, r"'attribute\.left'"),
+            ({"attribute": {"left": "location", "right": ""}}, r"'attribute\.right'"),
+            ({"strategy": "fuzzy"}, "unknown strategy 'fuzzy'"),
+            ({"threshold": "0.8"}, "'threshold' must be a number"),
+            ({"shards": 2.5}, "'shards' must be a number"),
+            ({"shards": True}, "'shards' must be a number"),
+            ({"max_workers": "4"}, "'max_workers' must be a number"),
+            ({"priority": -2}, "'priority' must be a positive integer"),
+            ({"backend": 3}, "'backend' must be a string"),
+            ({"partitioner": ["hash"]}, "'partitioner' must be a string"),
+            ({"handoff": 1}, "'handoff' must be a string"),
+            ({"thresholds": [0.8]}, "'thresholds' must be a JSON object"),
+            ({"policy": {"name": "mar", "budgte": 0.5}}, "unknown 'policy' key"),
+            ({"policy": {"budget": 0.5}}, r"'policy\.name'"),
+            ({"policy": 5}, "'policy' must be a JSON object"),
+            (
+                {"on_failure": {"policy": "retry", "retry": 2}},
+                "unknown 'on_failure' key",
+            ),
+            ({"on_failure": {"retries": 2}}, r"'on_failure\.policy'"),
+            ({"on_failure": ["retry"]}, "'on_failure' must be a JSON object"),
+            ({"progress": "yes"}, "'progress' must be a boolean"),
+        ],
+        ids=[
+            "left_csv-empty",
+            "left_csv-not-a-string",
+            "left-not-an-object",
+            "left-unknown-key",
+            "left-columns-empty",
+            "left-columns-not-names",
+            "left-columns-blank-name",
+            "left-rows-not-a-list",
+            "left-row-too-short",
+            "left-row-not-a-list",
+            "right-row-too-long",
+            "attribute-empty",
+            "attribute-not-a-name",
+            "attribute-unknown-key",
+            "attribute-left-missing",
+            "attribute-right-empty",
+            "strategy-unknown",
+            "threshold-a-string",
+            "shards-a-float",
+            "shards-a-bool",
+            "max_workers-a-string",
+            "priority-negative",
+            "backend-not-a-string",
+            "partitioner-not-a-string",
+            "handoff-not-a-string",
+            "thresholds-not-an-object",
+            "policy-unknown-key",
+            "policy-without-name",
+            "policy-not-an-object",
+            "on_failure-unknown-key",
+            "on_failure-without-policy",
+            "on_failure-not-an-object",
+            "progress-not-a-bool",
+        ],
+    )
+    def test_rejects(self, atlas_table, accidents_table, overrides, message):
+        payload = _payload(atlas_table, accidents_table, **overrides)
+        with pytest.raises(PayloadError, match=message):
+            normalize_payload(payload)
+
+    @pytest.mark.parametrize(
+        "overrides, key, canonical",
+        [
+            (
+                {"policy": "mar"},
+                "policy",
+                {"name": "mar", "budget": None, "seconds": None},
+            ),
+            (
+                {"on_failure": "retry"},
+                "on_failure",
+                {
+                    "policy": "retry",
+                    "retries": None,
+                    "backoff_seconds": None,
+                    "backoff_multiplier": None,
+                    "shard_timeout": None,
+                },
+            ),
+            (
+                {"attribute": {"left": "location", "right": "location"}},
+                "attribute",
+                {"left": "location", "right": "location"},
+            ),
+        ],
+        ids=["policy-name", "on_failure-name", "attribute-per-side"],
+    )
+    def test_expands_shorthand(
+        self, atlas_table, accidents_table, overrides, key, canonical
+    ):
+        payload = _payload(atlas_table, accidents_table, **overrides)
+        assert normalize_payload(payload)[key] == canonical
+
+
 class TestBuildJob:
     def test_builds_runnable_handle(self, atlas_table, accidents_table):
         handle = build_job(
@@ -184,6 +322,74 @@ class TestBuildJob:
             )
         )
         assert handle.spec.failure_policy is not None
+
+
+class TestBuildJobRejectsEachInvalidSetting:
+    """The builder's semantic checks reach the server as
+    :class:`PayloadError` too, one per setting."""
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"threshold": 0}, "similarity threshold must be in"),
+            ({"threshold": 1.5}, "similarity threshold must be in"),
+            ({"policy": {"name": "never-switch"}}, "unknown switch policy"),
+            ({"policy": {"name": "mar", "budget": 0}}, "budget_fraction must be in"),
+            (
+                {"policy": {"name": "deadline", "seconds": -1}},
+                "deadline_seconds must be positive",
+            ),
+            ({"shards": 0}, "shards must be at least 1"),
+            ({"shards": 2, "backend": "gpu"}, "unknown execution backend 'gpu'"),
+            ({"shards": 2, "partitioner": "range"}, "unknown partitioner 'range'"),
+            ({"shards": 2, "handoff": "mmap"}, "unknown handoff mode 'mmap'"),
+            ({"shards": 2, "max_workers": 0}, "max_workers must be at least 1"),
+            ({"on_failure": "ignore"}, "unknown failure policy 'ignore'"),
+            (
+                {"on_failure": {"policy": "retry", "retries": -1}},
+                "retries must be >= 0",
+            ),
+            (
+                {"on_failure": {"policy": "fail-fast", "retries": 2}},
+                "do not apply to the 'fail-fast' policy",
+            ),
+            (
+                {"strategy": "approximate", "policy": "mar"},
+                "only applies to the adaptive strategy",
+            ),
+            (
+                {"strategy": "blocking", "shards": 2},
+                "only available for the adaptive strategy",
+            ),
+            ({"left": None, "left_csv": "no-such-file.csv"}, "cannot read 'left_csv'"),
+        ],
+        ids=[
+            "threshold-zero",
+            "threshold-above-one",
+            "policy-unknown",
+            "policy-budget-zero",
+            "policy-deadline-negative",
+            "shards-zero",
+            "backend-unknown",
+            "partitioner-unknown",
+            "handoff-unknown",
+            "max_workers-zero",
+            "on_failure-unknown",
+            "on_failure-negative-retries",
+            "on_failure-fail-fast-with-retries",
+            "baseline-with-policy",
+            "baseline-sharded",
+            "left_csv-missing-file",
+        ],
+    )
+    def test_rejects(self, tmp_path, atlas_table, accidents_table, overrides, message):
+        if overrides.get("left_csv"):
+            overrides = {**overrides, "left_csv": str(tmp_path / overrides["left_csv"])}
+        payload = normalize_payload(
+            _payload(atlas_table, accidents_table, **overrides)
+        )
+        with pytest.raises(PayloadError, match=message):
+            build_job(payload)
 
 
 class TestOutcomeCodec:

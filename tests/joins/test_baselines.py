@@ -50,20 +50,6 @@ class TestNestedLoopSimilarityJoin:
                 atlas_table, accidents_table, "location", threshold=0.0
             )
 
-    def test_alternative_similarity_function(self, atlas_table, accidents_table):
-        join = NestedLoopSimilarityJoin(
-            atlas_table,
-            accidents_table,
-            "location",
-            threshold=0.9,
-            similarity="levenshtein",
-        )
-        records = join.run()
-        joined_child_ids = {r.values[2] for r in records}
-        # Levenshtein similarity of a one-character typo in a 20+ character
-        # string is well above 0.9, so the variants are recovered.
-        assert {102, 104, 106}.issubset(joined_child_ids)
-
 
 class TestBlockingLinkageJoin:
     def test_recovers_variants_within_blocks(self, atlas_table, accidents_table):

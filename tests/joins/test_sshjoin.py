@@ -49,7 +49,6 @@ class TestResultCorrectness:
             accidents_table,
             "location",
             threshold=threshold,
-            similarity="jaccard_qgram",
         ).run()
         assert {tuple(r.values) for r in records} == {tuple(r.values) for r in oracle}
 

@@ -7,7 +7,8 @@ break:
 * a server job builds no ``MatchEvent`` in the server process;
 * a shard line the store cannot decode (an older build's pickled
   outcome, corrupt base64) is re-run on restore, never fatal;
-* the default in-memory store holds text, not result objects;
+* the default store keeps nothing, so a server on it grows no faster
+  than one on a JSONL store;
 * pool workers exit on their own when the server is killed outright.
 """
 
@@ -31,7 +32,7 @@ from repro.joins.base import MatchEvent, StoredTuple
 from repro.runtime.session import JoinSession
 from repro.runtime.shard_result import ShardResult
 from repro.runtime.sharding import ShardOutcome, ShardPlan
-from repro.server import JobScheduler, JsonlJobStore, MemoryJobStore
+from repro.server import JobScheduler, JobStore, JsonlJobStore
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -192,13 +193,12 @@ before = rss_mib()
 run(40)
 gc.collect()
 after = rss_mib()
-held = sum(map(len, getattr(scheduler.store, "_lines", ()))) / 2**20
 scheduler.shutdown()
-print(after - before, held)
+print(after - before)
 """
 
 
-class TestMemoryStoreHoldsText:
+class TestDefaultStoreKeepsNothing:
     def test_no_result_object_is_reachable_from_the_store(self, small_payload):
         scheduler = JobScheduler(max_workers=2)
         try:
@@ -206,9 +206,8 @@ class TestMemoryStoreHoldsText:
                 job_id = scheduler.submit(small_payload)
                 assert _wait_terminal(scheduler, job_id) == "finished"
             store = scheduler.store
-            assert isinstance(store, MemoryJobStore)
-            (row, _) = store.load()
-            assert set(row.outcomes) == {0, 1, 2}
+            assert type(store) is JobStore
+            assert store.load() == []
         finally:
             scheduler.shutdown()
         banned = (ShardOutcome, ShardResult, MatchEvent, StoredTuple, Record)
@@ -219,23 +218,19 @@ class TestMemoryStoreHoldsText:
         ]
         assert leaked == []
 
-    def test_rss_grows_by_the_text_it_holds_and_no_more(self):
+    def test_rss_grows_no_more_than_on_a_jsonl_store(self):
         """40 2-shard 1 000 × 1 000 jobs on the default store grow RSS by
-        the JSONL text it keeps (payloads and encoded columns) plus at
-        most 2 MiB over the same jobs on a JSONL store."""
+        at most 2 MiB more than the same jobs on a JSONL store."""
         env = dict(os.environ, PYTHONPATH=_SRC)
         growth = {}
-        for backend in ("memory", "jsonl"):
+        for backend in ("default", "jsonl"):
             completed = subprocess.run(
                 [sys.executable, "-c", _RSS_SCRIPT, backend],
                 capture_output=True, text=True, env=env, timeout=240,
             )
             assert completed.returncode == 0, completed.stderr
-            growth[backend] = tuple(map(float, completed.stdout.split()))
-        memory_growth, held = growth["memory"]
-        jsonl_growth, _ = growth["jsonl"]
-        assert held > 0
-        assert memory_growth - held <= jsonl_growth + 2.0, growth
+            growth[backend] = float(completed.stdout)
+        assert growth["default"] <= growth["jsonl"] + 2.0, growth
 
 
 _ORPHAN_SCRIPT = """\

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -319,3 +320,69 @@ class TestRestartResume:
         assert f"restored 1 job(s) from {path}" in stderr
         assert "skipped stored job job-2: " in stderr
         assert "async" in stderr.split("skipped stored job job-2: ", 1)[1]
+
+
+def _load(path):
+    store = JsonlJobStore(str(path))
+    try:
+        return store.load()
+    finally:
+        store.close()
+
+
+class TestTornStore:
+    """A crash can cut the log at any byte: loading never fails, and what
+    survives restores to the CLI's feed."""
+
+    def test_any_cut_loads_and_restores_to_the_cli_feed(
+        self, tmp_path, small_payload
+    ):
+        path = str(tmp_path / "jobs.jsonl")
+        writer = JobScheduler(max_workers=2, store=JsonlJobStore(path))
+        job_id = writer.submit(small_payload)
+        assert _wait_terminal(writer, job_id) == "finished"
+        writer.shutdown()
+        data = Path(path).read_bytes()
+        assert data.count(b"\n") == 2 + small_payload["shards"]
+        ends = [i for i, byte in enumerate(data) if byte == ord("\n")]
+        starts = [0] + [end + 1 for end in ends]
+        records = [json.loads(line) for line in data.splitlines()]
+        shard_order = [r["shard"] for r in records if r["type"] == "shard"]
+
+        seeded = random.Random(41)
+        cuts = {
+            min(max(start + delta, 0), len(data))
+            for start in starts
+            for delta in range(-3, 10)
+        }
+        cuts.update(seeded.randrange(len(data) + 1) for _ in range(50))
+        torn = tmp_path / "torn.jsonl"
+        for cut in sorted(cuts):
+            torn.write_bytes(data[:cut])
+            rows = _load(torn)
+            # A record counts once its JSON is complete, newline or not.
+            whole = sum(end <= cut for end in ends)
+            if whole == 0:
+                assert rows == [], cut
+                continue
+            (row,) = rows
+            assert set(row.outcomes) == set(shard_order[: whole - 1]), cut
+            assert row.undecodable == set(), cut
+            assert row.status == ("finished" if whole == len(ends) else None), cut
+
+        reference = _reference_lines(small_payload)
+        restored = [starts[1] + 5, starts[2], starts[2] + 7, starts[3] - 1,
+                    starts[4] + 2, starts[5] - 1, len(data)]
+        for cut in restored:
+            torn.write_bytes(data[:cut])
+            revived = JobScheduler(max_workers=2, store=JsonlJobStore(str(torn)))
+            try:
+                revived.restore()
+                assert _wait_terminal(revived, job_id) == "finished", cut
+                assert _lines(revived, job_id) == reference, cut
+            finally:
+                revived.shutdown()
+            # The shards the revived server appended survive the next
+            # restart, even after a torn last line.
+            (row,) = _load(torn)
+            assert set(row.outcomes) == set(shard_order), cut

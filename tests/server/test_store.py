@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.thresholds import Thresholds
 from repro.jobs import LinkageJob, normalize_payload
-from repro.server.store import JobStore, JsonlJobStore, MemoryJobStore
+from repro.server.store import JobStore, JsonlJobStore
 
 
 def _outcome(small_dataset, shards=2):
@@ -21,28 +21,22 @@ def _outcome(small_dataset, shards=2):
     return handle.shard_outcomes[0]
 
 
-@pytest.fixture(params=["memory", "jsonl"])
-def store(request, tmp_path):
-    if request.param == "memory":
-        yield MemoryJobStore()
-    else:
-        backend = JsonlJobStore(str(tmp_path / "jobs.jsonl"))
-        yield backend
-        backend.close()
+@pytest.fixture
+def store(tmp_path):
+    backend = JsonlJobStore(str(tmp_path / "jobs.jsonl"))
+    yield backend
+    backend.close()
 
 
 class TestContract:
-    def test_base_class_methods_are_abstract(self):
+    def test_the_default_store_keeps_nothing(self, small_dataset):
         base = JobStore()
-        for call in (
-            lambda: base.add_job("j", {}),
-            lambda: base.record_shard("j", None),
-            lambda: base.set_status("j", "finished"),
-            lambda: base.load(),
-        ):
-            with pytest.raises(NotImplementedError):
-                call()
-        base.close()  # close() is a default no-op, not abstract
+        base.add_job("job-1", {"attribute": "location"})
+        base.record_shard("job-1", _outcome(small_dataset))
+        base.set_status("job-1", "finished")
+        assert base.load() == []
+        assert vars(base) == {}
+        base.close()
 
     def test_round_trip(self, store, small_dataset):
         payload = {"attribute": "location", "shards": 2}
@@ -105,6 +99,72 @@ class TestJsonlReplay:
         rows = backend.load()
         assert rows[0].status == "finished"
         backend.close()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            json.dumps({"type": "job", "job": "job-1"}).encode(),
+            json.dumps({"type": "job", "job": ["x"], "payload": {}}).encode(),
+            json.dumps({"type": "job", "job": "job-1", "payload": ["rows"]}).encode(),
+            json.dumps({"type": "status", "job": "job-1"}).encode(),
+            json.dumps({"type": "status", "job": "job-1", "status": 7}).encode(),
+            json.dumps(
+                {"type": "shard", "job": {"id": 1}, "shard": 0, "outcome": "AAAA"}
+            ).encode(),
+            b'\xff\xfe{"type": "status", "job": "job-1", "status": "failed"}',
+            b"[1, 2]",
+            b"null",
+            b'"job-1"',
+            b"   ",
+            json.dumps({"type": "job", "payload": {}}).encode(),
+            json.dumps({"type": "rerun", "job": "job-1"}).encode(),
+            json.dumps({"type": "status", "job": "job-1", "status": None}).encode(),
+            json.dumps(
+                {"type": "shard", "job": "job-1", "shard": "0", "outcome": "AAAA"}
+            ).encode(),
+            json.dumps(
+                {"type": "shard", "job": "job-2", "shard": 0, "outcome": "AAAA"}
+            ).encode(),
+            json.dumps({"type": "status", "job": "job-2", "status": "failed"}).encode(),
+        ],
+        ids=[
+            "job-without-payload",
+            "unhashable-job-id",
+            "payload-not-an-object",
+            "status-missing",
+            "status-not-a-string",
+            "unhashable-shard-job-id",
+            "not-utf-8",
+            "record-a-list",
+            "record-null",
+            "record-a-string",
+            "blank",
+            "job-id-missing",
+            "unknown-type",
+            "status-null",
+            "shard-id-not-an-int",
+            "shard-of-an-unknown-job",
+            "status-of-an-unknown-job",
+        ],
+    )
+    def test_skips_a_malformed_line(self, tmp_path, bad):
+        path = tmp_path / "jobs.jsonl"
+        records = [
+            {"type": "job", "job": "job-1", "payload": {"attribute": "location"}},
+            {"type": "status", "job": "job-1", "status": "finished"},
+        ]
+        path.write_bytes(
+            "".join(json.dumps(record) + "\n" for record in records).encode()
+            + bad + b"\n"
+        )
+        backend = JsonlJobStore(str(path))
+        (row,) = backend.load()
+        backend.close()
+        assert row.job_id == "job-1"
+        assert row.payload == {"attribute": "location"}
+        assert row.status == "finished"
+        assert row.outcomes == {}
+        assert row.undecodable == set()
 
     def test_ignores_shard_lines_without_a_job_line(self, tmp_path):
         path = tmp_path / "jobs.jsonl"

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.similarity.qgrams import (
-    PADDING_CHAR,
-    expected_qgram_count,
-    positional_qgrams,
-    qgram_multiset,
-    qgram_profile,
-    qgram_set,
-    qgrams,
-)
+from repro.similarity.qgrams import PADDING_CHAR, qgram_set, qgrams
 
 
 class TestUnpaddedQgrams:
@@ -31,7 +23,7 @@ class TestPaddedQgrams:
     def test_count_matches_paper_formula(self):
         # |jA| + q - 1 grams for a value of length |jA| (paper Table 1).
         for text in ("a", "abc", "GENOVA", "TAA BZ SANTA CRISTINA VALGARDENA"):
-            assert len(qgrams(text, q=3)) == expected_qgram_count(len(text), 3)
+            assert len(qgrams(text, q=3)) == len(text) + 3 - 1
 
     def test_padding_character_present_at_edges(self):
         grams = qgrams("ab", q=3)
@@ -40,7 +32,6 @@ class TestPaddedQgrams:
 
     def test_empty_string_has_no_grams(self):
         assert qgrams("", q=3) == []
-        assert expected_qgram_count(0, 3) == 0
 
     def test_none_treated_as_empty(self):
         assert qgrams(None, q=3) == []
@@ -55,20 +46,6 @@ class TestDerivedStructures:
         grams = qgrams("aaaa", q=2, padded=False)
         assert len(grams) == 3
         assert qgram_set("aaaa", q=2, padded=False) == frozenset({"aa"})
-
-    def test_qgram_multiset_counts(self):
-        counts = qgram_multiset("aaaa", q=2, padded=False)
-        assert counts["aa"] == 3
-
-    def test_qgram_profile_is_plain_dict(self):
-        profile = qgram_profile("abab", q=2, padded=False)
-        assert isinstance(profile, dict)
-        assert profile["ab"] == 2
-        assert profile["ba"] == 1
-
-    def test_positional_qgrams(self):
-        positions = positional_qgrams("abc", q=3, padded=False)
-        assert positions == [(0, "abc")]
 
 
 class TestSingleEditImpact:

@@ -1,20 +1,15 @@
 """Tests for the set/token-based similarity measures."""
 
-import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.similarity.qgrams import qgram_set
 from repro.similarity.setsim import (
-    cosine_qgram_similarity,
-    dice_similarity,
     jaccard_from_shared,
-    jaccard_match_threshold,
     jaccard_qgram_similarity,
     jaccard_similarity,
-    overlap_coefficient,
 )
 
 
@@ -86,51 +81,40 @@ class TestJaccardOverQgrams:
         assert jaccard_qgram_similarity("", "") == 1.0
         assert jaccard_qgram_similarity("", "abc") == 0.0
 
-
-class TestOtherCoefficients:
-    def test_overlap_coefficient(self):
-        assert overlap_coefficient({"a", "b"}, {"a", "b", "c", "d"}) == 1.0
-        assert overlap_coefficient({"a"}, {"b"}) == 0.0
-        assert overlap_coefficient(set(), set()) == 1.0
-        assert overlap_coefficient(set(), {"a"}) == 0.0
-
-    def test_dice(self):
-        assert dice_similarity({"a", "b"}, {"a", "b"}) == 1.0
-        assert dice_similarity({"a", "b", "c"}, {"b", "c", "d"}) == pytest.approx(
-            2 * 2 / 6
+    @pytest.mark.parametrize(
+        "left, right, q, padded, expected",
+        [
+            # {ab, bc, cd} vs {ab, bc, ce}
+            ("abcd", "abce", 2, False, Fraction(2, 4)),
+            # Both strings have the gram set {ab, ba}.
+            ("abab", "baba", 2, False, Fraction(1)),
+            ("ab", "cd", 2, False, Fraction(0)),
+            # Shorter than q, unpadded: the whole string is the one gram.
+            ("a", "a", 3, False, Fraction(1)),
+            # {¤¤A, ¤AB, AB¤, B¤¤} vs {¤¤A, ¤AC, AC¤, C¤¤}
+            ("AB", "AC", 3, True, Fraction(1, 7)),
+            # {¤¤A, ¤AB, ABC, BC¤, C¤¤} vs {¤¤A, ¤AB, ABD, BD¤, D¤¤}
+            ("ABC", "ABD", 3, True, Fraction(2, 8)),
+            # AAAA repeats the gram AAA: both sets are {¤¤A, ¤AA, AAA, AA¤, A¤¤}.
+            ("AAAA", "AAA", 3, True, Fraction(1)),
+            # q = 1 has no padding: the character sets are equal.
+            ("ROMA", "AMOR", 1, True, Fraction(1)),
+            # A trailing space replaces VA¤ and A¤¤ by VA␣, A␣¤ and ␣¤¤.
+            ("GENOVA", "GENOVA ", 3, True, Fraction(6, 11)),
+        ],
+        ids=[
+            "unpadded-one-gram-differs",
+            "unpadded-same-set",
+            "unpadded-disjoint",
+            "unpadded-shorter-than-q",
+            "padded-two-characters",
+            "padded-last-character",
+            "padded-repeated-gram",
+            "q1-anagram",
+            "padded-trailing-space",
+        ],
+    )
+    def test_known_values(self, left, right, q, padded, expected):
+        assert jaccard_qgram_similarity(left, right, q=q, padded=padded) == (
+            pytest.approx(float(expected))
         )
-        assert dice_similarity(set(), set()) == 1.0
-
-    def test_cosine_qgram(self):
-        assert cosine_qgram_similarity("GENOVA", "GENOVA") == pytest.approx(1.0)
-        assert cosine_qgram_similarity("", "") == 1.0
-        assert cosine_qgram_similarity("", "abc") == 0.0
-        value = cosine_qgram_similarity("LIG GE GENOVA", "LIG GE GENOVy")
-        assert 0.5 < value < 1.0
-
-    def test_dice_between_jaccard_and_overlap(self):
-        left = qgram_set("LIG GE GENOVA")
-        right = qgram_set("LIG GE GENOVy")
-        jaccard = jaccard_similarity(left, right)
-        dice = dice_similarity(left, right)
-        overlap = overlap_coefficient(left, right)
-        assert jaccard <= dice <= overlap
-
-
-class TestMatchThreshold:
-    def test_threshold_counts_required_shared_grams(self):
-        # g = len + q - 1 grams; at theta=0.85 the requirement is ceil(0.85*g).
-        assert jaccard_match_threshold(25, 3, 0.85) == math.ceil(0.85 * 27)
-
-    def test_threshold_at_one_requires_all_grams(self):
-        assert jaccard_match_threshold(10, 3, 1.0) == 12
-
-    def test_threshold_is_at_least_one(self):
-        assert jaccard_match_threshold(1, 3, 0.01) == 1
-
-    def test_zero_length_value(self):
-        assert jaccard_match_threshold(0, 3, 0.85) == 0
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            jaccard_match_threshold(10, 3, 1.5)
