@@ -10,8 +10,8 @@ through all four surfaces on a generated workload:
 1. stream matches as they are found (first match long before the run ends);
 2. watch live progress fed by ``StepBatch``/``ShardCompleted`` events;
 3. cancel a running job and keep the partial result;
-4. run the same job sharded on the ``process`` backend, then stream a
-   sharded job.
+4. run the same job sharded on the ``process`` backend, then stream it
+   on that backend.
 
 Run with::
 
@@ -109,17 +109,21 @@ def demo_process_backend(dataset) -> None:
         f"progress saw shards {snapshot.shards_done}/{snapshot.total_shards}"
     )
 
-    # Streaming a sharded job walks the shards in id order on the calling
-    # thread (the serial merge), so matches still surface incrementally.
+    # Streaming a sharded job runs the same shards on the same pool and
+    # surfaces each shard's matches as soon as it and every lower shard
+    # have completed, in the order run() returns them.
     job = (
         LinkageJob.between(dataset.parent, dataset.child)
         .on("location")
         .thresholds(FAST)
-        .sharded(2)
+        .sharded(4, backend="process", partitioner="gram-prefix")
         .build()
     )
-    count = sum(1 for _match in job.stream_matches(batch_size=128))
-    print(f"sharded stream: {count} matches consumed on 2 shards\n")
+    pairs = [match.pair for match in job.stream_matches()]
+    print(
+        f"process-backend sharded stream: {len(pairs)} matches from 4 shards, "
+        f"same pairs as run(): {pairs == result.pairs}\n"
+    )
 
 
 def main() -> None:

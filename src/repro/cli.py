@@ -399,13 +399,6 @@ def _command_link(args: argparse.Namespace) -> int:
         print(f"error: --retries must be >= 0, got {args.retries}",
               file=sys.stderr)
         return 2
-    if args.stream and args.backend != "serial":
-        print("error: --stream runs the deterministic serial-merge path and "
-              "cannot honour --backend "
-              f"{args.backend}; drop --stream to use that backend, or drop "
-              "--backend to stream",
-              file=sys.stderr)
-        return 2
     left = Table.from_csv(args.left_csv, name="left")
     right = Table.from_csv(args.right_csv, name="right")
     job = (

@@ -48,7 +48,7 @@ from repro.runtime.faults import FaultPlan
 from repro.runtime.handoff import HANDOFF_MODES
 from repro.runtime.parallel import available_backends
 from repro.runtime.policy import available_policies
-from repro.runtime.sharding import PARTITIONERS, available_partitioners
+from repro.runtime.sharding import PARTITIONERS, ShardPlan, available_partitioners
 
 #: The strategies a linkage job can run (kept in the historical order of
 #: :mod:`repro.linkage.api`, which re-exports this tuple).
@@ -97,6 +97,28 @@ class JobSpec:
     progress_enabled: bool
     failure_policy: Optional[FailurePolicy] = None
     fault_plan: Optional[FaultPlan] = None
+
+    @property
+    def runs_sharded(self) -> bool:
+        """Whether an adaptive run goes through the sharded layer, where
+        failure policies and fault plans live (as a one-shard plan if need be)."""
+        return (
+            self.shards > 1
+            or self.failure_policy is not None
+            or self.fault_plan is not None
+        )
+
+    def shard_plan(self) -> ShardPlan:
+        """The job's deterministic shard plan (same spec, same plan)."""
+        return ShardPlan.build(
+            self.left,
+            self.right,
+            self.attribute,
+            self.shards,
+            self.partitioner,
+            config=self.run_config,
+            handoff=self.handoff,
+        )
 
 
 class LinkageJob:

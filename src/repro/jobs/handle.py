@@ -3,12 +3,11 @@
 A :class:`JobHandle` is one-shot and job-shaped: submit
 (:meth:`~JobHandle.run` or :meth:`~JobHandle.stream_matches`), observe
 (:meth:`~JobHandle.progress`), interrupt (:meth:`~JobHandle.cancel`) and
-collect (:meth:`~JobHandle.result`).  The blocking :meth:`run` executes
-on the configured backend (``serial`` / ``process``); streaming drives
-the deterministic serial-merge path incrementally so matches surface as
-they are found instead of after the run — exactly the interruptible
-behaviour the adaptive (MAR) loop was built for and the old
-materialise-everything ``link_tables`` call hid.
+collect (:meth:`~JobHandle.result`).  Both surfaces execute on the
+configured backend (``serial`` / ``process``) through the one shard
+driver, :func:`~repro.runtime.parallel.execute_shards`.  Streaming surfaces
+matches as they are found instead of after the run: per engine batch
+in an unsharded run, per completed shard in a sharded one.
 
 Matches are streamed as :class:`StreamedMatch` items: the global
 ``(left_index, right_index)`` pair identity (already translated from
@@ -24,8 +23,6 @@ dedicated operators — the code that used to live inline in
 from __future__ import annotations
 
 import threading
-import time
-import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -40,10 +37,11 @@ from repro.jobs.result import LinkageResult
 from repro.runtime.collectors import ProgressCollector, ProgressSnapshot
 from repro.runtime.config import input_size
 from repro.runtime.events import EventBus, ShardCompleted
+from repro.runtime.failures import ShardFailure
 from repro.runtime.faults import FaultPlan
 from repro.runtime.parallel import AggregatedEventBus, ParallelExecutor
+from repro.runtime.pool import WorkerPool
 from repro.runtime.session import AdaptiveJoinResult, JoinSession
-from repro.runtime.shard_result import ShardResult
 from repro.runtime.sharding import (
     PARTITIONERS,
     FirstShardWins,
@@ -154,6 +152,8 @@ class JobHandle:
         #: begin_external).
         self._external_outcomes: Optional[List[ShardOutcome]] = None
         self._external_bus: Optional[AggregatedEventBus] = None
+        #: The pool process-backend shards run on (``None``: the shared one).
+        self._pool: Optional[WorkerPool] = None
         self._progress: Optional[ProgressCollector] = None
         if spec.progress_enabled:
             left_size = input_size(spec.left)
@@ -209,9 +209,8 @@ class JobHandle:
     def cancel(self) -> None:
         """Request a mid-run stop (idempotent, callable from any thread).
 
-        The run stops at the next quiescent boundary — between engine
-        batches on the serial path and the streaming surface, between
-        shards everywhere — and :meth:`result` returns the partial
+        The run stops at the next engine-batch boundary, in this process
+        or in a pool worker, and :meth:`result` returns the partial
         outcome with ``cancelled=True``.
         """
         self._cancel.set()
@@ -250,15 +249,7 @@ class JobHandle:
         try:
             if spec.strategy != "adaptive":
                 outcome = self._run_baseline()
-            elif (
-                spec.shards > 1
-                or spec.failure_policy is not None
-                or spec.fault_plan is not None
-            ):
-                # Failure policies and fault plans live in the sharded
-                # execution layer; a nominally unsharded job that uses
-                # them runs as a one-shard plan (same result, identical
-                # merge semantics) so retry/timeout/degrade apply.
+            elif spec.runs_sharded:
                 outcome = self._run_sharded()
             else:
                 outcome = self._run_session()
@@ -304,20 +295,11 @@ class JobHandle:
         )
 
     def _run_sharded(self) -> LinkageResult:
-        spec = self.spec
-        plan = ShardPlan.build(
-            spec.left,
-            spec.right,
-            spec.attribute,
-            spec.shards,
-            spec.partitioner,
-            config=spec.run_config,
-            handoff=spec.handoff,
+        self._plan = self.spec.shard_plan()
+        self._sharded = self._executor(self.spec.fault_plan).run(
+            self._plan, self.spec.run_config, bus=self._make_bus(), cancel=self._cancel
         )
-        self._plan = plan
-        sharded = self._execute_plan(plan, spec.fault_plan)
-        self._sharded = sharded
-        return self._sharded_result(sharded)
+        return self._sharded_result(self._sharded)
 
     def _make_bus(self) -> Optional[AggregatedEventBus]:
         if self._progress is None:
@@ -326,9 +308,7 @@ class JobHandle:
         self._progress.attach(bus)
         return bus
 
-    def _execute_plan(
-        self, plan: ShardPlan, faults: Optional[FaultPlan]
-    ) -> ShardedJoinResult:
+    def _executor(self, faults: Optional[FaultPlan]) -> ParallelExecutor:
         spec = self.spec
         executor = ParallelExecutor(
             backend=spec.backend,
@@ -336,34 +316,47 @@ class JobHandle:
             failure_policy=spec.failure_policy,
             faults=faults,
         )
-        return executor.run(
-            plan, spec.run_config, bus=self._make_bus(), cancel=self._cancel
+        executor._pool = self._pool
+        return executor
+
+    def _merged(
+        self,
+        plan: ShardPlan,
+        outcomes: Iterable[ShardOutcome],
+        cancelled: bool,
+        failed: Tuple[ShardFailure, ...] = (),
+        backend: Optional[str] = None,
+    ) -> LinkageResult:
+        """Keep ``outcomes`` as the handle's last sharded run; its result."""
+        self._sharded = ShardedJoinResult(
+            shards=tuple(outcomes),
+            backend=backend or self.spec.backend,
+            partitioner=self.spec.partitioner,
+            left_input_size=plan.left_input_size,
+            right_input_size=plan.right_input_size,
+            cancelled=cancelled,
+            failed_shards=failed,
+            handoff=plan.handoff,
         )
+        return self._sharded_result(self._sharded)
 
     def _sharded_result(self, sharded: ShardedJoinResult) -> LinkageResult:
-        spec = self.spec
+        # The statistics are the shared wire format, owned by the result
+        # type (the server returns it verbatim); only the policy name
+        # comes from the spec, which the merged result never sees.
+        statistics = sharded.describe_json(policy=self.spec.run_config.policy)
         if not sharded.shards:
             # Cancelled before any shard ran: an empty partial result.
             return LinkageResult.eager(
-                spec.strategy,
-                [],
-                [],
-                statistics=self._sharded_statistics(sharded),
-                cancelled=True,
+                self.spec.strategy, [], [], statistics=statistics, cancelled=True
             )
         return LinkageResult.lazy(
-            strategy=spec.strategy,
+            strategy=self.spec.strategy,
             pairs=sharded.matched_pairs(),
             records_factory=sharded.output_records,
-            statistics=self._sharded_statistics(sharded),
+            statistics=statistics,
             cancelled=sharded.cancelled,
         )
-
-    def _sharded_statistics(self, sharded: ShardedJoinResult) -> Dict[str, object]:
-        # The mapping itself is the shared wire format, owned by the
-        # result type (the server returns it verbatim); only the policy
-        # name comes from the spec, which the merged result never sees.
-        return sharded.describe_json(policy=self.spec.run_config.policy)
 
     # -- execution: resume -----------------------------------------------------------
 
@@ -427,7 +420,10 @@ class JobHandle:
             )
         self._restart()
         try:
-            sub_result = self._execute_plan(plan.subset(missing), faults)
+            sub_result = self._executor(faults).run(
+                plan.subset(missing), self.spec.run_config,
+                bus=self._make_bus(), cancel=self._cancel,
+            )
         except BaseException:
             self._state = "failed"
             raise
@@ -441,18 +437,7 @@ class JobHandle:
             replace(failure, shard_id=missing[failure.shard_id])
             for failure in sub_result.failed_shards
         )
-        sharded = ShardedJoinResult(
-            shards=outcomes,
-            backend=self.spec.backend,
-            partitioner=self.spec.partitioner,
-            left_input_size=plan.left_input_size,
-            right_input_size=plan.right_input_size,
-            cancelled=sub_result.cancelled,
-            failed_shards=failed,
-            handoff=plan.handoff,
-        )
-        self._sharded = sharded
-        result = self._sharded_result(sharded)
+        result = self._merged(plan, outcomes, sub_result.cancelled, failed)
         result.statistics["resumed"] = True
         return self._finish(result)
 
@@ -556,7 +541,7 @@ class JobHandle:
     def finish_external(self) -> LinkageResult:
         """Merge the recorded outcomes and close the externally-driven run.
 
-        Same merge semantics as the streaming path (shard-id-order dedup;
+        Same merge semantics as :meth:`run` (shard-id-order dedup;
         ``backend="process"`` — the server's driver runs every shard
         session on its worker processes); honours the cancel token, so a
         cancelled job closes as a partial result.
@@ -569,17 +554,9 @@ class JobHandle:
             )
         self._external_outcomes = None
         self._external_bus = None
-        sharded = ShardedJoinResult(
-            shards=tuple(outcomes),
-            backend="process",
-            partitioner=self.spec.partitioner,
-            left_input_size=plan.left_input_size,
-            right_input_size=plan.right_input_size,
-            cancelled=self._cancel.is_set(),
-            handoff=plan.handoff,
+        result = self._merged(
+            plan, outcomes, self._cancel.is_set(), backend="process"
         )
-        self._sharded = sharded
-        result = self._sharded_result(sharded)
         result.statistics["streamed"] = True
         return self._finish(result)
 
@@ -622,17 +599,7 @@ class JobHandle:
         )
         self._plan = plan
         self._state = "running"
-        sharded = ShardedJoinResult(
-            shards=complete,
-            backend=self.spec.backend,
-            partitioner=self.spec.partitioner,
-            left_input_size=plan.left_input_size,
-            right_input_size=plan.right_input_size,
-            cancelled=len(complete) < plan.shard_count,
-            handoff=plan.handoff,
-        )
-        self._sharded = sharded
-        self._finish(self._sharded_result(sharded))
+        self._finish(self._merged(plan, complete, len(complete) < plan.shard_count))
 
     # -- execution: streaming --------------------------------------------------------
 
@@ -641,56 +608,30 @@ class JobHandle:
     ) -> Iterator[StreamedMatch]:
         """Lazily yield matches as the run discovers them (adaptive only).
 
-        Drives the session(s) ``batch_size`` engine steps at a time and
-        yields each batch's matches immediately, so the first match
-        surfaces long before the inputs are drained.  Sharded jobs
-        stream the deterministic serial-merge path — shards in id order,
-        shard-local ordinals translated to global pairs, cross-shard
-        duplicates dropped first-shard-wins — regardless of the
-        configured backend (which only the blocking :meth:`run` uses).
-        Policy activations land at exactly the same steps as a blocking
-        run.
+        An unsharded job yields each ``batch_size``-step engine batch's
+        matches as soon as it runs.  A job that :meth:`run` sends through
+        the sharded layer (several shards, a failure policy or a fault
+        plan) runs :meth:`run`'s shard driver on the configured backend,
+        under the same policy and faults, and yields each completed
+        shard's matches in shard-id order (global pairs, first-shard-wins
+        dedup).  Either way the streamed pairs are :meth:`run`'s.
 
         Cancellation (:meth:`cancel`, or closing this iterator early)
         stops the run at the next batch boundary; :meth:`result` then
-        holds everything the run produced up to that point — a superset
-        of what was streamed when the iterator was closed mid-batch —
-        flagged ``cancelled``.
-
-        The handle claims its one-shot slot at *call* time, so either
-        consume the returned iterator or ``close()`` it; an abandoned,
-        never-started iterator leaves the job in ``running`` with no
-        result.  A sharded job configured with a parallel backend gets a
-        ``UserWarning`` here — streaming trades that parallelism for the
-        deterministic incremental feed (use :meth:`run` to keep it).
+        holds everything the run produced up to that point, flagged
+        ``cancelled``.  The handle claims its one-shot slot at *call*
+        time: consume the returned iterator or ``close()`` it.
         """
-        self._require_adaptive("stream_matches()")
-        self._warn_stream_backend("stream_matches()")
-        self._start()
-        if self.spec.shards > 1:
-            return self._stream_sharded(batch_size)
-        return self._stream_unsharded(batch_size)
-
-    def _require_adaptive(self, what: str) -> None:
         if self.spec.strategy != "adaptive":
             raise ValueError(
-                f"{what} requires the adaptive strategy (the baselines "
-                f"materialise their whole result); this job runs "
+                f"stream_matches() requires the adaptive strategy (the "
+                f"baselines materialise their whole result); this job runs "
                 f"{self.spec.strategy!r} — use run() instead"
             )
-
-    def _warn_stream_backend(self, what: str) -> None:
-        """Streaming trades the configured parallel backend for the
-        deterministic serial-merge feed — say so instead of silently
-        dropping the parallelism the caller asked for."""
-        if self.spec.shards > 1 and self.spec.backend != "serial":
-            warnings.warn(
-                f"{what} runs the deterministic serial-merge path; the "
-                f"configured {self.spec.backend!r} backend only applies "
-                f"to run()",
-                UserWarning,
-                stacklevel=3,
-            )
+        self._start()
+        if self.spec.runs_sharded:
+            return self._stream_sharded()
+        return self._stream_unsharded(batch_size)
 
     def _stream_unsharded(self, batch_size: int) -> Iterator[StreamedMatch]:
         spec = self.spec
@@ -705,8 +646,7 @@ class JobHandle:
             # Everything derives from the session outcome, so pairs,
             # records and result_size stay mutually consistent even when
             # the stream is closed mid-batch (the outcome may then hold a
-            # few matches the consumer never pulled — same convention as
-            # the sharded streaming path).
+            # few matches the consumer never pulled).
             self._finish(
                 self._session_result(session, session.result(), streamed=True)
             )
@@ -734,115 +674,38 @@ class JobHandle:
         else:
             finalize()
 
-    def _stream_sharded(self, batch_size: int) -> Iterator[StreamedMatch]:
+    def _stream_sharded(self) -> Iterator[StreamedMatch]:
         spec = self.spec
-        plan = ShardPlan.build(
-            spec.left,
-            spec.right,
-            spec.attribute,
-            spec.shards,
-            spec.partitioner,
-            config=spec.run_config,
-            handoff=spec.handoff,
-        )
-        self._plan = plan
-        owner = FirstShardWins()
+        plan = self._plan = spec.shard_plan()
+        executor = self._executor(spec.fault_plan)
+        ctx = executor.context(plan, spec.run_config, self._make_bus())
+        shards = executor.shards(ctx, self._cancel)
         outcomes: List[ShardOutcome] = []
-        session: Optional[JoinSession] = None
-        shard_started = 0.0
-        shard_id = -1
-
-        def close_shard() -> Optional[ShardOutcome]:
-            """Record the current shard's (possibly partial) outcome.
-
-            A shard that observed the cancel token before its first step
-            was skipped, not run — dropped, like the backends drop them.
-            """
-            nonlocal session
-            if session is None:
-                return None
-            result = session.result()
-            session = None
-            if result.never_ran:
-                return None
-            outcome = ShardOutcome.of(
-                plan,
-                shard_id,
-                ShardResult.from_session(result),
-                time.perf_counter() - shard_started,
-            )
-            outcomes.append(outcome)
-            return outcome
+        owner = FirstShardWins()
 
         def finalize() -> None:
-            sharded = ShardedJoinResult(
-                shards=tuple(outcomes),
-                backend="serial",  # the streaming path is the serial merge
-                partitioner=spec.partitioner,
-                left_input_size=plan.left_input_size,
-                right_input_size=plan.right_input_size,
-                cancelled=self._cancel.is_set(),
-                handoff=plan.handoff,
-            )
-            self._sharded = sharded
-            result = self._sharded_result(sharded)
+            self._sharded = executor.merge(ctx, outcomes, self._cancel)
+            result = self._sharded_result(self._sharded)
             result.statistics["streamed"] = True
             self._finish(result)
 
         try:
-            for shard_id in range(plan.shard_count):
-                if self._cancel.is_set():
-                    break
-                shard_started = time.perf_counter()
-                left, right = plan.shard_streams(shard_id)
-                bus = EventBus()
-                if self._progress is not None:
-                    self._progress.attach(bus)
-                session = JoinSession(
-                    left, right, plan.attribute, spec.run_config, bus=bus
-                )
-                left_origins = plan.left_shards[shard_id].origins
-                right_origins = plan.right_shards[shard_id].origins
-                for batch in session.run_batches(
-                    max_batch=batch_size, cancel=self._cancel
-                ):
-                    for event in batch:
-                        pair = (
-                            left_origins[event.left.ordinal],
-                            right_origins[event.right.ordinal],
-                        )
-                        # The merge path's dedup rule, decided the moment
-                        # the match is discovered.
-                        if owner.owns(pair, shard_id):
-                            yield StreamedMatch(pair[0], pair[1], event, shard_id)
-                outcome = close_shard()
-                if outcome is not None:
-                    bus.publish(
-                        ShardCompleted(
-                            shard_id, outcome.result, outcome.wall_seconds
-                        )
-                    )
+            for outcome in shards:
+                outcomes.append(outcome)
+                tag = outcome.shard_id if spec.shards > 1 else None
+                pairs = outcome.matched_pairs()
+                kept = owner.owned(pairs, outcome.shard_id)
+                owned = range(len(pairs)) if kept is None else kept
+                # Only the owned matches' events are rebuilt.
+                for index, event in zip(owned, outcome.result.events(owned)):
+                    left, right = pairs[index]
+                    yield StreamedMatch(left, right, event, tag)
         except GeneratorExit:
-            # The consumer closed the stream early: a cancel, unless the
-            # close landed on the very last shard's final yield with its
-            # session already drained — then the run is complete.
-            run_complete = (
-                session is not None
-                and session.finished
-                and shard_id == plan.shard_count - 1
-            )
-            if not run_complete:
-                self._cancel.set()
-            if session is not None:
-                if not session.finished:
-                    session.mark_cancelled()
-                outcome = close_shard()
-                if outcome is not None:
-                    bus.publish(
-                        ShardCompleted(
-                            shard_id, outcome.result, outcome.wall_seconds
-                        )
-                    )
+            # The consumer closed the stream early: a cancel.  The result
+            # keeps the shards yielded so far; it is complete (and not
+            # flagged cancelled) when the close landed on the last one.
+            self._cancel.set()
+            shards.close()
             finalize()
             raise
         except BaseException:

@@ -18,10 +18,11 @@ This package is the composition layer between the switchable join engine
   the prefix-gram-replicated ``gram-prefix``),
   :class:`ShardPlan` and the mergeable, duplicate-free
   :class:`ShardedJoinResult`;
-* :mod:`repro.runtime.parallel` — :class:`ParallelExecutor` with the
-  ``serial`` / ``process`` backends and the
-  :class:`AggregatedEventBus` that fans shard events back into one
-  observer stream;
+* :mod:`repro.runtime.parallel` — the one shard driver
+  (``execute_shards``, on :mod:`repro.runtime.pool`'s worker pool),
+  :class:`ParallelExecutor` with the ``serial`` / ``process`` backends
+  and the :class:`AggregatedEventBus` that fans shard events back into
+  one observer stream;
 * :mod:`repro.runtime.failures` — the :class:`FailurePolicy` registry
   (``fail-fast`` / ``retry`` / ``degrade``) deciding what a shard
   failure does to the run;

@@ -82,13 +82,11 @@ class ShardEvent:
 
 @dataclass(frozen=True, slots=True)
 class ShardCompleted:
-    """One shard finished; published by the executor on every backend.
+    """One shard finished; published by the shard driver on every backend.
 
-    Always published in shard-id order, so subscribers see a
-    deterministic lifecycle stream regardless of backend: the serial
-    backend completes shards in that order; the process backend streams
-    shard *k*'s event as soon as shards ``0..k`` have all completed
-    (head-of-line, a live progress feed).  The natural feed for
+    Always published in shard-id order: shard *k*'s event goes out as
+    soon as shards ``0..k`` have all completed (head-of-line, a live
+    progress feed), whichever backend ran them.  The natural feed for
     progress observers (:class:`~repro.runtime.collectors.ProgressCollector`).
     """
 

@@ -28,8 +28,8 @@ existing cancel-token path, so a hung shard surfaces as a
 :class:`~repro.runtime.errors.ShardTimeoutError` (then retried/dropped/
 re-raised per the policy) instead of deadlocking the run.
 
-This module is pure policy data + arithmetic; the execution machinery
-that applies it lives with the backends in :mod:`repro.runtime.parallel`.
+This module is pure policy data + arithmetic; the one shard driver that
+applies it is :func:`repro.runtime.parallel.execute_shards`.
 """
 
 from __future__ import annotations

@@ -34,18 +34,13 @@ the base type and break equality) make the side *unencodable*:
 :meth:`SideBlock.encode` returns ``None`` and the plan falls back to the
 classic pickle handoff.
 
-Lifecycle: a :class:`SideBlock` itself is ordinary process memory owned by
-the :class:`~repro.runtime.sharding.ShardPlan` — it is garbage-collected
-with the plan and cannot leak.  Shared-memory segments exist only for the
-duration of one process-backend run: the coordinator publishes, ships
-descriptors, and unlinks in a ``finally`` (see
-:mod:`repro.runtime.parallel`), so success, shard failure, cancellation
-and resume all tear the segments down; ``JobHandle.resume`` re-publishes
-from the plan's retained blocks.  The server's scheduler keeps a job's
-segments — its plan blocks plus a one-byte :class:`CancelFlag` — from
-the job's first dispatch until the job closes.  Every segment created
-through this module is tracked in a registry so tests (and the CI
-zero-copy smoke) can assert :func:`live_block_count` returns to zero.
+Lifecycle: a :class:`SideBlock` is ordinary process memory owned by the
+:class:`~repro.runtime.sharding.ShardPlan`.  Shared-memory segments — the
+plan blocks plus a one-byte :class:`CancelFlag` — live for one run on a
+pool (the shard driver unlinks them in a ``finally``, whatever ends the
+run) or, in the server, from a job's first dispatch until it closes.
+Every segment created here is tracked so tests (and the CI zero-copy
+smoke) can assert :func:`live_block_count` returns to zero.
 """
 
 from __future__ import annotations
@@ -485,7 +480,7 @@ class PublishedBlock:
     def release(self) -> None:
         """Close and unlink the segment; idempotent.
 
-        Called from the process backend's ``finally``, so the segment dies
+        Called from the shard driver's ``finally``, so the segment dies
         with the run on every exit path — success, shard failure,
         cancellation, resume re-publishes a fresh one.
         """

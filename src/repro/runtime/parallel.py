@@ -1,66 +1,33 @@
 """Parallel shard execution: the *execute* half of partition → execute → merge.
 
-:class:`ParallelExecutor` drives every shard of a
+:func:`execute_shards` is the one shard driver: it runs every shard of a
 :class:`~repro.runtime.sharding.ShardPlan` through its own
-:class:`~repro.runtime.session.JoinSession` and merges the outcomes into a
-:class:`~repro.runtime.sharding.ShardedJoinResult`.  Two backends exist:
+:class:`~repro.runtime.session.JoinSession` and yields each shard's
+:class:`~repro.runtime.sharding.ShardOutcome` in shard-id order.
+:class:`ParallelExecutor` merges them into a
+:class:`~repro.runtime.sharding.ShardedJoinResult`, and
+:meth:`repro.jobs.JobHandle.stream_matches` streams them.  On the
+``"serial"`` backend attempts run inline, in the calling thread — the
+bit-deterministic reference, whose shard events reach an
+:class:`AggregatedEventBus` live, tagged via :class:`ShardEvent`.  On the
+``"process"`` backend they run on a :class:`~repro.runtime.pool.WorkerPool`
+from a pickled :class:`_ShardTask`, each side shipped as a shared-memory
+:class:`~repro.runtime.handoff.BlockDescriptor` (the zero-copy handoff)
+or as its shard's records.
 
-``"serial"``
-    Run shards one after the other in the calling thread.  The reference
-    backend: bit-deterministic (same plan + config → byte-identical merged
-    result, every time) and the oracle the process backend is tested
-    against.
-
-``"process"``
-    A ``ProcessPoolExecutor``: real multi-core scaling.  Each worker
-    rebuilds its shard's streams and session from a pickled
-    :class:`_ShardTask`, built by the one factory :func:`_shard_task` for
-    first attempts and retries alike.  Each side ships either as a
-    shared-memory :class:`~repro.runtime.handoff.BlockDescriptor` (the
-    zero-copy handoff) or as its shard's records; the latter needs the
-    run configuration and every shard record to be picklable — enforced
-    up front with a clear error rather than a deep traceback out of the
-    pool.
-
-Both backends reduce each shard session's result to match columns
-(:class:`~repro.runtime.shard_result.ShardResult`) — the process
-backend in the worker, so only columns, counters and the trace cross
-back — and bind them to the plan's shard inputs
-(:meth:`~repro.runtime.sharding.ShardOutcome.of`).  They produce the
-same merged result for the same plan (the per-shard sessions are
-deterministic; backends only change *where* they run), which
-`tests/runtime/test_sharding_equivalence.py` pins.
-
-Observers: pass an :class:`AggregatedEventBus` to keep existing collectors
-working across shards.  The serial backend forwards every shard event
-onto it live, tagged via :class:`ShardEvent`; the process backend cannot
-stream events across the process boundary, so it publishes only the
-per-shard :class:`ShardCompleted` lifecycle events (the merged result
-still carries every trace and counter).
-
-Cancellation: both backends accept a cancel token (anything with an
-``is_set()`` method, typically a :class:`threading.Event`).  Serial stops
-the running shard at its next engine-batch boundary (a partial shard
-result, flagged ``cancelled``) and skips the rest; process cancels the
-queued shard tasks and collects the in-flight ones.  The merged
-:class:`ShardedJoinResult` then carries ``cancelled=True``.
-
-Failure semantics: what happens when a shard session *raises* is decided
-by a :class:`~repro.runtime.failures.FailurePolicy` (``fail-fast`` |
-``retry`` | ``degrade``), applied uniformly across both backends by
-:class:`FailureContext` — the shard runner that wraps errors into
-:class:`~repro.runtime.errors.ShardExecutionError`, re-runs failed
-shards with deterministic backoff (shard inputs are replayable by
-contract), enforces per-shard timeouts at engine-batch boundaries via
-the cancel-token path, publishes ``ShardFailed`` / ``ShardRetrying``
-lifecycle events, and records dropped shards for honest degraded
-accounting.  Deterministic fault injection
-(:class:`~repro.runtime.faults.FaultPlan`) hooks into the same runner,
-so every failure path is reproducible on both backends.  Every attempt
-on both backends runs through the one attempt function
-(:func:`_run_attempt`); a clean attempt (no fault, no timeout) runs
-uncapped engine batches, so it is bit-identical to
-:meth:`JoinSession.run` — the happy path pays nothing.
+Both reduce a shard session's result to match columns
+(:class:`~repro.runtime.shard_result.ShardResult`) bound to the plan's
+shard inputs, so they merge to the same result for the same plan
+(`tests/runtime/test_sharding_equivalence.py`).  A cancel token stops
+queued shards, and a running one at its next engine batch.  A
+:class:`~repro.runtime.failures.FailurePolicy` decides, in the shard
+driver alone, what a failed attempt leads to: a retry with deterministic
+backoff, a dropped shard recorded for honest degraded accounting, or the
+lowest failed shard id's :class:`~repro.runtime.errors.ShardExecutionError`.
+Per-shard timeouts and injected faults
+(:class:`~repro.runtime.faults.FaultPlan`) are enforced inside the one
+attempt function (:func:`_run_attempt`); a clean attempt runs uncapped
+engine batches, bit-identical to :meth:`JoinSession.run`.
 """
 
 from __future__ import annotations
@@ -68,9 +35,23 @@ from __future__ import annotations
 import pickle
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Type, Union
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+    Union,
+)
 
 from repro.core.events import AssessmentEvent, TransitionEvent
 from repro.engine.streams import InputLike, ListStream, RecordStream, RowSliceStream
@@ -93,6 +74,7 @@ from repro.runtime.failures import (
 )
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedFaultError
 from repro.runtime.handoff import AttachedBlock, BlockDescriptor, CancelFlag
+from repro.runtime.pool import WorkerPool, shared_pool
 from repro.runtime.session import AdaptiveJoinResult, JoinSession
 from repro.runtime.shard_result import ShardResult
 from repro.runtime.sharding import (
@@ -109,6 +91,7 @@ __all__ = [
     "ParallelExecutor",
     "available_backends",
     "estimate_shard_payload_bytes",
+    "execute_shards",
     "run_sharded",
 ]
 
@@ -202,28 +185,13 @@ def _cancelled(cancel: Optional[object]) -> bool:
     return cancel is not None and cancel.is_set()
 
 
-def _never_ran(outcome: ShardOutcome) -> bool:
-    """A shard that observed the cancel token before its first engine step.
-
-    Such shards were *skipped*, not partially run: backends drop them so
-    "cancel between shards" returns only shards that did real work (plus,
-    on the serial backend, a genuinely partial one).
-    The rule itself is :attr:`AdaptiveJoinResult.never_ran`.
-    """
-    return outcome.result.never_ran
-
-
 class _AttemptDeadline:
     """A cancel token that also trips when an attempt's deadline passes.
 
-    Combines the caller's token (cooperative cancellation, unchanged)
-    with a per-attempt timeout read off an injectable clock.  Handed to
-    ``JoinSession.run_batches`` exactly like a plain token, so timeout
-    enforcement rides the existing batch-boundary cancellation path —
-    a hung or slow shard stops at its next boundary, and ``timed_out``
-    tells the runner whether the trip was a timeout (raise
-    :class:`ShardTimeoutError`) or the caller cancelling (return the
-    partial outcome, as always).
+    Handed to ``JoinSession.run_batches`` like the caller's own token, so
+    a hung or slow shard stops at its next batch boundary; ``timed_out``
+    tells a timeout (raise :class:`ShardTimeoutError`) from the caller
+    cancelling (return the partial outcome).
     """
 
     __slots__ = ("_cancel", "_clock", "_deadline", "timed_out")
@@ -264,22 +232,18 @@ def _run_attempt(
     max_batch: Optional[int] = None,
     batch_delay: float = 0.0,
 ) -> AdaptiveJoinResult:
-    """Drive one shard attempt; the single implementation behind both
-    backends (the serial runner and the process-pool worker).
+    """Drive one shard attempt, inline or in a pool worker.
 
     A clean attempt (no fault, no timeout) runs ``max_batch``-step engine
-    batches (uncapped by default, exactly as :meth:`JoinSession.run`
-    does), sleeping ``batch_delay`` seconds after each.  A supervised one
-    runs in :data:`_SUPERVISED_BATCH`-step batches, checking the deadline
-    and any injected fault at every boundary; a cooperative hang polls its
-    token through ``sleep``.  Returns the
-    attempt's :class:`AdaptiveJoinResult` (possibly a cancelled partial,
-    when the *caller's* token tripped) or raises:
-
-    * :class:`ShardTimeoutError` when the attempt's deadline trips,
-    * :class:`ShardExecutionError` wrapping anything the session (or an
-      injected fault) raises, with shard id / attempt / elapsed batches
-      attached and ``__cause__`` set to the original error.
+    batches (uncapped by default, as :meth:`JoinSession.run` does),
+    sleeping ``batch_delay`` seconds after each.  A supervised one runs
+    :data:`_SUPERVISED_BATCH`-step batches, checking the deadline and any
+    injected fault at every boundary; a cooperative hang polls its token
+    through ``sleep``.  Returns the :class:`AdaptiveJoinResult` (a
+    cancelled partial when the *caller's* token tripped), or raises
+    :class:`ShardTimeoutError` when the deadline trips and
+    :class:`ShardExecutionError` around anything else, with shard id,
+    attempt and elapsed batches attached and ``__cause__`` set.
     """
     token: Optional[object] = cancel
     if timeout_seconds is not None:
@@ -345,19 +309,12 @@ def _run_attempt(
 
 
 class FailureContext:
-    """Applies one run's failure policy + fault plan to every shard.
+    """One run's plan, configuration, bus, failure policy and fault plan.
 
-    Constructed per :meth:`ParallelExecutor.run` and handed to the
-    backend.  The serial backend runs each shard through
-    :meth:`run_shard`, the attempt loop itself; the process backend's
-    coordinator resubmits attempts to its pool and uses the same policy
-    bookkeeping (:meth:`handle_failure`, :meth:`note_retry`,
-    :meth:`record_failure`), so both backends share one implementation
-    of the failure semantics.
-
-    ``clock`` and ``sleep`` are injectable, so retry backoff and timeout
-    behaviour are deterministic under test.  Thread-safe: the failure
-    record map is the only shared mutable state and is lock-protected.
+    Built per run (:meth:`ParallelExecutor.context`) and handed to
+    :func:`execute_shards`, which applies the policy and records dropped
+    shards here.  ``clock`` and ``sleep`` are injectable, so retry backoff
+    and timeout behaviour are deterministic under test.
     """
 
     def __init__(
@@ -378,98 +335,6 @@ class FailureContext:
         self.clock = clock
         self.sleep = sleep
         self._failures: Dict[int, ShardFailure] = {}
-        self._lock = threading.Lock()
-
-    def run_shard(
-        self, shard_id: int, cancel: Optional[object] = None
-    ) -> Optional[ShardOutcome]:
-        """Run one shard to a final outcome under the policy.
-
-        Returns the shard's :class:`ShardOutcome`, or ``None`` when the
-        shard was skipped after cancellation or dropped by a degrade
-        policy.  Retry backoff goes through the injected ``sleep``.
-        Raises :class:`ShardExecutionError` only when the policy says
-        the failure is fatal.
-        """
-        attempt = 1
-        timeout = self.policy.shard_timeout_seconds
-        while True:
-            fault = (
-                self.faults.action_for(shard_id, attempt) if self.faults else None
-            )
-            started = self.clock()
-            try:
-                left, right = self.plan.shard_streams(shard_id)
-                shard_bus: Optional[EventBus] = None
-                if self.bus is not None:
-                    shard_bus = EventBus()
-                    self.bus.forward_from(shard_id, shard_bus)
-                result = _run_attempt(
-                    left,
-                    right,
-                    self.plan.attribute,
-                    self.config,
-                    shard_id,
-                    attempt,
-                    shard_bus,
-                    cancel,
-                    timeout,
-                    fault,
-                    self.clock,
-                    self.sleep,
-                )
-                outcome = ShardOutcome.of(
-                    self.plan,
-                    shard_id,
-                    ShardResult.from_session(result),
-                    self.clock() - started,
-                )
-                return None if _never_ran(outcome) else outcome
-            except Exception as error:  # noqa: BLE001 - policy decides below
-                if isinstance(error, ShardExecutionError):
-                    wrapped = error
-                else:
-                    wrapped = ShardExecutionError(
-                        shard_id, attempt, 0, f"{type(error).__name__}: {error}"
-                    )
-                    wrapped.__cause__ = error
-                action = self.handle_failure(shard_id, attempt, wrapped, cancel)
-                if action == "retry":
-                    delay = self.note_retry(shard_id, attempt)
-                    if delay > 0:
-                        self.sleep(delay)
-                    attempt += 1
-                    continue
-                if action == "drop":
-                    self.record_failure(shard_id, attempt, wrapped)
-                    return None
-                raise wrapped from wrapped.__cause__
-
-    # -- policy bookkeeping (shared with the process coordinator) --------
-
-    def handle_failure(
-        self,
-        shard_id: int,
-        attempt: int,
-        error: ShardExecutionError,
-        cancel: Optional[object],
-    ) -> str:
-        """Publish ``ShardFailed`` and decide ``retry`` / ``drop`` / ``raise``."""
-        will_retry = self.policy.should_retry(attempt) and not _cancelled(cancel)
-        if self.bus is not None:
-            self.bus.publish(ShardFailed(shard_id, attempt, error, will_retry))
-        if will_retry:
-            return "retry"
-        if self.policy.drops_failed_shards:
-            return "drop"
-        return "raise"
-
-    def note_retry(self, shard_id: int, attempt: int) -> float:
-        """Publish ``ShardRetrying`` and return the backoff delay."""
-        delay = self.policy.backoff_delay(attempt)
-        if self.bus is not None:
-            self.bus.publish(ShardRetrying(shard_id, attempt + 1, delay))
-        return delay
 
     def record_failure(
         self, shard_id: int, attempts: int, error: ShardExecutionError
@@ -499,15 +364,11 @@ class FailureContext:
             left_records=len(self.plan.left_shards[shard_id]),
             right_records=len(self.plan.right_shards[shard_id]),
         )
-        with self._lock:
-            self._failures[shard_id] = record
+        self._failures[shard_id] = record
 
     def failure_records(self) -> Tuple[ShardFailure, ...]:
         """Dropped-shard records, in shard-id order."""
-        with self._lock:
-            return tuple(
-                self._failures[shard_id] for shard_id in sorted(self._failures)
-            )
+        return tuple(self._failures[shard_id] for shard_id in sorted(self._failures))
 
 
 @dataclass
@@ -520,29 +381,14 @@ class ShardInputPayload:
 
 @dataclass
 class _ShardTask:
-    """The picklable payload a process-backend worker runs one shard attempt from.
+    """The picklable payload a pool worker runs one shard attempt from.
 
-    Each side is either a :class:`~repro.runtime.handoff.BlockDescriptor`
-    (the zero-copy handoff: the side's records and every shard's row-index
-    array live in shared-memory segments published once per run by the
-    coordinator, :meth:`~repro.runtime.sharding.ShardPlan.publish_blocks`,
-    so the task pickles to O(descriptor) bytes regardless of shard size or
-    replication factor) or a :class:`ShardInputPayload` carrying the
-    shard's records themselves (the pickle handoff).
-
-    ``attempt`` / ``timeout_seconds`` / ``faults`` carry the
-    failure-semantics contract: retries are coordinated in the parent (a
-    retried shard is simply resubmitted through :func:`_shard_task` with
-    ``attempt + 1`` — under the zero-copy handoff that retry is
-    descriptor-only too), while the per-attempt timeout and any injected
-    faults are enforced *inside* the worker — the only place that can see
-    the attempt's engine-batch boundaries.
-
-    ``cancel_flag`` / ``max_batch`` / ``batch_delay`` serve drivers that
-    cancel in-flight shards (the server's scheduler): the worker opens the
-    named :class:`~repro.runtime.handoff.CancelFlag` and runs
-    ``max_batch``-step engine batches, checking it (and sleeping
-    ``batch_delay`` seconds, a testing hook) at every boundary.
+    Each side is a :class:`~repro.runtime.handoff.BlockDescriptor` (the
+    zero-copy handoff: O(descriptor) bytes, retries included) or a
+    :class:`ShardInputPayload` of the shard's records (pickle handoff).
+    The worker enforces the timeout and injected ``faults``, and checks
+    the named ``cancel_flag`` (sleeping ``batch_delay`` seconds, a testing
+    hook) after every ``max_batch``-step engine batch.
     """
 
     shard_id: int
@@ -604,18 +450,13 @@ def _shard_task(
 
 
 def _run_shard_task(task: _ShardTask) -> Tuple[int, ShardResult, float]:
-    """Process-pool worker: run one shard *attempt* from its pickled task.
+    """Pool worker: run one shard *attempt* from its pickled task.
 
-    Timeouts and injected faults are enforced here, in-worker, through
-    the same :func:`_run_attempt` runner the serial backend uses — real
-    wall clock and ``time.sleep``, since injectables cannot cross the
-    process boundary.  Failures come back as picklable
-    :class:`ShardExecutionError`\\ s; the coordinator applies the policy
-    (retry = resubmit, degrade = record, fail-fast = raise).  Shared-memory
-    attachments are closed before returning on every path.  The result
-    goes back as match columns (:class:`ShardResult`): no match event,
-    stored tuple or record crosses back to the parent, which already holds
-    the shard's records in its plan.
+    Through :func:`_run_attempt` on the real clock (an injected one cannot
+    cross the process boundary); failures come back as picklable
+    :class:`ShardExecutionError`\\ s for the shard driver's policy.  Attachments
+    are closed on every path.  Only match columns (:class:`ShardResult`)
+    go back: the parent already holds the shard's records in its plan.
     """
     started = time.perf_counter()
     attachments: List[AttachedBlock] = []
@@ -683,282 +524,256 @@ def _ensure_picklable(obj: object, what: str) -> None:
         ) from error
 
 
-# -- the backends -----------------------------------------------------------------------
+# -- the shard driver -------------------------------------------------------------------
 
 
-def _serial_backend(
+def shared_memory(
     plan: ShardPlan,
-    config: RunConfig,
-    bus: Optional[AggregatedEventBus],
-    max_workers: Optional[int],
-    cancel: Optional[object],
-    ctx: FailureContext,
-) -> List[ShardOutcome]:
-    """Shards run one after the other, in shard-id order (the oracle).
+) -> Tuple[Optional[PublishedPlanBlocks], Optional[CancelFlag]]:
+    """A run's shared memory on a pool: the plan's blocks and a cancel flag.
 
-    A set cancel token stops the running shard at its next engine-batch
-    boundary (partial outcome kept) and skips every shard that has not
-    started; completed shards are returned as-is.
+    Either is ``None`` when refused (no blocks under the pickle handoff):
+    tasks then ship records, and a running shard stops only at its end.
     """
-    outcomes = []
-    for shard_id in range(plan.shard_count):
-        if _cancelled(cancel):
-            break
-        outcome = ctx.run_shard(shard_id, cancel)
-        if outcome is None:
-            if _cancelled(cancel):
-                # The token was set between the loop check and the
-                # session's first step (another thread cancelled):
-                # skipped, not run.
-                break
-            continue  # dropped by the degrade policy; recorded on ctx
-        if bus is not None:
-            bus.publish(
-                ShardCompleted(shard_id, outcome.result, outcome.wall_seconds)
-            )
-        outcomes.append(outcome)
-    return outcomes
+    try:
+        blocks = plan.publish_blocks()
+    except OSError:
+        blocks = None
+    try:
+        flag = CancelFlag.create()
+    except OSError:
+        flag = None
+    return blocks, flag
 
 
-def _process_backend(
-    plan: ShardPlan,
-    config: RunConfig,
-    bus: Optional[AggregatedEventBus],
-    max_workers: Optional[int],
-    cancel: Optional[object],
-    ctx: FailureContext,
-) -> List[ShardOutcome]:
-    """One worker process per shard (capped at ``max_workers``).
+#: Seconds between the shard driver's checks of the caller's cancel token.
+_CANCEL_POLL_SECONDS = 0.05
 
-    Under the zero-copy handoff (``plan.handoff == "shared-memory"``)
-    both side blocks are published to shared memory once per run and
-    every task — first attempts and retries alike — ships only the two
-    descriptors, O(descriptor) bytes; the segments are closed and
-    unlinked in a ``finally`` on every exit path.  Under the
-    pickle handoff each task carries its shard's full record payload and
-    requires a picklable :class:`RunConfig` and picklable shard records
-    (checked up front).  Shard events are not streamed back — only
-    :class:`ShardCompleted` is published per shard, after the fact.  A
-    shard failure cancels every still-queued shard task and re-raises
-    the lowest-shard-id fatal error (in-flight workers on lower shard
-    ids are awaited for the pin).
+#: ``(shard id, attempt)`` of a submitted attempt.
+_Attempt = Tuple[int, int]
 
-    Failure policies are applied by the coordinator: a worker runs *one*
-    attempt (enforcing the per-attempt timeout and any injected faults
-    in-process) and a retried shard is resubmitted to the pool with an
-    incremented attempt number — replayable shard inputs make the
-    resubmission bit-identical to a first run.
 
-    Cancellation is coarse here: the token cannot cross the process
-    boundary, so it is checked between shard completions — queued shard
-    tasks are cancelled, in-flight workers run their shard to the end.
-    """
-    _ensure_picklable(config, "the run configuration (RunConfig)")
+def _wrapped(error: BaseException, shard_id: int, attempt: int) -> ShardExecutionError:
+    """``error`` as a :class:`ShardExecutionError` (as-is when it is one)."""
+    if isinstance(error, ShardExecutionError):
+        return error
+    wrapped = ShardExecutionError(
+        shard_id, attempt, 0, f"{type(error).__name__}: {error}"
+    )
+    wrapped.__cause__ = error
+    return wrapped
 
-    # Zero-copy handoff: publish both side blocks into shared memory once
-    # for this run and ship only descriptors.  A platform that refuses the
-    # allocation degrades to the classic pickle shipping — the plan's
-    # shard inputs can always materialise their records.
-    published: Optional[PublishedPlanBlocks] = None
-    if plan.handoff == "shared-memory":
-        try:
-            published = plan.publish_blocks()
-        except OSError:
-            published = None
 
-    descriptors = published.descriptors if published is not None else None
-
-    def make_task(shard_id: int, attempt: int) -> _ShardTask:
-        return _shard_task(
-            plan,
-            config,
+def _run_inline(
+    ctx: FailureContext, shard_id: int, attempt: int, cancel: Optional[object]
+) -> Future:
+    """Run one attempt in this thread; the returned future is already done."""
+    future: Future = Future()
+    plan = ctx.plan
+    started = ctx.clock()
+    try:
+        shard_bus: Optional[EventBus] = None
+        if ctx.bus is not None:
+            shard_bus = EventBus()
+            ctx.bus.forward_from(shard_id, shard_bus)
+        result = _run_attempt(
+            *plan.shard_streams(shard_id),
+            plan.attribute,
+            ctx.config,
             shard_id,
             attempt,
-            descriptors,
+            shard_bus,
+            cancel,
             ctx.policy.shard_timeout_seconds,
-            ctx.faults,
+            ctx.faults.action_for(shard_id, attempt) if ctx.faults else None,
+            ctx.clock,
+            ctx.sleep,
         )
+        future.set_result(
+            (shard_id, ShardResult.from_session(result), ctx.clock() - started)
+        )
+    except Exception as error:  # noqa: BLE001 - the policy decides
+        future.set_exception(error)
+    return future
 
+
+def _pinned(
+    error: ShardExecutionError,
+    running: Dict[Future, _Attempt],
+    policy: FailurePolicy,
+    lost: Set[int],
+) -> ShardExecutionError:
+    """The error a fail-fast run raises: the lowest failed shard id's.
+
+    An in-flight attempt on a *lower* shard id may be about to fail
+    fatally too and take the pin, so those (and only those) are awaited.
+    """
+    lower = {future for future, (shard, _) in running.items() if shard < error.shard_id}
+    while lower:
+        finished, lower = wait(lower, return_when=FIRST_COMPLETED)
+        for future in finished:
+            shard_id, attempt = running.pop(future)
+            failure = future.exception()
+            if (
+                failure is not None
+                and shard_id < error.shard_id
+                and not policy.should_retry(attempt)
+                and not (isinstance(failure, BrokenProcessPool) and shard_id not in lost)
+            ):
+                error = _wrapped(failure, shard_id, attempt)
+        lower = {future for future in lower if running[future][0] < error.shard_id}
+    return error
+
+
+def execute_shards(
+    plan: ShardPlan,
+    config: RunConfig,
+    ctx: FailureContext,
+    pool: Optional[WorkerPool] = None,
+    max_workers: Optional[int] = None,
+    cancel: Optional[object] = None,
+) -> Generator[ShardOutcome, None, None]:
+    """Run every shard of ``plan`` and yield its outcome, in shard-id order.
+
+    ``pool=None`` runs the attempts inline, one at a time (the serial
+    backend).  Otherwise at most ``max_workers`` (default: every shard)
+    attempts are in flight on ``pool``; the plan's blocks are published
+    once for the run, and released with the run's cancel flag on every
+    exit path once the attempts in flight have stopped.  A shard skipped
+    by a cancel, or dropped by the policy, yields nothing; each yielded
+    outcome is first published on ``ctx.bus`` as a :class:`ShardCompleted`.
+    """
+    published: Optional[PublishedPlanBlocks] = None
+    flag: Optional[CancelFlag] = None
+    queue: Deque[_Attempt] = deque((shard_id, 1) for shard_id in range(plan.shard_count))
+    running: Dict[Future, _Attempt] = {}
+    settled: Dict[int, Optional[ShardOutcome]] = {}
+    lost: Set[int] = set()
+    next_shard = 0
+    policy = ctx.policy
+    publish = ctx.bus.publish if ctx.bus is not None else lambda event: None
     try:
-        tasks = []
-        for shard_id in range(plan.shard_count):
-            task = make_task(shard_id, 1)
+        if pool is None:
+            limit, poll = 1, None
+
+            def submit(shard_id: int, attempt: int) -> Future:
+                return _run_inline(ctx, shard_id, attempt, cancel)
+
+        else:
+            limit = min(max_workers or plan.shard_count, plan.shard_count)
+            poll = _CANCEL_POLL_SECONDS if cancel is not None else None
+            _ensure_picklable(config, "the run configuration (RunConfig)")
+            published, flag = shared_memory(plan)
             if published is None:
-                _ensure_picklable(task, f"shard {shard_id}'s input records")
-            tasks.append(task)
-        workers = min(max_workers or plan.shard_count, plan.shard_count)
-        pool = ProcessPoolExecutor(max_workers=workers)
-    except BaseException:
-        if published is not None:
-            published.release()
-        raise
-    failed = True
-    completed: Dict[int, ShardOutcome] = {}
-    next_publish = 0
-    try:
-        future_tasks = {
-            pool.submit(_run_shard_task, task): task for task in tasks
-        }
-        pending = set(future_tasks)
-        while pending:
-            if _cancelled(cancel):
-                # Queued tasks are dropped; in-flight workers finish their
-                # shard (the token cannot reach them) and are collected.
-                pending = {
-                    future for future in pending if not future.cancel()
-                }
-                if not pending:
-                    break
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            # Apply the failure policy, lowest shard id first so the
-            # raised (or recorded) error is deterministic in a race.
-            failures = sorted(
-                (
-                    (future_tasks[future].shard_id, future)
-                    for future in done
-                    if future.exception() is not None
-                ),
-                key=lambda item: item[0],
-            )
-            for shard_id, future in failures:
-                task = future_tasks[future]
-                error = future.exception()
-                if isinstance(error, ShardExecutionError):
-                    wrapped = error
-                else:
-                    # e.g. BrokenProcessPool, or an unpicklable worker
-                    # error surfaced by the pool machinery.
-                    wrapped = ShardExecutionError(
-                        shard_id,
-                        task.attempt,
-                        0,
-                        f"{type(error).__name__}: {error}",
+                for shard_id in range(plan.shard_count):
+                    _ensure_picklable(
+                        _shard_task(plan, config, shard_id, 1, None),
+                        f"shard {shard_id}'s input records",
                     )
-                    wrapped.__cause__ = error
-                action = ctx.handle_failure(shard_id, task.attempt, wrapped, cancel)
-                if action == "retry":
-                    delay = ctx.note_retry(shard_id, task.attempt)
-                    if delay > 0:
-                        ctx.sleep(delay)
-                    # Retry resubmission goes through the same task
-                    # factory: under the zero-copy handoff that is a
-                    # fresh descriptor-only task — the records stay in
-                    # the already-published segments.
-                    retry_task = make_task(shard_id, task.attempt + 1)
-                    retry_future = pool.submit(_run_shard_task, retry_task)
-                    future_tasks[retry_future] = retry_task
-                    pending.add(retry_future)
-                elif action == "drop":
-                    ctx.record_failure(shard_id, task.attempt, wrapped)
-                else:
-                    # Fail-fast: the pin is "lowest failed shard id
-                    # wins", deterministically.  Queued tasks are
-                    # cancelled, but an in-flight worker on a *lower*
-                    # shard id may be about to fail fatally too and take
-                    # the pin — await those (and only those) before
-                    # raising.  A lower-id failure that the policy would
-                    # still retry is not fatal and cannot take the pin.
-                    still_running = [
-                        future for future in pending if not future.cancel()
-                    ]
-                    lower = {
-                        future
-                        for future in still_running
-                        if future_tasks[future].shard_id < wrapped.shard_id
-                    }
-                    while lower:
-                        finished, _ = wait(lower, return_when=FIRST_COMPLETED)
-                        for future in finished:
-                            error = future.exception()
-                            low_task = future_tasks[future]
-                            if (
-                                error is None
-                                or low_task.shard_id >= wrapped.shard_id
-                                or ctx.policy.should_retry(low_task.attempt)
-                            ):
-                                continue
-                            if isinstance(error, ShardExecutionError):
-                                wrapped = error
-                            else:
-                                wrapped = ShardExecutionError(
-                                    low_task.shard_id,
-                                    low_task.attempt,
-                                    0,
-                                    f"{type(error).__name__}: {error}",
-                                )
-                                wrapped.__cause__ = error
-                        lower = {
-                            future
-                            for future in lower - finished
-                            if future_tasks[future].shard_id < wrapped.shard_id
-                        }
-                    raise wrapped
-            for future in done:
-                if future.exception() is not None:
-                    continue
-                shard_id, result, wall_seconds = future.result()
-                completed[shard_id] = ShardOutcome.of(
-                    plan, shard_id, result, wall_seconds
+            descriptors = published.descriptors if published is not None else None
+
+            def submit(shard_id: int, attempt: int) -> Future:
+                task = _shard_task(
+                    plan,
+                    config,
+                    shard_id,
+                    attempt,
+                    descriptors,
+                    policy.shard_timeout_seconds,
+                    ctx.faults,
+                    cancel_flag=flag.name if flag is not None else None,
                 )
-            # Stream completions progressively, in shard-id order: shard
-            # k's event goes out as soon as shards 0..k have finished,
-            # without waiting for the whole run (a live progress feed).
-            # Degraded runs flush any events stuck behind a dropped
-            # shard's gap after the loop, like cancellation does.
-            if bus is not None:
-                while next_publish in completed:
-                    outcome = completed[next_publish]
-                    bus.publish(
+                return pool.submit(_run_shard_task, task)
+
+        def top_up() -> None:
+            if _cancelled(cancel):
+                # Shards that never start are settled with nothing to yield.
+                settled.update((shard_id, None) for shard_id, _ in queue)
+                queue.clear()
+                if flag is not None:
+                    flag.set()
+            while queue and len(running) < limit:
+                attempt = queue.popleft()
+                running[submit(*attempt)] = attempt
+
+        while True:
+            top_up()
+            if not running:
+                break
+            done, _ = wait(running, timeout=poll, return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=running.__getitem__):
+                shard_id, attempt = running.pop(future)
+                error = future.exception()
+                if error is None:
+                    _, result, wall_seconds = future.result()
+                    settled[shard_id] = (
+                        None
+                        if result.never_ran
+                        else ShardOutcome.of(plan, shard_id, result, wall_seconds)
+                    )
+                elif isinstance(error, BrokenProcessPool) and shard_id not in lost:
+                    # A worker died and took every attempt in flight down
+                    # with it: run this one again on the replaced pool.
+                    lost.add(shard_id)
+                    queue.appendleft((shard_id, attempt))
+                else:
+                    # The failure policy, applied here and nowhere else.
+                    error = _wrapped(error, shard_id, attempt)
+                    retry = policy.should_retry(attempt) and not _cancelled(cancel)
+                    publish(ShardFailed(shard_id, attempt, error, retry))
+                    if retry:
+                        delay = policy.backoff_delay(attempt)
+                        publish(ShardRetrying(shard_id, attempt + 1, delay))
+                        if delay > 0:
+                            ctx.sleep(delay)
+                        queue.appendleft((shard_id, attempt + 1))
+                    elif policy.drops_failed_shards:
+                        ctx.record_failure(shard_id, attempt, error)
+                        settled[shard_id] = None
+                    else:
+                        queue.clear()
+                        raise _pinned(error, running, policy, lost)
+            if pool is not None:
+                top_up()  # the workers stay busy while the caller consumes
+            while next_shard in settled:
+                outcome = settled.pop(next_shard)
+                next_shard += 1
+                if outcome is not None:
+                    publish(
                         ShardCompleted(
-                            next_publish, outcome.result, outcome.wall_seconds
+                            outcome.shard_id, outcome.result, outcome.wall_seconds
                         )
                     )
-                    next_publish += 1
-        failed = False
-        # Cancellation (a cancelled queued shard) or a degrade policy (a
-        # dropped shard) can leave a gap in the shard-id sequence; flush
-        # the completions stuck behind it.
-        if bus is not None:
-            for shard_id in sorted(completed):
-                if shard_id >= next_publish:
-                    outcome = completed[shard_id]
-                    bus.publish(
-                        ShardCompleted(shard_id, outcome.result, outcome.wall_seconds)
-                    )
+                    yield outcome
     finally:
-        pool.shutdown(wait=not failed, cancel_futures=True)
-        # Segments live exactly one run: close + unlink on success,
-        # failure and cancellation alike.  Workers attach read-only and
-        # close before returning, so nothing dangles.
+        # Whatever is still in flight (a failure, a closed iterator) stops
+        # at its next batch before its blocks and flag go away.
+        for future in running:
+            future.cancel()
+        if flag is not None:
+            flag.set()
+        wait(running)
         if published is not None:
             published.release()
-    return [completed[shard_id] for shard_id in sorted(completed)]
+        if flag is not None:
+            flag.close()
 
 
-#: The execution backends by name.  A backend is a callable ``(plan,
-#: config, bus, max_workers, cancel, ctx) → List[ShardOutcome]``; it owns
-#: worker scheduling and nothing else — partitioning happened before it
-#: runs, merging happens after.  ``cancel`` is an optional ``is_set()``
-#: token: once set, the backend stops scheduling new shards and returns
-#: the outcomes of the shards already completed.  ``ctx`` is the run's
-#: :class:`FailureContext`, which applies the failure policy, timeouts and
-#: fault injection uniformly.
-_BACKENDS: Dict[str, Callable] = {
-    "serial": _serial_backend,
-    "process": _process_backend,
-}
+#: The execution backends: ``serial`` runs attempts inline, ``process`` on
+#: a worker pool.
+_BACKENDS = ("process", "serial")
 
 
 def available_backends() -> Tuple[str, ...]:
     """Names of the execution backends, sorted."""
-    return tuple(sorted(_BACKENDS))
+    return _BACKENDS
 
 
 # -- the executor -----------------------------------------------------------------------
 
 
 class ParallelExecutor:
-    """Runs every shard of a plan through its own session and merges.
+    """Runs every shard of a plan through :func:`execute_shards` and merges.
 
     Parameters
     ----------
@@ -982,6 +797,9 @@ class ParallelExecutor:
         process-backend *workers* always use the real clock, since an
         injected one cannot cross the process boundary.
     """
+
+    #: The pool process-backend runs use (``None``: :func:`shared_pool`).
+    _pool: Optional[WorkerPool] = None
 
     def __init__(
         self,
@@ -1013,26 +831,30 @@ class ParallelExecutor:
     ) -> ShardedJoinResult:
         """Execute every shard of ``plan`` under ``config`` and merge.
 
-        Each shard gets a fresh :class:`JoinSession` built from the same
-        (immutable) config: policies are instantiated per shard from
-        ``config.policy``, every shard adapts independently, and relative
-        budgets (``budget_fraction``) resolve against the shard's own
-        input sizes.  An explicit ``config.parent_size`` is taken as-is by
-        every shard; leave it unset to let each shard infer its own
-        partition's parent size (the per-shard analog of ``|R|``).
-
-        ``cancel`` (an ``is_set()``-style token, e.g. ``threading.Event``)
-        requests a mid-run stop; the merged result then contains the
-        shards completed before the token was observed and carries
-        ``cancelled=True``.
+        Each shard gets a fresh :class:`JoinSession` from the same config:
+        every shard adapts independently, relative budgets resolve against
+        its own input sizes, and an unset ``config.parent_size`` lets it
+        infer its own partition's parent size.  ``cancel`` (an
+        ``is_set()``-style token) requests a mid-run stop; the merged
+        result then holds the shards completed (or stopped part-way) and
+        carries ``cancelled=True``.
         """
-        config = config or RunConfig()
+        ctx = self.context(plan, config or RunConfig(), bus)
+        return self.merge(ctx, list(self.shards(ctx, cancel)), cancel)
+
+    def context(
+        self,
+        plan: ShardPlan,
+        config: RunConfig,
+        bus: Optional[AggregatedEventBus] = None,
+    ) -> FailureContext:
+        """A fresh run's :class:`FailureContext` under this executor's policy."""
         # A plan built without the config in hand (or with a hand-built
         # partitioner) must still agree with the run it executes under —
         # the gram-prefix partitioner's recall guarantee depends on matching
         # tokenisation, so a mismatch is an error, not a silent loss.
         plan.partitioner.check_config(config)
-        ctx = FailureContext(
+        return FailureContext(
             plan,
             config,
             bus,
@@ -1041,18 +863,40 @@ class ParallelExecutor:
             clock=self._clock,
             sleep=self._sleep,
         )
-        outcomes = _BACKENDS[self.backend](
-            plan, config, bus, self.max_workers, cancel, ctx
-        )
+
+    def shards(
+        self, ctx: FailureContext, cancel: Optional[object] = None
+    ) -> Generator[ShardOutcome, None, None]:
+        """:func:`execute_shards` over ``ctx``'s plan on this executor's backend."""
+        pool = None
+        if self.backend == "process":
+            count = ctx.plan.shard_count
+            pool = self._pool or shared_pool(min(self.max_workers or count, count))
+        return execute_shards(ctx.plan, ctx.config, ctx, pool, self.max_workers, cancel)
+
+    def merge(
+        self,
+        ctx: FailureContext,
+        outcomes: Sequence[ShardOutcome],
+        cancel: Optional[object] = None,
+    ) -> ShardedJoinResult:
+        """The merged result of the ``outcomes`` :meth:`shards` yielded.
+
+        A run is cancelled when a shard stopped part-way, or when the token
+        is set and some shard neither completed nor was dropped.
+        """
+        plan = ctx.plan
+        failures = ctx.failure_records()
+        settled = {o.shard_id for o in outcomes} | {f.shard_id for f in failures}
         return ShardedJoinResult(
             shards=tuple(outcomes),
             backend=self.backend,
             partitioner=plan.partitioner.name or type(plan.partitioner).__name__,
             left_input_size=plan.left_input_size,
             right_input_size=plan.right_input_size,
-            cancelled=_cancelled(cancel)
-            or any(outcome.result.cancelled for outcome in outcomes),
-            failed_shards=ctx.failure_records(),
+            cancelled=any(outcome.result.cancelled for outcome in outcomes)
+            or (_cancelled(cancel) and len(settled) < plan.shard_count),
+            failed_shards=failures,
             handoff=plan.handoff,
         )
 
@@ -1062,14 +906,11 @@ def estimate_shard_payload_bytes(
 ) -> List[int]:
     """Pickled bytes the process backend ships per shard task.
 
-    Builds, per shard, exactly the task the backend's task factory
-    (:func:`_shard_task`) would submit for ``attempt`` under the plan's
-    resolved handoff — descriptors with placeholder segment names for
-    shared-memory plans (no segment is allocated; the name does not
-    change the size class), full record payloads for pickle plans — and
-    measures ``len(pickle.dumps(task))``.  The bench harness
-    records these as ``payload_bytes_per_shard``, and the regression test
-    for descriptor-only retries is built on the same measurement.
+    Builds, per shard, the task :func:`_shard_task` would submit for
+    ``attempt`` under the plan's resolved handoff (descriptors with
+    placeholder segment names, no segment allocated; or full record
+    payloads) and measures ``len(pickle.dumps(task))`` — the bench's
+    ``payload_bytes_per_shard``.
     """
     config = config or RunConfig()
     descriptors = plan.block_descriptors()
@@ -1096,13 +937,10 @@ def run_sharded(
 ) -> ShardedJoinResult:
     """One-call sharded join: partition, execute on a backend, merge.
 
-    The convenience entry point ``link_tables``, the bench harness and the
-    CLI build on; equivalent to building a :class:`ShardPlan` and handing
-    it to a :class:`ParallelExecutor` by hand.  The config is forwarded
-    to the plan build, so a partitioner given *by name* is constructed
-    against it (:meth:`Partitioner.from_config`) — which is what keeps
-    the ``gram-prefix`` partitioner's tokenisation (``q``, gram padding,
-    ``θ``) in lock-step with the engine's approximate operator.
+    Equivalent to building a :class:`ShardPlan` and handing it to a
+    :class:`ParallelExecutor`.  The config reaches the plan build, so a
+    partitioner given *by name* tokenises exactly as the engine's
+    approximate operator does (:meth:`Partitioner.from_config`).
     ``handoff`` selects the shard-input representation (see
     :meth:`ShardPlan.build`); the result records what was resolved.
     """

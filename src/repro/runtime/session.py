@@ -74,9 +74,9 @@ class AdaptiveJoinResult:
     def never_ran(self) -> bool:
         """Cancelled before the first engine step: skipped, not partial.
 
-        The one definition of the skipped-run rule — the parallel
-        backends and the jobs streaming path both drop such outcomes
-        rather than reporting a shard that did no work.
+        The one definition of the skipped-run rule — the shard driver
+        and the server drop such outcomes rather than reporting a shard
+        that did no work.
         """
         return self.cancelled and self.trace.total_steps == 0
 

@@ -19,10 +19,9 @@ one entry per match, in emission order,
   ``matched_exactly`` flag of both tuples,
 
 plus the session's counters, trace, final state, output schema and
-``cancelled`` flag as they are.  The worker (process backend and server
-pool), the serial backend and the streaming path all reduce a session
-result with :meth:`ShardResult.from_session`; the pool pickles it, the
-job store base64-wraps the same pickle
+``cancelled`` flag as they are.  A pool worker and the serial backend
+both reduce a session result with :meth:`ShardResult.from_session`; the
+pool pickles it, the job store base64-wraps the same pickle
 (:func:`repro.jobs.serialization.encode_shard_outcome`), and pairs,
 counts, dedup and the NDJSON feed read the columns directly.
 
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.state_machine import JoinState
 from repro.core.trace import ExecutionTrace
@@ -208,10 +207,13 @@ class ShardResult:
     def matches(self) -> Tuple[MatchEvent, ...]:
         """The session's match events, rebuilt from the bound shard records."""
         if self._matches is None:
-            self._matches = self._rebuild()
+            self._matches = tuple(self.events(range(len(self.left))))
         return self._matches
 
-    def _rebuild(self) -> Tuple[MatchEvent, ...]:
+    def events(self, positions: Iterable[int]) -> List[MatchEvent]:
+        """The match events at ``positions`` only, rebuilt as :attr:`matches` is."""
+        if self._matches is not None:
+            return [self._matches[position] for position in positions]
         if self._sources is None:
             raise RuntimeError(
                 "this shard result is not bound to its shard records: its "
@@ -225,9 +227,9 @@ class ShardResult:
         right_tuples: Dict[int, StoredTuple] = {}
         events: List[MatchEvent] = []
         append = events.append
-        for left, right, similarity, step, flags in zip(
-            self.left, self.right, self.similarity, self.step, self.flags
-        ):
+        for position in positions:
+            left, right = self.left[position], self.right[position]
+            flags = self.flags[position]
             left_tuple = left_tuples.get(left)
             if left_tuple is None:
                 left_tuple = left_tuples[left] = _stored_tuple(
@@ -246,14 +248,14 @@ class ShardResult:
                 )
             append(
                 MatchEvent(
-                    step,
+                    self.step[position],
                     _SIDES[flags & PROBE_RIGHT],
                     mode_of(flags),
                     left_tuple,
                     right_tuple,
-                    similarity,
+                    self.similarity[position],
                     bool(flags & EXACT_VALUE),
                     _EVIDENCE_OF[flags & (EVIDENCE_LEFT | EVIDENCE_RIGHT)],
                 )
             )
-        return tuple(events)
+        return events

@@ -726,13 +726,11 @@ class ShardPlan:
     def publish_blocks(self) -> Optional["PublishedPlanBlocks"]:
         """Copy the side blocks into fresh shared-memory segments.
 
-        Returns ``None`` for pickle-handoff plans.  The caller (the
-        process backend) owns the returned pair and **must** call
-        :meth:`PublishedPlanBlocks.release` in a ``finally`` — segments
-        live exactly one run; resume and re-execution publish fresh ones
-        from the plan's retained blocks.  Raises ``OSError`` when the
-        platform refuses the allocation (callers fall back to pickle
-        shipping).
+        Returns ``None`` for pickle-handoff plans.  The caller owns the
+        pair and **must** :meth:`~PublishedPlanBlocks.release` it; resume
+        and re-execution publish fresh ones from the plan's retained
+        blocks.  Raises ``OSError`` when the platform refuses the
+        allocation (callers fall back to pickle shipping).
         """
         if self.left_block is None or self.right_block is None:
             return None

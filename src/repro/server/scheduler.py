@@ -25,48 +25,26 @@ virtual time stands still while the running ones' grow).
 Execution modes
 ---------------
 
-Adaptive jobs without failure knobs are driven *shard-granular*: the
-scheduler builds the job's :class:`~repro.runtime.sharding.ShardPlan`
-and runs each shard's :class:`~repro.runtime.session.JoinSession` on one
-long-lived ``ProcessPoolExecutor`` of ``max_workers`` processes.  The
-``max_workers`` scheduler threads are the fair-share dispatchers: each
-picks a shard, submits it as the process backend's own task
-(:func:`~repro.runtime.parallel._shard_task`, run by
-:func:`~repro.runtime.parallel._run_shard_task`) and blocks on its
-future, which releases the GIL.  The job's plan blocks are published to
-shared memory once, at its first dispatch, so a task ships descriptors
-only (or its shard's records, under the pickle handoff); they are
-released when the job closes, however it closes.  Outcomes come back
-through the handle's external-driver surface (``begin_external`` /
-``record_shard_outcome`` / ``finish_external``).  The workers are forked
-in :meth:`start`, before any scheduler thread exists.  They ignore
-SIGINT, so a Ctrl-C (which signals the whole process group) reaches the
-server alone, and the server stops them itself (cancel flag, then the
-pool's shutdown); a server killed outright leaves no worker behind,
-since each one exits once its parent pid changes.  A shard's result
-comes back as match columns
-(:class:`~repro.runtime.shard_result.ShardResult`), which the store
-persists and the feed formats without building a match event.
-
-A worker that dies (killed, out of memory, or caught by a process-group
-SIGTERM) breaks the whole pool: every shard in flight on it is lost,
-whichever job it belongs to.  Such a shard never completed and nothing
-of it was persisted, so it is re-queued and runs again; a shard lost to
-a broken pool a second time fails its job.  A worker death therefore
-fails no bystander job, and a group SIGTERM followed by the server's
-shutdown leaves jobs resumable.  The re-run goes to a replacement pool,
-forked at the next dispatch — the one fork the server makes while its
-threads (scheduler and HTTP handlers) are running, so a child could
-inherit a lock another thread held at that instant (Python 3.12 warns
-about such forks with a ``DeprecationWarning``).
+Adaptive jobs without failure knobs are driven *shard-granular* on the
+scheduler's :class:`~repro.runtime.pool.WorkerPool` of ``max_workers``
+processes, forked in :meth:`start` before any scheduler thread exists.
+The ``max_workers`` scheduler threads are the fair-share dispatchers:
+each picks a shard, submits the shard driver's own task
+(:func:`~repro.runtime.parallel._shard_task`) and blocks on its future,
+which releases the GIL.  The job's plan blocks are published to shared
+memory at its first dispatch and released when the job closes, however
+it closes.  Outcomes come back as match columns through the handle's
+external-driver surface (``begin_external`` / ``record_shard_outcome`` /
+``finish_external``).  A worker death loses every shard in flight on
+the pool, whichever job it belongs to; nothing of such a shard was
+persisted, so it is re-queued once, and a second loss fails its job.
 
 Three job shapes instead run as a single scheduled unit on a scheduler
 thread (costed at their full volume): baseline strategies (their
 operators are not incremental), jobs with a failure policy or fault plan
-(retry/timeout/degrade semantics live in the
-:class:`~repro.runtime.parallel.ParallelExecutor`, so the whole job runs
-through :meth:`JobHandle.run`), and restart-resumes
-(:meth:`JobHandle.resume` re-runs exactly the missing shards).
+(whose semantics live in the shard driver), and restart-resumes
+(:meth:`JobHandle.resume` re-runs exactly the missing shards); their
+``process``-backend shards run on the scheduler's pool.
 
 Cancellation
 ------------
@@ -110,12 +88,7 @@ bit-identically to an uninterrupted one.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import signal
 import threading
-import time
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
@@ -131,13 +104,13 @@ from typing import (
     Union,
 )
 
-from repro.jobs.builder import JobSpec
 from repro.jobs.handle import DEFAULT_STREAM_BATCH, JobHandle
 from repro.jobs.serialization import PayloadError, build_job, normalize_payload
 from repro.runtime.collectors import ProgressSnapshot
-from repro.runtime.handoff import CancelFlag, share_segment_tracker
-from repro.runtime.parallel import _run_shard_task, _shard_task, _ShardTask
-from repro.runtime.shard_result import ShardResult, mode_of
+from repro.runtime.handoff import CancelFlag
+from repro.runtime.parallel import _run_shard_task, _shard_task, shared_memory
+from repro.runtime.pool import WorkerPool
+from repro.runtime.shard_result import mode_of
 from repro.runtime.sharding import (
     FirstShardWins,
     PublishedPlanBlocks,
@@ -261,42 +234,6 @@ def _feed_lines(outcome: ShardOutcome, tag_shards: bool) -> _FeedLines:
     return lines
 
 
-#: Seconds between a pool worker's checks that its server is still alive.
-_PARENT_POLL_SECONDS = 0.5
-
-
-def _exit_with_parent(parent: int) -> None:
-    """Exit this worker process once ``parent`` is no longer its parent."""
-    while os.getppid() == parent:
-        time.sleep(_PARENT_POLL_SECONDS)
-    os._exit(1)
-
-
-def _worker_signals(server_pid: int) -> None:
-    """Pool-worker initializer: ignore SIGINT, die on SIGTERM, die with the server.
-
-    Ctrl-C signals the whole foreground process group; a worker that
-    raised ``KeyboardInterrupt`` mid-shard would fail its job, where the
-    server's own shutdown leaves it resumable.  SIGTERM keeps its default
-    action even if the embedding process installed a handler before the
-    fork: when a worker dies, the pool terminates the survivors with
-    SIGTERM and then joins them, and a survivor that lived on would hang
-    that join for good.  A server killed outright (SIGKILL, the OOM
-    killer) runs no shutdown, so each worker also watches its parent pid
-    from a daemon thread and exits when it is no longer ``server_pid`` —
-    taken before the fork, so a server that dies before this initializer
-    runs is noticed too.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    threading.Thread(
-        target=_exit_with_parent,
-        args=(server_pid,),
-        name="linkage-parent-watch",
-        daemon=True,
-    ).start()
-
-
 class JobScheduler:
     """The fair-share scheduler (see the module docstring).
 
@@ -360,10 +297,7 @@ class JobScheduler:
         self._stopping = False
         self._started = False
         self._workers: List[threading.Thread] = []
-        #: The shard processes; replaced (under ``_pool_lock``) when a
-        #: worker death breaks it.
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_lock = threading.Lock()
+        self._pool = WorkerPool(max_workers)
         self._counters: Dict[str, int] = {
             "jobs_submitted": 0,
             "jobs_finished": 0,
@@ -386,7 +320,7 @@ class JobScheduler:
             # Fork before any scheduler thread exists: a child forked
             # from a threaded process inherits every lock those threads
             # held, with no thread left to release it.
-            self._pool = self._launch_pool()
+            self._pool.start()
             for index in range(self.max_workers):
                 thread = threading.Thread(
                     target=self._worker_loop,
@@ -395,19 +329,6 @@ class JobScheduler:
                 )
                 self._workers.append(thread)
                 thread.start()
-
-    def _launch_pool(self) -> ProcessPoolExecutor:
-        """A pool whose ``max_workers`` processes are all forked on return."""
-        share_segment_tracker()
-        pool = ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_worker_signals,
-            initargs=(os.getpid(),),
-        )
-        # Under fork the first submit launches every worker at once.
-        pool.submit(os.getpid).result()
-        return pool
 
     def shutdown(self, timeout: Optional[float] = None) -> None:
         """Stop dispatching, interrupt running jobs, join the workers.
@@ -426,10 +347,7 @@ class JobScheduler:
             self._cond.notify_all()
         for thread in self._workers:
             thread.join(timeout)
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        self._pool.shutdown()
         with self._cond:
             for job in self._jobs.values():
                 self._release_shared(job)
@@ -484,9 +402,10 @@ class JobScheduler:
             streamable=spec.strategy == "adaptive",
             handle=handle,
         )
+        handle._pool = self._pool
         self._next_seq += 1
         if job.mode == "shard":
-            job.plan = self._build_plan(spec)
+            job.plan = spec.shard_plan()
             sizes = job.plan.shard_sizes()
             for shard_id, (left_size, right_size) in enumerate(sizes):
                 job.costs[shard_id] = float(max(left_size * right_size, 1))
@@ -499,19 +418,6 @@ class JobScheduler:
         self._jobs[job_id] = job
         self._order.append(job_id)
         return job
-
-    @staticmethod
-    def _build_plan(spec: JobSpec) -> ShardPlan:
-        """The job's deterministic shard plan (same spec → same plan)."""
-        return ShardPlan.build(
-            spec.left,
-            spec.right,
-            spec.attribute,
-            spec.shards,
-            spec.partitioner,
-            config=spec.run_config,
-            handoff=spec.handoff,
-        )
 
     # -- restart: replay the store ---------------------------------------------------
 
@@ -554,7 +460,7 @@ class JobScheduler:
                 job = self._admit(stored.job_id, handle, stored.payload)
                 job.pending.clear()
                 if spec.strategy == "adaptive":
-                    plan = job.plan or self._build_plan(spec)
+                    plan = job.plan or spec.shard_plan()
                     job.plan = plan
                     outcomes = [
                         stored.outcomes[shard_id]
@@ -588,6 +494,10 @@ class JobScheduler:
                     else:
                         if stored.status == "failed":
                             job.error = "failed before restart"
+                        elif stored.status is None:
+                            # Every shard is on disk but the status line
+                            # is not: write the status derived here.
+                            self.store.set_status(job.job_id, handle.state)
                         self._compact(job, stored.status or handle.state)
                 elif stored.status is None:
                     # Interrupted baseline: re-run it whole on the fresh
@@ -793,35 +703,8 @@ class JobScheduler:
                     best.dispatched = True
                     if best.mode == "shard":
                         best.handle.begin_external(best.plan)
-                        self._publish(best)
+                        best.blocks, best.cancel_flag = shared_memory(best.plan)
                 return best, unit
-
-    @staticmethod
-    def _publish(job: _Job) -> None:
-        """Give a job its shared memory: plan blocks and cancel flag."""
-        try:
-            job.blocks = job.plan.publish_blocks()
-        except OSError:
-            job.blocks = None  # tasks ship their shards' records instead
-        try:
-            job.cancel_flag = CancelFlag.create()
-        except OSError:
-            # In-flight shards then stop at their end, not mid-shard.
-            job.cancel_flag = None
-
-    def _run_on_pool(self, task: _ShardTask) -> Tuple[int, ShardResult, float]:
-        """Run one shard task on the pool; blocks without holding the GIL."""
-        with self._pool_lock:
-            try:
-                future = self._pool.submit(_run_shard_task, task)
-            except BrokenProcessPool:
-                # A worker died and broke the pool; later work runs on a
-                # fresh one, forked from this (threaded) process — see
-                # the module docstring.
-                self._pool.shutdown(wait=False)
-                self._pool = self._launch_pool()
-                future = self._pool.submit(_run_shard_task, task)
-        return future.result()
 
     def _run_shard(self, job: _Job, shard_id: int) -> None:
         """Execute one shard session on the pool and fold its matches."""
@@ -841,7 +724,8 @@ class JobScheduler:
                 max_batch=self._shard_batch,
                 batch_delay=self._shard_delay,
             )
-            _, result, wall_seconds = self._run_on_pool(task)
+            # Blocks on the future without holding the GIL.
+            _, result, wall_seconds = self._pool.submit(_run_shard_task, task).result()
             if not result.never_ran:
                 outcome = ShardOutcome.of(plan, shard_id, result, wall_seconds)
                 handle.record_shard_outcome(outcome)

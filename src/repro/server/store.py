@@ -53,6 +53,10 @@ from repro.runtime.sharding import ShardOutcome
 __all__ = ["JobStore", "JsonlJobStore", "StoredJob"]
 
 
+#: The statuses a closed job can record; any other counts as missing.
+TERMINAL_STATUSES = ("finished", "cancelled", "failed")
+
+
 @dataclass
 class StoredJob:
     """Everything a store holds about one job (the :meth:`JobStore.load` row)."""
@@ -132,7 +136,7 @@ class JsonlJobStore(JobStore):
     returns — base64-wrapped once; no match event or record is written.
     A line that does not parse, or parses to a record of the wrong shape
     (a ``job`` that is not a string, a ``payload`` that is not an
-    object, a ``status`` that is not a string), is skipped; a shard line
+    object, a ``status`` that is not terminal), is skipped; a shard line
     that does not decode is listed in :attr:`StoredJob.undecodable` —
     never fatal.  The file is opened in append mode and every write is
     flushed and fsync'd, so a SIGTERM'd server's completed shards are on
@@ -216,7 +220,7 @@ class JsonlJobStore(JobStore):
             jobs[job_id].add_encoded(record.get("shard"), record.get("outcome"))
         elif kind == "status" and job_id in jobs:
             status = record.get("status")
-            if isinstance(status, str):
+            if status in TERMINAL_STATUSES:
                 jobs[job_id].status = status
 
     def close(self) -> None:

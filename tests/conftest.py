@@ -7,6 +7,7 @@ suite instead.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from typing import List
@@ -150,6 +151,27 @@ def damerau_levenshtein_distance():
     """Edit distance that also counts one adjacent transposition as one
     edit ``(str, str) -> int``, for transposition variants."""
     return _damerau_levenshtein_distance
+
+
+def _process_alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie awaiting its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+@pytest.fixture(scope="session")
+def process_alive():
+    """Whether a pid runs — what the no-stray-worker tests poll."""
+    return _process_alive
 
 
 @pytest.fixture

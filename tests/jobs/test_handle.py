@@ -1,10 +1,15 @@
 """Tests for JobHandle: streaming, cancellation, progress and lifecycle."""
 
+import json
+import warnings
+
 import pytest
 
 from repro.core.thresholds import Thresholds
 from repro.jobs import LinkageJob, StreamedMatch
 from repro.linkage.api import link_tables
+from repro.runtime.errors import ShardExecutionError
+from repro.runtime.faults import FaultPlan
 
 FAST = Thresholds(delta_adapt=25, window_size=25)
 
@@ -134,19 +139,56 @@ class TestStreaming:
         with pytest.raises(ValueError, match="adaptive"):
             handle.stream_matches()
 
-    def test_parallel_backend_stream_warns_and_equals_the_serial_merge(
-        self, small_dataset
-    ):
+    def test_process_backend_stream_equals_the_serial_stream(self, small_dataset):
+        """A process-backend stream runs on the pool and yields the serial
+        stream's matches, byte for byte on the wire, without a warning."""
+        serial = list(_job(small_dataset).sharded(2).build().stream_matches())
         handle = _job(small_dataset).sharded(2, backend="process").build()
-        # Streaming always takes the serial-merge path; configuring a
-        # parallel backend alongside it warns rather than silently
-        # dropping the parallelism.
-        with pytest.warns(UserWarning, match="serial-merge"):
-            stream = handle.stream_matches(batch_size=64)
-        pairs = [match.pair for match in stream]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            streamed = list(handle.stream_matches(batch_size=64))
         assert handle.state == "finished"
-        reference = _job(small_dataset).sharded(2).build().run()
-        assert pairs == reference.pairs
+        assert handle.result().statistics["backend"] == "process"
+        assert [json.dumps(m.to_json()) for m in streamed] == [
+            json.dumps(m.to_json()) for m in serial
+        ]
+        assert [match.pair for match in streamed] == handle.result().pairs
+
+
+class TestStreamingUnderFailures:
+    """A stream runs under the job's fault plan and failure policy, as
+    run() does."""
+
+    @pytest.mark.parametrize("policy", ["fail-fast", "retry", "degrade"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_stream_honours_the_fault_plan_and_the_policy(
+        self, small_dataset, policy, backend
+    ):
+        def job():
+            return (
+                _job(small_dataset)
+                .sharded(2, backend=backend)
+                .on_failure(policy)
+                .inject_faults(FaultPlan.crash(0, attempts=(1,)))
+                .build()
+            )
+
+        handle = job()
+        if policy == "fail-fast":
+            with pytest.raises(ShardExecutionError):
+                list(handle.stream_matches())
+            assert handle.state == "failed"
+            return
+        streamed = [match.pair for match in handle.stream_matches()]
+        blocking = job().run()
+        result = handle.result()
+        failed = result.statistics.get("failed_shards")
+        assert failed == blocking.statistics.get("failed_shards")
+        assert streamed == blocking.pairs
+        if policy == "retry":
+            assert failed is None
+        else:
+            assert [row["shard"] for row in failed] == [0]
 
 
 class TestCancellation:

@@ -1,10 +1,11 @@
 """Unit tests for the supervised attempt loop behind both shard backends.
 
 :func:`repro.runtime.parallel._run_attempt` drives one shard attempt and
-:meth:`FailureContext.run_shard` is the retry / degrade / fail-fast loop
-around it.  Both are plain functions over an injectable ``clock`` and
-``sleep``, so every scenario here runs against a fake clock and never
-waits: a hang "passes time" only through the injected ``sleep``.
+:func:`~repro.runtime.parallel.execute_shards` applies the retry / degrade /
+fail-fast policy around it.  Without a pool :func:`execute_shards` runs attempts
+inline over the run's injectable ``clock`` and ``sleep``, so every
+scenario here runs against a fake clock and never waits: a hang "passes
+time" only through the injected ``sleep``.
 """
 
 import threading
@@ -22,6 +23,7 @@ from repro.runtime.parallel import (
     AggregatedEventBus,
     FailureContext,
     _run_attempt,
+    execute_shards,
 )
 from repro.runtime.session import JoinSession
 from repro.runtime.sharding import ShardPlan
@@ -203,10 +205,18 @@ def _context(plan, *, policy=None, faults=None, bus=None, fake=None):
     ), fake
 
 
-class TestFailureContextRunShard:
+def _drive(ctx, cancel=None):
+    """Every shard's outcome by shard id, driven inline (the serial backend)."""
+    return {
+        outcome.shard_id: outcome
+        for outcome in execute_shards(ctx.plan, FAST, ctx, None, None, cancel)
+    }
+
+
+class TestInlineDriver:
     def test_clean_shard_returns_its_outcome_without_sleeping(self, plan):
         ctx, fake = _context(plan)
-        outcome = ctx.run_shard(2)
+        outcome = _drive(ctx)[2]
         assert outcome.shard_id == 2
         assert outcome.left_origins == plan.left_shards[2].origins
         assert outcome.right_origins == plan.right_shards[2].origins
@@ -220,8 +230,9 @@ class TestFailureContextRunShard:
         original = parallel_module._run_attempt
 
         def spy(*args, **kwargs):
-            # (attempt, timeout, fault) of each call.
-            attempts.append((args[5], args[8], args[9]))
+            # (attempt, timeout, fault) of each call on shard 0.
+            if args[4] == 0:
+                attempts.append((args[5], args[8], args[9]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(parallel_module, "_run_attempt", spy)
@@ -230,8 +241,8 @@ class TestFailureContextRunShard:
             policy=RetryPolicy(max_attempts=2),
             faults=FaultPlan.crash(0, attempts=(1,)),
         )
-        outcome = ctx.run_shard(0)
-        assert outcome is not None and not outcome.result.cancelled
+        outcome = _drive(ctx)[0]
+        assert not outcome.result.cancelled
         assert [(attempt, timeout) for attempt, timeout, _ in attempts] == [
             (1, None),
             (2, None),
@@ -259,9 +270,9 @@ class TestFailureContextRunShard:
         monkeypatch.setattr(parallel_module, "_run_attempt", spy_attempt)
         monkeypatch.setattr(JoinSession, "run_batches", spy_batches)
         ctx, _ = _context(plan, policy=FailFastPolicy(shard_timeout_seconds=60))
-        outcome = ctx.run_shard(0)
-        assert attempts == [(60, None)]
-        assert caps == [parallel_module._SUPERVISED_BATCH]
+        outcome = _drive(ctx)[0]
+        assert attempts == [(60, None)] * plan.shard_count
+        assert caps == [parallel_module._SUPERVISED_BATCH] * plan.shard_count
         monkeypatch.setattr(JoinSession, "run_batches", run_batches)
         reference = _unsupervised(plan, 0)
         assert outcome.result.matched_pairs() == reference.matched_pairs()
@@ -282,10 +293,12 @@ class TestFailureContextRunShard:
 
         monkeypatch.setattr(JoinSession, "run_batches", fail_after_two)
         ctx, _ = _context(plan, policy=DegradePolicy(max_attempts=1))
-        assert ctx.run_shard(1) is None
-        (record,) = ctx.failure_records()
-        assert record.batches == 2
-        assert record.error_type == "RuntimeError"
+        assert _drive(ctx) == {}
+        records = ctx.failure_records()
+        assert [record.shard_id for record in records] == [0, 1, 2]
+        assert {(record.batches, record.error_type) for record in records} == {
+            (2, "RuntimeError")
+        }
 
     def test_retries_sleep_the_backoff_and_publish_each_step(self, plan):
         bus = AggregatedEventBus()
@@ -300,8 +313,7 @@ class TestFailureContextRunShard:
             faults=FaultPlan.crash(1, attempts=(1, 2, 3)),
             bus=bus,
         )
-        outcome = ctx.run_shard(1)
-        assert outcome is not None
+        assert 1 in _drive(ctx)
         assert fake.slept == [0.25, 0.5, 1.0]
         assert [
             (type(event).__name__, getattr(event, "attempt", None)
@@ -323,13 +335,14 @@ class TestFailureContextRunShard:
             policy=RetryPolicy(max_attempts=2, backoff_seconds=0.0),
             faults=FaultPlan.crash(1, attempts=(1,)),
         )
-        assert ctx.run_shard(1) is not None
+        assert 1 in _drive(ctx)
         assert fake.slept == []
 
     def test_fail_fast_raises_the_first_failure(self, plan):
         ctx, fake = _context(plan, faults=FaultPlan.crash(1, attempts=None))
         with pytest.raises(ShardExecutionError) as excinfo:
-            ctx.run_shard(1)
+            _drive(ctx)
+        assert excinfo.value.shard_id == 1
         assert excinfo.value.attempt == 1
         assert isinstance(excinfo.value.__cause__, InjectedFaultError)
         assert fake.slept == []
@@ -341,7 +354,7 @@ class TestFailureContextRunShard:
             policy=DegradePolicy(max_attempts=2, backoff_seconds=0.1),
             faults=FaultPlan.crash(1, attempts=None, after_batches=1),
         )
-        assert ctx.run_shard(1) is None
+        assert sorted(_drive(ctx)) == [0, 2]
         assert fake.slept == [0.1]
         (record,) = ctx.failure_records()
         assert record.shard_id == 1
@@ -358,7 +371,7 @@ class TestFailureContextRunShard:
             policy=DegradePolicy(shard_timeout_seconds=0.1),
             faults=FaultPlan.hang(2, attempts=None),
         )
-        assert ctx.run_shard(2) is None
+        assert sorted(_drive(ctx)) == [0, 1]
         (record,) = ctx.failure_records()
         assert record.shard_id == 2 and record.timed_out
 
@@ -366,7 +379,7 @@ class TestFailureContextRunShard:
         cancel = threading.Event()
         cancel.set()
         ctx, _ = _context(plan)
-        assert ctx.run_shard(0, cancel) is None
+        assert _drive(ctx, cancel) == {}
 
     def test_no_retry_once_the_caller_cancelled(self, plan, monkeypatch):
         """A failure observed after cancellation is final, not retried."""
@@ -387,7 +400,7 @@ class TestFailureContextRunShard:
         )
         monkeypatch.setattr(parallel_module, "_run_attempt", cancel_then_fail)
         with pytest.raises(ShardExecutionError) as excinfo:
-            ctx.run_shard(0, cancel)
+            _drive(ctx, cancel)
         assert excinfo.value.attempt == 1
         assert [event.will_retry for event in failed] == [False]
         assert fake.slept == []
@@ -402,11 +415,11 @@ class TestFailureContextRunShard:
             faults=FaultPlan.crash(2, attempts=(1,), after_batches=1),
             bus=bus,
         )
-        outcome = ctx.run_shard(2)
+        outcome = _drive(ctx)[2]
         steps = sum(
             event.event.count for event in tagged
-            if type(event.event).__name__ == "StepBatch"
+            if event.shard_id == 2 and type(event.event).__name__ == "StepBatch"
         )
-        assert {event.shard_id for event in tagged} == {2}
+        assert {event.shard_id for event in tagged} == {0, 1, 2}
         # One batch of the failed attempt, then the whole retried attempt.
         assert steps > outcome.result.trace.total_steps

@@ -1,6 +1,10 @@
 """Tests for the parallel execution backends and the aggregated bus."""
 
+import multiprocessing
+import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -12,6 +16,9 @@ from repro.joins.engine import StepBatch
 from repro.runtime.collectors import ThroughputCollector
 from repro.runtime.config import RunConfig
 from repro.runtime.events import ShardCompleted, ShardEvent
+from repro.runtime.failures import DegradePolicy, FailFastPolicy, RetryPolicy
+from repro.runtime.faults import FaultPlan
+from repro.runtime.handoff import live_block_count
 from repro.runtime.parallel import (
     AggregatedEventBus,
     ParallelExecutor,
@@ -294,6 +301,22 @@ class TestMidRunCancellation:
         full_steps = len(small_dataset.parent) + len(small_dataset.child)
         assert 0 < result.trace.total_steps < full_steps
 
+    def test_process_cancel_reaches_an_in_flight_worker(self, small_dataset):
+        """The run's cancel flag carries the token into a worker: a shard
+        hanging there is released long before its timeout, skipped, and
+        the run returns."""
+        token = threading.Event()
+        threading.Timer(0.3, token.set).start()
+        result = run_sharded(
+            small_dataset.parent, small_dataset.child, "location",
+            RunConfig.from_thresholds(FAST), shards=2, backend="process",
+            cancel=token, faults=FaultPlan.hang(0, attempts=None),
+            failure_policy=FailFastPolicy(shard_timeout_seconds=30.0),
+        )
+        assert result.cancelled is True
+        assert [outcome.shard_id for outcome in result.shards] == [1]
+        assert live_block_count() == 0
+
     def test_unset_token_changes_nothing(self, small_dataset):
         cancel = threading.Event()
         with_token = run_sharded(
@@ -307,6 +330,61 @@ class TestMidRunCancellation:
         assert with_token.cancelled is False
         assert with_token.matched_pairs() == without.matched_pairs()
         assert with_token.counters.as_dict() == without.counters.as_dict()
+
+
+def _kill_pool_workers_when_running():
+    """SIGKILL every pool worker of this process once a pool is up."""
+    deadline = time.monotonic() + 30
+    while not multiprocessing.active_children():
+        assert time.monotonic() < deadline, "no pool worker started"
+        time.sleep(0.01)
+    time.sleep(0.3)  # shard 0 hangs in its worker by now
+    for worker in multiprocessing.active_children():
+        os.kill(worker.pid, signal.SIGKILL)
+
+
+class TestWorkerDeath:
+    """A worker death loses every shard in flight on the pool; each runs
+    again once, without counting as an attempt, so nothing is lost."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            RetryPolicy(max_attempts=2, shard_timeout_seconds=1.0),
+            DegradePolicy(max_attempts=2, shard_timeout_seconds=1.0),
+        ],
+        ids=["retry", "degrade"],
+    )
+    def test_a_killed_worker_loses_no_shard(self, small_dataset, policy):
+        config = RunConfig.from_thresholds(FAST)
+        plan = ShardPlan.build(
+            small_dataset.parent, small_dataset.child, "location", 2, "hash",
+            config=config,
+        )
+        reference = ParallelExecutor().run(plan, config)
+        executor = ParallelExecutor(
+            backend="process",
+            failure_policy=policy,
+            faults=FaultPlan.hang(0, attempts=(1,)),
+        )
+        outcome = {}
+
+        def run():
+            try:
+                outcome["result"] = executor.run(plan, config)
+            except BaseException as error:  # noqa: BLE001 - asserted below
+                outcome["error"] = error
+
+        runner = threading.Thread(target=run)
+        runner.start()
+        _kill_pool_workers_when_running()
+        runner.join(60)
+        assert not runner.is_alive()
+        assert "error" not in outcome, repr(outcome.get("error"))
+        merged = outcome["result"]
+        assert merged.failed_shards == ()
+        assert merged.matched_pairs() == reference.matched_pairs()
+        assert live_block_count() == 0
 
 
 class TestShardedResultSurface:

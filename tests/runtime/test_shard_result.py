@@ -34,6 +34,7 @@ from repro.runtime.handoff import live_block_count, shared_memory_available
 from repro.runtime.parallel import (
     FailureContext,
     ParallelExecutor,
+    _run_inline,
     _run_shard_task,
     _shard_task,
 )
@@ -159,7 +160,8 @@ class TestColumnsToEventsOracle:
         context = FailureContext(
             plan, config, None, create_failure_policy("fail-fast")
         )
-        outcome = context.run_shard(1, cancel=_TripAfter(3))
+        _, result, _ = _run_inline(context, 1, 1, _TripAfter(3)).result()
+        outcome = ShardOutcome.of(plan, 1, result)
         live = _live(plan, 1, config, cancel=_TripAfter(3))
         assert outcome.result.cancelled and live.cancelled
         assert 0 < outcome.result.trace.total_steps < len(plan.left_shards[1]) + len(
@@ -201,6 +203,24 @@ class TestColumnsToEventsOracle:
             bound = ShardOutcome.of(plan, decoded.shard_id, decoded.result)
             assert bound.matched_pairs() == outcome.matched_pairs()
             _assert_same_events(bound.result.matches, outcome.result.matches)
+
+    def test_events_at_positions_are_those_of_matches(self, small_dataset):
+        """A stream rebuilds only the events it owns; they equal the full
+        rebuild's at the same positions, before and after it is cached."""
+        config = _config()
+        plan = _plan(small_dataset, "gram-prefix", "pickle", config)
+        outcome = ParallelExecutor().run(plan, config).shards[1]
+        decoded = decode_shard_outcome(encode_shard_outcome(outcome))
+        result = ShardOutcome.of(plan, 1, decoded.result).result
+        positions = list(range(0, result.result_size, 3))
+        assert positions
+        before = result.events(positions)
+        assert result._matches is None  # a subset is not cached
+        wanted = [outcome.result.matches[i] for i in positions]
+        _assert_same_events(before, wanted)
+        _assert_same_events(result.events(positions), before)
+        result.matches
+        _assert_same_events(result.events(positions), wanted)
 
 
 class TestNothingButColumnsCrosses:

@@ -238,27 +238,12 @@ import sys, time
 from repro.server import JobScheduler
 
 scheduler = JobScheduler(max_workers=2)
-print(" ".join(str(pid) for pid in scheduler._pool._processes), flush=True)
+print(" ".join(str(pid) for pid in scheduler._pool._executor._processes), flush=True)
 time.sleep(600)
 """
 
 
-def _alive(pid: int) -> bool:
-    """Whether ``pid`` runs (a zombie awaiting its reaper does not)."""
-    try:
-        with open(f"/proc/{pid}/stat") as stat:
-            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
-    except OSError:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        return True
-
-
-def test_pool_workers_exit_when_the_server_is_killed():
+def test_pool_workers_exit_when_the_server_is_killed(process_alive):
     env = dict(os.environ, PYTHONPATH=_SRC)
     server = subprocess.Popen(
         [sys.executable, "-c", _ORPHAN_SCRIPT],
@@ -267,13 +252,13 @@ def test_pool_workers_exit_when_the_server_is_killed():
     try:
         workers = [int(pid) for pid in server.stdout.readline().split()]
         assert len(workers) == 2
-        assert all(_alive(pid) for pid in workers)
+        assert all(process_alive(pid) for pid in workers)
         server.send_signal(signal.SIGKILL)
         server.wait(timeout=30)
         deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline and any(map(_alive, workers)):
+        while time.monotonic() < deadline and any(map(process_alive, workers)):
             time.sleep(0.05)
-        survivors = [pid for pid in workers if _alive(pid)]
+        survivors = [pid for pid in workers if process_alive(pid)]
     finally:
         if server.poll() is None:
             server.kill()

@@ -1,5 +1,5 @@
 """The scheduler's worker processes: cancel, shared memory, stop signals,
-worker death, fork order, and what a closed job keeps."""
+worker death, fork order, whole-unit jobs, and what a closed job keeps."""
 
 import gc
 import json
@@ -11,6 +11,7 @@ import types
 
 import pytest
 
+import repro.runtime.parallel as parallel_module
 from repro.engine.table import Table
 from repro.engine.tuples import Record
 from repro.jobs import JobHandle, StreamedMatch, build_job, normalize_payload
@@ -153,7 +154,7 @@ class TestStopSignals:
         job_id = scheduler.submit(small_payload)
         _wait_state(scheduler, job_id, {"running"})
         time.sleep(0.3)  # mid-shard: shard 0 runs >= 0.66 s
-        workers = list(scheduler._pool._processes.values())
+        workers = list(scheduler._pool._executor._processes.values())
         for worker in workers:
             os.kill(worker.pid, signum)
         time.sleep(0.3)
@@ -175,11 +176,11 @@ class TestStopSignals:
 
 def _kill_workers_mid_shard(scheduler, job_ids, previous_pool=None):
     """SIGKILL the pool's workers once every job has a shard in flight on
-    a pool other than ``previous_pool``; returns the pool hit."""
+    an executor other than ``previous_pool``; returns the executor hit."""
     jobs = [scheduler._jobs[job_id] for job_id in job_ids]
     deadline = time.monotonic() + 30
     while True:
-        pool = scheduler._pool
+        pool = scheduler._pool._executor
         if pool is not previous_pool and all(job.running for job in jobs):
             break
         assert time.monotonic() < deadline, "the jobs never ran"
@@ -228,7 +229,7 @@ class TestForkOrder:
 
         def start(thread):
             if thread.name.startswith("linkage-worker"):
-                pool = scheduler._pool
+                pool = scheduler._pool._executor
                 forked_at_thread_start.append(
                     len(pool._processes) if pool is not None else 0
                 )
@@ -239,9 +240,44 @@ class TestForkOrder:
         monkeypatch.undo()
         try:
             assert forked_at_thread_start == [2, 2]
-            assert scheduler._pool._mp_context.get_start_method() == "fork"
+            executor = scheduler._pool._executor
+            assert executor._mp_context.get_start_method() == "fork"
         finally:
             scheduler.shutdown()
+
+
+class TestWholeUnitJobs:
+    def test_a_failure_policy_job_runs_on_the_scheduler_pool(
+        self, small_payload, monkeypatch
+    ):
+        """A whole-unit ``process``-backend job submits its shards to the
+        scheduler's pool and forks no pool of its own."""
+        serial = dict(small_payload, on_failure="retry")
+        reference = build_job(normalize_payload(serial)).run().pairs
+
+        def no_library_pool(workers):
+            raise AssertionError("a server job asked for the library pool")
+
+        monkeypatch.setattr(parallel_module, "shared_pool", no_library_pool)
+        payload = dict(serial, backend="process")
+        scheduler = JobScheduler(max_workers=2)
+        submitted = []
+        submit = scheduler._pool.submit
+
+        def spy(fn, *args):
+            submitted.append(fn.__name__)
+            return submit(fn, *args)
+
+        monkeypatch.setattr(scheduler._pool, "submit", spy)
+        try:
+            job_id = scheduler.submit(payload)
+            assert _wait_terminal(scheduler, job_id) == "finished"
+            lines = _lines(scheduler, job_id)
+        finally:
+            scheduler.shutdown()
+        assert submitted.count("_run_shard_task") == payload["shards"]
+        pairs = [json.loads(line) for line in lines]
+        assert [(p["left_index"], p["right_index"]) for p in pairs] == reference
 
 
 #: Types a closed job must no longer reach.

@@ -142,6 +142,22 @@ class TestRestartResume:
         assert revived.describe(job_id)["result_size"] > 0
         revived.shutdown()
 
+    def test_a_bogus_stored_status_counts_as_missing(self, tmp_path, tiny_payload):
+        """Only a terminal status closes a stored job; any other status
+        is no status, so the job is resumed."""
+        path = _write_store(
+            tmp_path, _job("job-1", tiny_payload), _status("job-1", "bogus")
+        )
+        (stored,) = JsonlJobStore(path).load()
+        assert stored.status is None
+        revived = JobScheduler(max_workers=1, store=JsonlJobStore(path))
+        try:
+            assert revived.restore() == ["job-1"]
+            assert _wait_terminal(revived, "job-1") == "finished"
+            assert _lines(revived, "job-1") == _reference_lines(tiny_payload)
+        finally:
+            revived.shutdown()
+
     def test_cancelled_job_stays_cancelled_after_restart(
         self, tmp_path, tiny_payload
     ):
@@ -383,6 +399,8 @@ class TestTornStore:
             finally:
                 revived.shutdown()
             # The shards the revived server appended survive the next
-            # restart, even after a torn last line.
+            # restart, even after a torn last line, and so does the status
+            # it derived when every shard was already on disk.
             (row,) = _load(torn)
             assert set(row.outcomes) == set(shard_order), cut
+            assert row.status == "finished", cut

@@ -374,16 +374,43 @@ class TestStreamAndProgress:
         assert exit_code == 2
         assert "--stream" in capsys.readouterr().err
 
-    def test_stream_rejects_parallel_backends(self, tmp_path, capsys):
-        exit_code = main([
-            "link", "a.csv", "b.csv",
+    def test_stream_on_the_process_backend_prints_the_serial_bytes(
+        self, tmp_path, capsys
+    ):
+        parent, child = self._generate(tmp_path)
+        common = [
+            "link", str(parent), str(child),
             "--attribute", "location",
+            "--delta-adapt", "25",
+            "--window-size", "25",
             "--stream",
             "--shards", "2",
-            "--backend", "process",
-        ])
-        assert exit_code == 2
-        assert "serial-merge" in capsys.readouterr().err
+            "--output", str(tmp_path / "m.csv"),
+        ]
+        capsys.readouterr()
+        assert main(common) == 0
+        serial = capsys.readouterr()
+        assert main(common + ["--backend", "process"]) == 0
+        viaprocess = capsys.readouterr()
+        assert viaprocess.out == serial.out
+        assert serial.out.strip()
+        assert "warning" not in viaprocess.err.lower()
+
+    def test_stream_exits_like_the_blocking_run_on_a_crash(self, tmp_path, capsys):
+        parent, child = self._generate(tmp_path)
+        common = [
+            "link", str(parent), str(child),
+            "--attribute", "location",
+            "--shards", "2",
+            "--inject-crash", "0",
+            "--output", str(tmp_path / "m.csv"),
+        ]
+        capsys.readouterr()
+        blocking = main(common)
+        blocking_err = capsys.readouterr().err
+        assert blocking == 1
+        assert main(common + ["--stream"]) == blocking
+        assert capsys.readouterr().err == blocking_err
 
     def test_progress_rejects_baseline_strategies(self, tmp_path, capsys):
         exit_code = main([
