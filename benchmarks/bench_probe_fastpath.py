@@ -7,7 +7,9 @@ Measures, at several input scales (default 5k and 20k total tuples):
   sample of values, for the fast-path :class:`~repro.joins.base.SideState`
   vs. the pre-refactor reference
   (:class:`~repro.joins.fastpath.NaiveQGramProber`), asserting that both
-  return byte-identical match sets;
+  return identical match lists (ordinals, similarities and order) and
+  that, with the length filter off, both count identical
+  :class:`~repro.joins.base.OperationCounters`;
 * the **length-filter ablation** — the fast probe with the Jaccard length
   filter on vs. off;
 * **end-to-end runs** — exact (SHJoin), approximate (SSHJoin) and adaptive
@@ -90,12 +92,12 @@ def bench_probe_path(
             pass_started = time.perf_counter()
             pairs = []
             for probe in probe_values:
-                for stored, _ in side.probe_qgram(
+                for stored, similarity in side.probe_qgram(
                     probe,
                     SIMILARITY_THRESHOLD,
                     use_length_filter=use_length_filter,
                 ):
-                    pairs.append(stored.ordinal)
+                    pairs.append((stored.ordinal, similarity))
             elapsed = time.perf_counter() - pass_started
             if probe_seconds is None:
                 first_probe = elapsed
@@ -106,7 +108,7 @@ def bench_probe_path(
 
     fast_index, fast_probe, fast_best_probe, fast_pairs, fast_side = run_fast()
     fast_seconds = fast_index + fast_probe
-    nofilter_index, nofilter_probe, _, nofilter_pairs, _ = run_fast(
+    nofilter_index, nofilter_probe, _, nofilter_pairs, nofilter_side = run_fast(
         use_length_filter=False
     )
     nofilter_seconds = nofilter_index + nofilter_probe
@@ -121,8 +123,7 @@ def bench_probe_path(
         pass_started = time.perf_counter()
         naive_pairs = []
         for probe in probe_values:
-            for ordinal, _ in naive.probe(probe, SIMILARITY_THRESHOLD):
-                naive_pairs.append(ordinal)
+            naive_pairs.extend(naive.probe(probe, SIMILARITY_THRESHOLD))
         elapsed = time.perf_counter() - pass_started
         if naive_probe is None:
             naive_first_probe = elapsed
@@ -133,6 +134,12 @@ def bench_probe_path(
         raise AssertionError(
             "fast-path probe diverged from the naive reference "
             f"({len(fast_pairs)}/{len(nofilter_pairs)}/{len(naive_pairs)} matches)"
+        )
+    # Both ran the same inserts and the same two probe passes.
+    if nofilter_side.counters.as_dict() != naive.counters.as_dict():
+        raise AssertionError(
+            "fast-path operation counters diverged from the naive reference: "
+            f"{nofilter_side.counters.as_dict()} != {naive.counters.as_dict()}"
         )
     return {
         "stored": len(stored_values),

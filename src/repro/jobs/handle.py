@@ -346,9 +346,9 @@ class JobHandle:
         # comes from the spec, which the merged result never sees.
         statistics = sharded.describe_json(policy=self.spec.run_config.policy)
         if not sharded.shards:
-            # Cancelled before any shard ran: an empty partial result.
+            # Cancelled before any shard ran, or degraded by every shard.
             return LinkageResult.eager(
-                self.spec.strategy, [], [], statistics=statistics, cancelled=True
+                self.spec.strategy, [], [], statistics, cancelled=sharded.cancelled
             )
         return LinkageResult.lazy(
             strategy=self.spec.strategy,
@@ -751,14 +751,14 @@ class JobHandle:
                     "comparisons": blocking.comparisons,
                 },
             )
-        records = operator.run()
-        pairs = sorted(operator.engine._emitted_pairs)
-        return LinkageResult.eager(
-            spec.strategy,
-            pairs,
-            records,
+        events = operator.run_events()
+        schema = operator.output_schema
+        return LinkageResult.lazy(
+            strategy=spec.strategy,
+            pairs=sorted(operator.engine._emitted_pairs),
+            records_factory=lambda: [event.output_record(schema) for event in events],
             statistics={
-                "result_size": len(records),
+                "result_size": len(events),
                 "operation_counters": operator.operation_counters().as_dict(),
             },
         )

@@ -34,7 +34,10 @@ from __future__ import annotations
 import enum
 import math
 from array import array
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.engine.tuples import Record, Schema
@@ -282,12 +285,11 @@ class SideState:
         # q-gram index over dense gram ids: gram id → array of ordinals.
         self._qgram_index: Dict[int, array] = {}
         self._qgram_synced = 0
-        # Cached q-gram bitsets of indexed tuples, keyed by ordinal: bit
-        # ``i`` is set iff the value contains the gram with interned id
-        # ``i``.  Probes recover the exact shared-gram count of a candidate
-        # with one C-level ``(probe_bits & stored_bits).bit_count()``
-        # instead of per-gram counter bumping.
-        self._gram_bits: Dict[int, int] = {}
+        # Gram bitsets of indexed tuples by ordinal (the interner's ints,
+        # shared by equal values): bit ``i`` set iff the value has gram id
+        # ``i``.  A probe gets a candidate's exact shared-gram count with
+        # one C-level ``(probe_bits & stored_bits).bit_count()``.
+        self._gram_bits: List[int] = []
         # Length-filter self-profiling (deterministic, per probe stream):
         # once enough filtered probes accumulate, a filter that rejects too
         # few scanned entries to pay for its bounds tests is switched off
@@ -300,10 +302,10 @@ class SideState:
         # catch-up) — the length filter reads this in the hot loop.
         self._gram_counts: array = array("i")
         # Frequency-ordered probe plans: value → (index stamp, ordered ids,
-        # probe bitset).  A plan's ordering is valid while the q-gram index
-        # has not grown since it was built (the stamp is the synced-tuple
-        # count at build time); the bitset never goes stale.
-        self._plan_cache: Dict[str, Tuple[int, List[int], int]] = {}
+        # their bucket lengths, probe bitset).  A plan is valid while the
+        # q-gram index has not grown since it was built (the stamp is the
+        # synced-tuple count at build time).
+        self._plan_cache: Dict[str, Tuple[int, List[int], array, int]] = {}
         # Attribute position, resolved once per schema identity.
         self._attr_schema: Optional[Schema] = None
         self._attr_position = 0
@@ -366,22 +368,20 @@ class SideState:
         gram_bits = self._gram_bits
         gram_counts = self._gram_counts
         counters = self.counters
-        intern_value = self.interner.intern_value
+        entry = self.interner.entry
         while self._qgram_synced < total:
             stored = tuples[self._qgram_synced]
             ordinal = stored.ordinal
-            gram_ids = intern_value(stored.value)
+            gram_ids, bits = entry(stored.value)
             counters.qgrams_obtained += len(gram_ids)
             counters.approx_hash_updates += len(gram_ids)
             gram_counts.append(len(gram_ids))
-            bits = 0
+            gram_bits.append(bits)
             for gram_id in gram_ids:
-                bits |= 1 << gram_id
                 bucket = index.get(gram_id)
                 if bucket is None:
                     index[gram_id] = bucket = array("i")
                 bucket.append(ordinal)
-            gram_bits[ordinal] = bits
             self._qgram_synced += 1
             caught_up += 1
         return caught_up
@@ -407,40 +407,35 @@ class SideState:
             return 0
         return len(self._qgram_index.get(gram_id, ()))
 
-    def _probe_plan(self, value: str) -> Tuple[List[int], int]:
-        """The probe plan for ``value``: ``(ordered gram ids, probe bitset)``.
+    def _probe_plan(self, value: str) -> Tuple[List[int], array, int]:
+        """The probe plan for ``value``: ``(ordered ids, lengths, bitset)``.
 
         The ordering is the probe's distinct gram ids sorted by increasing
         bucket length — the reverse-frequency order of Sec. 2.2 — with ties
-        broken by first-occurrence position (a stable, deterministic order).
-        The bitset is what the verification loop ANDs candidates against.
-        Plans are cached per value and reused while the q-gram index has
-        not absorbed new tuples; tokenisation itself is cached in the
-        interner either way, so a stale plan only pays for the re-sort
-        (the bitset never goes stale).
+        broken by first-occurrence position (a stable, deterministic order);
+        ``lengths`` are those bucket lengths, in the same order, read from
+        the index once so that the probe never looks a bucket up just to
+        measure it.  The bitset is the interner's, which the verification
+        loop ANDs candidates against.  Plans are cached per value and reused
+        while the q-gram index has not absorbed new tuples.
         """
         stamp = self._qgram_synced
         cached = self._plan_cache.get(value)
         if cached is not None and cached[0] == stamp:
-            return cached[1], cached[2]
-        gram_ids = self.interner.intern_value(value)
-        get = self._qgram_index.get
-        # Decorate-sort-undecorate with a (length, position) key: cheaper
-        # than a key function calling gram_frequency per element, and the
-        # position component reproduces stable-sort tie-breaking.
-        decorated = sorted(
-            (len(get(gram_id) or ()), position, gram_id)
-            for position, gram_id in enumerate(gram_ids)
-        )
-        ordered = [entry[2] for entry in decorated]
-        if cached is not None:
-            probe_bits = cached[2]
-        else:
-            probe_bits = GramInterner.bits_of(gram_ids)
+            return cached[1], cached[2], cached[3]
+        gram_ids, probe_bits = self.interner.entry(value)
+        buckets = map(self._qgram_index.get, gram_ids, repeat(()))
+        lengths = list(map(len, buckets))
+        # A stable index sort: equal lengths keep first-occurrence order.
+        order = sorted(range(len(lengths)), key=lengths.__getitem__)
+        ordered = [gram_ids[position] for position in order]
+        lengths.sort()
+        # Unboxed: a cached plan holds no int object per bucket length.
+        ordered_lengths = array("i", lengths)
         if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
             self._plan_cache.clear()
-        self._plan_cache[value] = (stamp, ordered, probe_bits)
-        return ordered, probe_bits
+        self._plan_cache[value] = (stamp, ordered, ordered_lengths, probe_bits)
+        return ordered, ordered_lengths, probe_bits
 
     # -- probing ---------------------------------------------------------------
 
@@ -502,7 +497,7 @@ class SideState:
             # rejected too little on this probe stream to pay for its
             # bounds tests.  Match set is identical either way.
             use_length_filter = False
-        ordered, probe_bits = self._probe_plan(value)
+        ordered, lengths, probe_bits = self._probe_plan(value)
         gram_count = len(ordered)
         counters.qgrams_obtained += gram_count
         if gram_count == 0:
@@ -517,82 +512,78 @@ class SideState:
             # let every probe gram add candidates (larger T(t), same result).
             inserting_prefix = gram_count
         index = self._qgram_index
-        gram_bits = self._gram_bits
         scan_work = 0
 
         # -- candidate generation: scan the ``g − k + 1`` rarest grams'
-        # buckets; only these may add members to T(t).  The per-candidate
-        # shared-gram *count* is not accumulated here — it is recovered
-        # exactly below with one C-level bitset AND per candidate, which
-        # replaces the seed's per-entry counter bumping over the frequent
-        # grams' buckets (the old dominant cost).
-        candidates: Dict[int, int] = {}
+        # buckets; only these may add members to T(t).  Each candidate
+        # carries its number of prefix hits (counted in C), which the count
+        # filter below reads.  Empty buckets (unseen grams) sort first and
+        # add nothing.
+        hits: Counter = Counter()
+        for position in range(inserting_prefix):
+            length = lengths[position]
+            if length:
+                scan_work += length
+                hits.update(index[ordered[position]])
+        candidates: Dict[int, int] = hits
         if use_length_filter:
+            # A candidate whose distinct-gram count is out of bounds never
+            # enters T(t); every scanned entry of it counts as rejected.
             min_grams, max_grams = jaccard_length_bounds(
                 gram_count, similarity_threshold, verify_jaccard, required=required
             )
             gram_counts = self._gram_counts
-            rejected = 0
-            for gram_id in ordered[:inserting_prefix]:
-                bucket = index.get(gram_id)
-                if bucket is None:
-                    # Unseen gram: the seed scanned an empty bucket here,
-                    # contributing no work and no candidates either way.
-                    continue
-                scan_work += len(bucket)
-                for ordinal in bucket:
-                    if ordinal in candidates:
-                        continue
-                    if min_grams <= gram_counts[ordinal] <= max_grams:
-                        candidates[ordinal] = 0
-                    else:
-                        rejected += 1
-            self._note_filter_outcome(scan_work, rejected)
-        else:
-            for gram_id in ordered[:inserting_prefix]:
-                bucket = index.get(gram_id)
-                if bucket is None:
-                    continue
-                scan_work += len(bucket)
-                for ordinal in bucket:
-                    candidates[ordinal] = 0
+            candidates = {
+                ordinal: count
+                for ordinal, count in hits.items()
+                if min_grams <= gram_counts[ordinal] <= max_grams
+            }
+            kept = sum(candidates.values())
+            self._note_filter_outcome(scan_work, scan_work - kept)
+        n_candidates = len(candidates)
+
+        # -- count filter: a candidate sharing ``h`` of the ``s`` scanned
+        # grams shares at most ``h + (g − s)`` in all, so only candidates
+        # with ``h ≥ k − (g − s)`` can reach ``k``.  After the prefix alone
+        # that bound is 1 (every candidate); scanning the next-rarest
+        # bucket too, bumping only existing candidates, raises it to 2.
+        # That bucket is scanned only when it is no longer than T(t) —
+        # the rule the seed's frequent-gram pass used to choose between
+        # scanning a bucket and scanning T(t) — so the extra scan is never
+        # longer than the candidate set it filters.
+        scanned = inserting_prefix
+        if scanned < gram_count and lengths[scanned] <= n_candidates:
+            if lengths[scanned]:
+                for ordinal in candidates.keys() & index[ordered[scanned]]:
+                    candidates[ordinal] += 1
+            scanned += 1
+        min_hits = required - (gram_count - scanned)
 
         # -- frequent-gram accounting: the seed scanned each remaining
         # bucket (or, for very long buckets, the candidate set — whichever
         # is shorter) purely to bump counters of *existing* candidates; the
-        # candidate set itself no longer changes.  The intersection below
-        # subsumes that work, so only Table 1's operation-3 work units are
-        # charged here, exactly as the scan would have counted them.
-        n_candidates = len(candidates)
-        for gram_id in ordered[inserting_prefix:]:
-            bucket = index.get(gram_id)
-            bucket_length = len(bucket) if bucket is not None else 0
-            scan_work += (
-                bucket_length if bucket_length <= n_candidates else n_candidates
-            )
+        # candidate set itself no longer changes.  The bitset intersection
+        # below subsumes that work, so only Table 1's operation-3 work units
+        # are charged here, exactly as the scan would have counted them
+        # (``lengths`` ascends: the buckets before ``cut`` are the short ones).
+        cut = bisect_right(lengths, n_candidates, inserting_prefix)
+        scan_work += sum(lengths[inserting_prefix:cut])
+        scan_work += n_candidates * (gram_count - cut)
         counters.candidate_scan_work += scan_work
         counters.candidate_set_size += n_candidates
 
         matches: List[Tuple[StoredTuple, float]] = []
         tuples = self.tuples
+        gram_bits = self._gram_bits
         gram_counts = self._gram_counts
-        for ordinal in candidates:
-            stored_bits = gram_bits.get(ordinal)
-            if stored_bits is not None:
-                stored_count = gram_counts[ordinal]
-            else:
-                # Defensive fallback (candidates always come from the index,
-                # which populates the cache): re-tokenise the stored value
-                # and account for the grams obtained, as Table 1 requires.
-                gram_ids = self.interner.intern_value(tuples[ordinal].value)
-                counters.qgrams_obtained += len(gram_ids)
-                stored_count = len(gram_ids)
-                stored_bits = gram_bits[ordinal] = GramInterner.bits_of(gram_ids)
-            shared = (probe_bits & stored_bits).bit_count()
+        for ordinal, count in candidates.items():
+            if count < min_hits:
+                continue
+            shared = (probe_bits & gram_bits[ordinal]).bit_count()
             if shared < required:
                 continue
             counters.approx_verifications += 1
-            similarity = jaccard_from_shared(shared, gram_count, stored_count)
+            similarity = jaccard_from_shared(shared, gram_count, gram_counts[ordinal])
             if verify_jaccard and similarity < similarity_threshold:
                 continue
             matches.append((tuples[ordinal], similarity))

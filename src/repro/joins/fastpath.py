@@ -10,8 +10,8 @@ make it fast while keeping the operator semantics of Sec. 2.2 intact:
 * :class:`GramInterner` — maps q-grams to dense integer ids, so the q-gram
   hash table becomes ``int → array('i')`` and the hot candidate-counting
   loop hashes small ints instead of strings.  The interner also caches the
-  tokenisation of whole values (value → tuple of gram ids), which turns
-  repeated probes/insertions of the same value into a dictionary hit.
+  tokenisation of whole values (value → gram ids and their bitset), which
+  turns repeated probes/insertions of the same value into a dictionary hit.
 * :func:`distinct_qgrams` — the *deterministic* distinct-gram ordering used
   throughout the fast path.  ``qgram_set`` returns a ``frozenset`` whose
   iteration order depends on the process hash seed; the probe pipeline
@@ -95,7 +95,7 @@ class GramInterner:
         self.padded = padded
         self._ids: Dict[str, int] = {}
         self._grams: List[str] = []
-        self._value_cache: Dict[str, Tuple[int, ...]] = {}
+        self._value_cache: Dict[str, Tuple[Tuple[int, ...], Optional[int]]] = {}
         self._value_cache_limit = value_cache_limit
 
     def __len__(self) -> int:
@@ -118,37 +118,46 @@ class GramInterner:
         """Reverse lookup: the gram string behind ``gram_id``."""
         return self._grams[gram_id]
 
-    @staticmethod
-    def bits_of(gram_ids) -> int:
-        """The gram bitset of an id collection (bit ``i`` set ⇔ id ``i``).
+    def entry(self, value: str) -> Tuple[Tuple[int, ...], int]:
+        """``(ids, bits)`` of ``value``: :meth:`intern_value`'s ids and their
+        gram bitset (bit ``i`` set ⇔ id ``i``).
 
-        The one canonical encoding of the fast path's bitset invariant;
-        ``SideState.catch_up_qgram`` keeps an inlined copy of this loop
-        (it is fused with the bucket appends on the hot path) — change
-        both together.
+        Both are cached together, so a value inserted on one side and
+        probed on the other builds its bitset once.
         """
-        bits = 0
-        for gram_id in gram_ids:
-            bits |= 1 << gram_id
-        return bits
+        cached = self._value_cache.get(value)
+        if cached is None or cached[1] is None:
+            ids = self.intern_value(value)
+            bits = 0
+            for gram_id in ids:
+                bits |= 1 << gram_id
+            cached = self._value_cache[value] = (ids, bits)
+        return cached
 
     def intern_value(self, value: str) -> Tuple[int, ...]:
         """Distinct gram ids of ``value``, in first-occurrence order.
 
-        The result is cached per value; the cache is bounded and cleared
+        Grams already interned are looked up; only the misses are interned,
+        in first-occurrence order, so the ids are those that interning every
+        gram in turn would assign.  The result is cached per value (without
+        a bitset until :meth:`entry` asks for one, so callers that only
+        need ids never hold bitsets); the cache is bounded and cleared
         wholesale when full (values re-intern cheaply, ids are stable).
         """
-        ids = self._value_cache.get(value)
-        if ids is not None:
-            return ids
-        intern = self.intern
-        ids = tuple(
-            intern(gram)
-            for gram in dict.fromkeys(qgrams(value, q=self.q, padded=self.padded))
-        )
+        cached = self._value_cache.get(value)
+        if cached is not None:
+            return cached[0]
+        grams = dict.fromkeys(qgrams(value, q=self.q, padded=self.padded))
+        ids = tuple(map(self._ids.get, grams))
+        if None in ids:
+            intern = self.intern
+            ids = tuple(
+                intern(gram) if gram_id is None else gram_id
+                for gram, gram_id in zip(grams, ids)
+            )
         if len(self._value_cache) >= self._value_cache_limit:
             self._value_cache.clear()
-        self._value_cache[value] = ids
+        self._value_cache[value] = (ids, None)
         return ids
 
 

@@ -93,23 +93,28 @@ class _SymmetricJoinOperator(Operator):
         Matches already pending from earlier incremental consumption come
         first, so the output is identical to ``list(self)``.
         """
+        if self._state not in (OperatorState.CREATED, OperatorState.OPEN):
+            return list(self)  # EXHAUSTED/CLOSED: defer to the generic path
+        schema = self.output_schema
+        return [event.output_record(schema) for event in self.run_events()]
+
+    def run_events(self) -> list:
+        """Drain the open operator like :meth:`run`, but return its match
+        events: the output records are ``event.output_record(schema)`` of
+        each, in order, built only by a caller that wants them."""
         if self._state is OperatorState.CREATED:
             self.open()
-        if self._state is not OperatorState.OPEN:
-            return list(self)  # EXHAUSTED/CLOSED: defer to the generic path
         events = list(self._pending)
         self._pending.clear()
         events.extend(self._engine.run_to_completion())
-        schema = self.output_schema
-        records = [event.output_record(schema) for event in events]
         stats = self.stats
-        stats.next_calls += len(records) + 1
-        stats.tuples_produced += len(records)
+        stats.next_calls += len(events) + 1
+        stats.tuples_produced += len(events)
         stats.tuples_read_left = self._engine.scanned(JoinSide.LEFT)
         stats.tuples_read_right = self._engine.scanned(JoinSide.RIGHT)
         self._state = OperatorState.EXHAUSTED
         self.close()
-        return records
+        return events
 
     # -- introspection ----------------------------------------------------------
 

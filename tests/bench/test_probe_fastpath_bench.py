@@ -2,7 +2,9 @@
 
 The script lives in ``benchmarks/`` (outside the package), so it is loaded
 by path.  These tests pin the probe-path entry's keys (one verification
-tier: no per-mode sweep) and its naive-vs-fast equality guard.
+tier: no per-mode sweep) and its naive-vs-fast equality guard, which
+compares ordinals, similarities and (length filter off) the operation
+counters.
 """
 
 import importlib.util
@@ -51,4 +53,27 @@ def test_probe_path_entry_has_no_mode_sweep(bench):
 def test_probe_path_refuses_a_diverging_reference(bench, monkeypatch):
     monkeypatch.setattr(bench.NaiveQGramProber, "probe", lambda *args, **kw: [])
     with pytest.raises(AssertionError, match="diverged"):
+        bench.bench_probe_path(STORED, PROBES)
+
+
+def test_probe_path_refuses_diverging_similarities(bench, monkeypatch):
+    probe = bench.NaiveQGramProber.probe
+
+    def shifted(self, *args, **kwargs):
+        return [(ordinal, sim / 2) for ordinal, sim in probe(self, *args, **kwargs)]
+
+    monkeypatch.setattr(bench.NaiveQGramProber, "probe", shifted)
+    with pytest.raises(AssertionError, match="diverged"):
+        bench.bench_probe_path(STORED, PROBES)
+
+
+def test_probe_path_refuses_diverging_counters(bench, monkeypatch):
+    probe = bench.NaiveQGramProber.probe
+
+    def overcounting(self, *args, **kwargs):
+        self.counters.candidate_scan_work += 1
+        return probe(self, *args, **kwargs)
+
+    monkeypatch.setattr(bench.NaiveQGramProber, "probe", overcounting)
+    with pytest.raises(AssertionError, match="counters diverged"):
         bench.bench_probe_path(STORED, PROBES)

@@ -131,6 +131,23 @@ class TestFailureConfiguredRuns:
         left_cov, right_cov = statistics["coverage"]
         assert 0.0 < left_cov < 1.0 and 0.0 < right_cov < 1.0
 
+    def test_degrade_run_that_drops_every_shard_is_not_cancelled(
+        self, small_dataset
+    ):
+        handle = (
+            _job(small_dataset, shards=2, backend="serial")
+            .on_failure("degrade")
+            .inject_faults(
+                FaultPlan.crash(0, attempts=None) + FaultPlan.crash(1, attempts=None)
+            )
+            .build()
+        )
+        result = handle.run()
+        assert handle.state == "finished"
+        assert result.cancelled is False
+        assert result.statistics["degraded"] is True
+        assert result.pairs == []
+
     def test_unsharded_job_with_failure_policy_runs_one_shard_plan(
         self, small_dataset
     ):

@@ -11,14 +11,20 @@ pre-refactor implementation kept in
 * with the length filter enabled, the match lists must still be identical —
   the filter may only shrink ``T(t)``.
 
-The inputs are randomized but seeded, across θ ∈ {0.6, 0.8, 0.9} and
-q ∈ {2, 3, 4}, with both toggles of the prefix filter and of the strict
-Jaccard verification.  The q = 4 input draws long values from a wide
+The inputs are randomized but seeded, across θ ∈ {0.6, 0.8, 0.85, 0.9,
+1.0} and q ∈ {2, 3, 4}, with both toggles of the prefix filter and of the
+strict Jaccard verification.  The q = 4 input draws long values from a wide
 alphabet, so its gram vocabulary passes 4096 interned grams: the bitset
 width grows with that vocabulary, and this regime must stay bit-identical
 to the seed too.
+
+The fast path's count filter verifies only candidates that hit at least
+``k − (g − s)`` of the ``s`` grams it scanned.  Its edge cases have their
+own inputs: values with g ≤ 2 grams, where ``k = 1`` leaves no extension
+gram to scan, and probes whose extension gram has an empty bucket.
 """
 
+import math
 import random
 import string
 
@@ -75,10 +81,10 @@ def make_values(
     return values
 
 
-def build_pair(stored_values, q):
+def build_pair(stored_values, q, padded=True):
     """A fast-path side and a naive prober loaded with the same values."""
-    side = SideState(JoinSide.LEFT, "value", q=q)
-    naive = NaiveQGramProber(q=q)
+    side = SideState(JoinSide.LEFT, "value", q=q, padded_qgrams=padded)
+    naive = NaiveQGramProber(q=q, padded=padded)
     for row_id, value in enumerate(stored_values):
         side.add(Record(SCHEMA, {"row_id": row_id, "value": value}))
         naive.add(value)
@@ -90,7 +96,34 @@ def as_pairs(fast_matches):
     return [(stored.ordinal, similarity) for stored, similarity in fast_matches]
 
 
-@pytest.mark.parametrize("theta", [0.6, 0.8, 0.9])
+def assert_equivalent(stored_values, probe_values, theta, q=3, padded=True):
+    """Every toggle: identical match lists, and identical counters with the
+    length filter off; returns the fast side of the last combination."""
+    for verify_jaccard in (False, True):
+        for use_prefix_filter in (True, False):
+            for use_length_filter in (False, True):
+                side, naive = build_pair(stored_values, q, padded)
+                for probe in probe_values:
+                    fast = side.probe_qgram(
+                        probe,
+                        theta,
+                        verify_jaccard=verify_jaccard,
+                        use_prefix_filter=use_prefix_filter,
+                        use_length_filter=use_length_filter,
+                    )
+                    reference = naive.probe(
+                        probe,
+                        theta,
+                        verify_jaccard=verify_jaccard,
+                        use_prefix_filter=use_prefix_filter,
+                    )
+                    assert as_pairs(fast) == reference, probe
+                if not use_length_filter:
+                    assert side.counters.as_dict() == naive.counters.as_dict()
+    return side
+
+
+@pytest.mark.parametrize("theta", [0.6, 0.8, 0.85, 0.9, 1.0])
 @pytest.mark.parametrize("q", [2, 3, 4])
 class TestFastPathEquivalence:
     def inputs(self, theta, q):
@@ -102,29 +135,10 @@ class TestFastPathEquivalence:
         return stored, make_values(rng, 100, alphabet=WIDE_ALPHABET, bases=stored)
 
     def test_matches_and_counters_identical_without_length_filter(self, theta, q):
-        """Filter off: probe-for-probe identical matches AND counters."""
+        """Identical matches on every toggle, identical counters filter off."""
         stored_values, probe_values = self.inputs(theta, q)
-        for verify_jaccard in (False, True):
-            for use_prefix_filter in (True, False):
-                side, naive = build_pair(stored_values, q)
-                assert q < 4 or len(side.interner) > 4096
-                for probe in probe_values:
-                    fast = side.probe_qgram(
-                        probe,
-                        theta,
-                        verify_jaccard=verify_jaccard,
-                        use_prefix_filter=use_prefix_filter,
-                        use_length_filter=False,
-                    )
-                    reference = naive.probe(
-                        probe,
-                        theta,
-                        verify_jaccard=verify_jaccard,
-                        use_prefix_filter=use_prefix_filter,
-                    )
-                    assert as_pairs(fast) == reference
-                # Bit-identical elementary-operation accounting (Table 1).
-                assert side.counters.as_dict() == naive.counters.as_dict()
+        side = assert_equivalent(stored_values, probe_values, theta, q)
+        assert q < 4 or len(side.interner) > 4096
 
     def test_length_filter_preserves_matches_and_shrinks_candidates(self, theta, q):
         """Filter on: identical match lists, never-larger T(t)."""
@@ -145,6 +159,39 @@ class TestFastPathEquivalence:
             filtered.counters.approx_verifications
             == naive.counters.approx_verifications
         )
+
+
+class TestCountFilterEdges:
+    """Probes where the count filter has no extension gram, or an empty one."""
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.85, 1.0])
+    @pytest.mark.parametrize("q, padded", [(2, True), (2, False), (3, False)])
+    def test_values_with_at_most_two_grams(self, theta, q, padded):
+        # Padded q = 2 turns one character into 2 grams; unpadded, values no
+        # longer than q + 1 have 1 or 2.  With k = 1 the prefix is every
+        # gram, so there is no extension gram to scan.
+        rng = random.Random(20261019 + q * 10 + int(theta * 100))
+        short = [
+            "".join(rng.choice("ABC") for _ in range(rng.randint(0, q + 1 - padded)))
+            for _ in range(60)
+        ]
+        side = assert_equivalent(short, short[:40], theta, q, padded)
+        assert any(
+            len(distinct_qgrams(v, q=q, padded=padded)) in (1, 2) for v in short
+        )
+        assert side.counters.approx_verifications > 0
+
+    @pytest.mark.parametrize("theta", [0.5, 0.85])
+    def test_extension_gram_with_an_empty_bucket(self, theta):
+        # Each probe keeps a few stored grams and adds many unseen ones, so
+        # the rarest buckets (the prefix and the next one) are empty.
+        stored = ["GENOVA", "MILANO", "TORINO", "GENOVESE"]
+        probes = ["GENOVAXYZQWKJ", "XYZQWKJ GENOVA", "MILANOXYZQW", "QWERTYUIOP"]
+        assert_equivalent(stored, probes, theta)
+        side, _ = build_pair(stored, 3)
+        ordered, lengths, _ = side._probe_plan("GENOVAXYZQWKJ")
+        required = math.ceil(theta * len(ordered))
+        assert lengths[len(ordered) - required + 1] == 0
 
 
 class TestFastPathBuildingBlocks:
@@ -203,11 +250,17 @@ class TestFastPathBuildingBlocks:
         for row_id, value in enumerate(["GENOVA", "MILANO"]):
             side.add(Record(SCHEMA, {"row_id": row_id, "value": value}))
         side.catch_up_qgram()
-        plan_one = side._probe_plan("GENOVA")
-        assert side._probe_plan("GENOVA") is not None
-        assert side._probe_plan("GENOVA")[0] is plan_one[0]  # cache hit
-        side.add(Record(SCHEMA, {"row_id": 2, "value": "TORINO"}))
+        ordered, lengths, bits = side._probe_plan("GENOVA")
+        assert side._probe_plan("GENOVA")[0] is ordered  # cache hit
+        # Ids in ascending bucket length, each with its bucket's length;
+        # the bitset is the interner's cached one.
+        assert list(lengths) == sorted(lengths)
+        assert list(lengths) == [len(side._qgram_index.get(i, ())) for i in ordered]
+        assert bits is side.interner.entry("GENOVA")[1]
+        side.add(Record(SCHEMA, {"row_id": 2, "value": "GENOVA"}))
         side.catch_up_qgram()
-        plan_two = side._probe_plan("GENOVA")
-        assert plan_two[0] is not plan_one[0]  # stamp invalidated the plan
-        assert sorted(plan_two[0]) == sorted(plan_one[0])  # same grams
+        ordered_two, lengths_two, bits_two = side._probe_plan("GENOVA")
+        assert ordered_two is not ordered  # stamp invalidated the plan
+        assert sorted(ordered_two) == sorted(ordered)  # same grams
+        assert list(lengths_two) == [length + 1 for length in lengths]
+        assert bits_two is bits

@@ -154,6 +154,37 @@ class TestLazyRecords:
         assert result.pair_count > 0
         assert result.records_materialized is False
 
+    @pytest.mark.parametrize("strategy", ["exact", "approximate"])
+    def test_baseline_records_are_lazy_and_unchanged(
+        self, strategy, atlas_table, accidents_table, monkeypatch
+    ):
+        from repro.joins.base import MatchEvent
+        from repro.joins.shjoin import SHJoin
+        from repro.joins.sshjoin import SSHJoin
+
+        operator = {"exact": SHJoin, "approximate": SSHJoin}[strategy]
+        kwargs = {} if strategy == "exact" else {"similarity_threshold": 0.8}
+        expected = operator(atlas_table, accidents_table, "location", **kwargs).run()
+        built = []
+        original = MatchEvent.output_record
+
+        def counting(self, schema):
+            built.append(self)
+            return original(self, schema)
+
+        monkeypatch.setattr(MatchEvent, "output_record", counting)
+        result = link_tables(
+            atlas_table,
+            accidents_table,
+            "location",
+            strategy=strategy,
+            similarity_threshold=0.8,
+        )
+        assert result.pair_count > 0
+        assert result.records_materialized is False and not built
+        assert [r.values for r in result.records] == [r.values for r in expected]
+        assert result.statistics["result_size"] == len(expected)
+
     def test_records_are_cached_after_first_access(
         self, atlas_table, accidents_table
     ):
