@@ -231,7 +231,7 @@ def bench_shard_counts(
         # would ship per shard task under each representation.  The
         # pickle build also baselines the shared-memory build so the
         # recorded handoff_seconds is the *extra* one-time cost of the
-        # zero-copy path: columnar encode (the build delta) + segment
+        # zero-copy path: join-key encode (the build delta) + segment
         # publish (allocate + copy), paid once per side per run.
         build_started = time.perf_counter()
         pickle_plan = ShardPlan.build(
@@ -406,13 +406,16 @@ def run_benchmark(
 def zero_copy_smoke(total_tuples: int) -> int:
     """CI gate for the shared-memory handoff (process backend, 2 shards).
 
-    Three bars, all hard failures (exit 1):
+    Four bars, all hard failures (exit 1):
 
     1. a shared-memory run must actually resolve to shared memory and
-       merge **bit-identically** (pair order, counters) to the pickle
-       run — representation drift is a correctness bug, not noise;
-    2. the segment registry must drain to zero after the successful run;
-    3. it must *also* drain to zero after a fault-injected shard failure
+       merge **bit-identically** (pair order, counters, output records)
+       to the pickle run and to the serial backend — representation
+       drift is a correctness bug, not noise;
+    2. the published blocks must hold one column, the join key: records
+       stay in the parent;
+    3. the segment registry must drain to zero after the successful run;
+    4. it must *also* drain to zero after a fault-injected shard failure
        (the teardown-on-failure path, where a leak would silently
        accumulate across retrying CI jobs).
     """
@@ -424,6 +427,7 @@ def zero_copy_smoke(total_tuples: int) -> int:
     failures: List[str] = []
     _, pickled = _run(dataset, config, 2, "process", handoff="pickle")
     _, shared = _run(dataset, config, 2, "process", handoff="shared-memory")
+    _, serial = _run(dataset, config, 2, "serial")
     if shared.handoff != "shared-memory":
         failures.append(
             f"requested shared-memory handoff resolved to {shared.handoff!r}"
@@ -435,6 +439,23 @@ def zero_copy_smoke(total_tuples: int) -> int:
         )
     if shared.counters.as_dict() != pickled.counters.as_dict():
         failures.append("operation counters differ between handoffs")
+    records = shared.output_records()
+    if records != pickled.output_records():
+        failures.append("output records differ between handoffs")
+    if records != serial.output_records():
+        failures.append("output records differ from the serial backend's")
+    published = ShardPlan.build(
+        dataset.parent, dataset.child, "location", 2, config=config,
+        handoff="shared-memory",
+    ).publish_blocks()
+    try:
+        widths = [
+            descriptor.schema_attributes for descriptor in published.descriptors
+        ]
+    finally:
+        published.release()
+    if widths != [("location",), ("location",)]:
+        failures.append(f"published blocks hold {widths}, not the join key")
     if live_block_count() != 0:
         failures.append(
             f"{live_block_count()} segment(s) leaked after the successful "
@@ -460,7 +481,8 @@ def zero_copy_smoke(total_tuples: int) -> int:
         return 1
     print(
         f"zero-copy smoke passed: process backend, 2 shards, "
-        f"{shared.result_size} matches bit-identical across handoffs, "
+        f"{shared.result_size} matches and output records bit-identical "
+        f"across handoffs and to serial, join-key blocks, "
         f"0 live segments after success and failure"
     )
     return 0

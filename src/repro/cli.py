@@ -76,6 +76,7 @@ from repro.datagen.testcases import (
 )
 from repro.engine.table import Table
 from repro.jobs import JobHandle, LinkageJob, StreamedMatch
+from repro.jobs.handle import match_line
 from repro.linkage.api import STRATEGIES
 from repro.runtime.errors import ShardError
 from repro.runtime.failures import available_failure_policies
@@ -136,13 +137,13 @@ def _add_sharding_arguments(parser: argparse.ArgumentParser) -> None:
                              "grams for full approximate recall (duplicates "
                              "removed at merge)")
     parser.add_argument("--handoff", choices=HANDOFF_MODES, default="auto",
-                        help="shard-input representation: pickle copies "
-                             "records into every task, shared-memory encodes "
-                             "each side once into columnar shared-memory "
-                             "blocks and ships only descriptors to process "
-                             "workers, auto (default) prefers shared-memory "
-                             "and falls back to pickle; results are "
-                             "bit-identical either way")
+                        help="how process workers receive each shard's "
+                             "join keys: pickle copies them into every "
+                             "task, shared-memory encodes each side's keys "
+                             "once into shared-memory blocks and ships only "
+                             "descriptors, auto (default) prefers "
+                             "shared-memory and falls back to pickle; "
+                             "results are bit-identical either way")
 
 
 def _add_failure_arguments(parser: argparse.ArgumentParser) -> None:
@@ -329,13 +330,23 @@ def _command_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _match_json(match: StreamedMatch) -> str:
+def _match_line(match: StreamedMatch) -> str:
     """One NDJSON line for a streamed match (the ``--stream`` format).
 
-    Delegates to :meth:`StreamedMatch.to_json` — the one wire mapping the
-    CLI and the HTTP server's match feed share byte-for-byte.
+    Written by :func:`repro.jobs.handle.match_line`, the formatter the
+    HTTP server's match feed writes through, so the two feeds agree
+    byte for byte.
     """
-    return json.dumps(match.to_json())
+    event = match.event
+    line = match_line(
+        match.left_index,
+        match.right_index,
+        event.similarity,
+        event.mode.value,
+        event.step,
+        match.shard_id,
+    )
+    return line.decode("ascii")
 
 
 def _progress_ticker(handle: JobHandle):
@@ -429,7 +440,7 @@ def _command_link(args: argparse.Namespace) -> int:
             stream = handle.stream_matches()
             try:
                 for match in stream:
-                    print(_match_json(match))
+                    sys.stdout.write(_match_line(match))
             except BrokenPipeError:
                 # The downstream consumer (e.g. `| head`) closed stdout:
                 # that is a cancel — keep the partial result, exit clean.
@@ -581,7 +592,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     print(f"serving on {server.url}", flush=True)
     stop.wait()
     server.shutdown()
-    # Shared-memory hygiene: every columnar handoff block must be gone.
+    # Shared-memory hygiene: every shard handoff block must be gone.
     print(f"live shared-memory blocks: {live_block_count()}", flush=True)
     return 0
 

@@ -152,7 +152,7 @@ class RowSliceStream(RecordStream):
     """A stream over selected rows of a row-addressable record source.
 
     The source is anything exposing ``schema`` and ``record(row) -> Record``
-    (e.g. a columnar handoff block, see :mod:`repro.runtime.handoff`); the
+    (e.g. a join-key handoff block, see :mod:`repro.runtime.handoff`); the
     stream delivers ``source.record(row)`` for each row index in ``rows``,
     in order.  Rows may repeat — replicated sharding expresses replication
     as repeated indices rather than copied records.  Records are decoded
@@ -282,10 +282,8 @@ def as_stream(source: InputLike) -> RecordStream:
     """Accept a stream, a table, or any ``.stream()``-bearing source.
 
     Tables wrap in a :class:`TableStream`; sources exposing a
-    ``stream()`` factory (e.g. a shard input backed by a columnar block)
-    contribute the stream they build — for block-backed inputs that is a
-    zero-copy :class:`RowSliceStream` over the shared buffers.  Streams
-    pass through unchanged.
+    ``stream()`` factory (e.g. a shard input) contribute the stream they
+    build.  Streams pass through unchanged.
     """
     if isinstance(source, Table):
         return TableStream(source)

@@ -80,7 +80,10 @@ class Table:
         name: str = "",
     ) -> "Table":
         """Build a table from positional value sequences in schema order."""
-        return cls(schema, (Record.from_values(schema, row) for row in rows), name=name)
+        table = cls(schema, name=name)
+        # Built under the table's own schema: no per-record insert check.
+        table._records = [Record.from_values(schema, row) for row in rows]
+        return table
 
     @classmethod
     def from_csv(
@@ -132,7 +135,7 @@ class Table:
 
     def insert_values(self, *values: Any) -> Record:
         """Insert a record built from positional values; return the record."""
-        record = Record.from_values(self._schema, list(values))
+        record = Record.from_values(self._schema, values)
         self._records.append(record)
         return record
 

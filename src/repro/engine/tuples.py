@@ -171,13 +171,18 @@ class Record:
 
     @classmethod
     def from_values(cls, schema: Schema, values: Sequence[Any]) -> "Record":
-        """Build a record from positional ``values`` following the schema order."""
+        """Build a record from positional ``values`` following the schema order.
+
+        The length check is the whole validation: a :class:`Schema` has
+        unique attribute names, so the mapping :meth:`__init__` would
+        build from ``values`` always holds exactly the schema's attributes.
+        """
         if len(values) != len(schema):
             raise SchemaError(
                 f"expected {len(schema)} values for schema {schema.attributes}, "
                 f"got {len(values)}"
             )
-        return cls(schema, dict(zip(schema.attributes, values)))
+        return cls.from_trusted(schema, tuple(values))
 
     @classmethod
     def from_trusted(cls, schema: Schema, values: Tuple[Any, ...]) -> "Record":
@@ -186,10 +191,10 @@ class Record:
         Skips schema validation and the dict round-trip of
         :meth:`from_values`; the caller guarantees that ``values`` is a
         tuple with exactly one value per schema attribute, in order.  Used
-        by decoders that reconstruct records from a representation that was
-        itself built from validated records (e.g. the columnar shard
-        handoff blocks), where re-validating every row would dominate the
-        decode cost.
+        by :meth:`from_values` after its length check and by decoders that
+        rebuild records from a representation they wrote themselves (e.g.
+        the join-key shard handoff blocks), where re-validating every row
+        would dominate the decode cost.
         """
         record = cls.__new__(cls)
         record._schema = schema

@@ -43,6 +43,7 @@ from repro.jobs.handle import DEFAULT_STREAM_BATCH, JobHandle, StreamedMatch
 from repro.jobs.result import LinkageResult
 from repro.jobs.serialization import (
     PayloadError,
+    build_canonical_job,
     build_job,
     decode_shard_outcome,
     encode_shard_outcome,
@@ -58,6 +59,7 @@ __all__ = [
     "PayloadError",
     "STRATEGIES",
     "StreamedMatch",
+    "build_canonical_job",
     "build_job",
     "decode_shard_outcome",
     "encode_shard_outcome",

@@ -66,12 +66,12 @@ def match_json(
 ) -> Dict[str, object]:
     """One match as the NDJSON wire mapping (the one stable format).
 
-    Exactly the object the CLI ``--stream`` path has always printed — key
-    order included, so ``json.dumps`` output is byte-identical.
-    :meth:`StreamedMatch.to_json` and the HTTP server's match feed (which
-    reads a shard's match columns, never events) both build it here.
-    ``mode`` is the :class:`~repro.joins.base.JoinMode` value; ``shard``
-    only appears on matches from sharded runs (``shard_id is not None``).
+    The reference for :func:`match_line`, which writes ``json.dumps`` of
+    this mapping from a template without building it (a test holds the
+    two byte-identical).  :meth:`StreamedMatch.to_json` returns it for
+    library callers.  ``mode`` is the :class:`~repro.joins.base.JoinMode`
+    value; ``shard`` only appears on matches from sharded runs
+    (``shard_id is not None``).
     """
     payload: Dict[str, object] = {
         "left_index": left_index,
@@ -83,6 +83,36 @@ def match_json(
     if shard_id is not None:
         payload["shard"] = shard_id
     return payload
+
+
+#: ``json.dumps(match_json(...))`` with its fields left open: integers
+#: print as ``str`` does, a float as its ``repr`` (as ``json`` writes a
+#: finite float), and ``mode`` is a ``JoinMode`` value, a plain word.
+_MATCH_LINE = (
+    '{"left_index": %d, "right_index": %d, "similarity": %r, '
+    '"mode": "%s", "step": %d%s}\n'
+)
+
+
+def match_line(
+    left_index: int,
+    right_index: int,
+    similarity: float,
+    mode: str,
+    step: int,
+    shard_id: Optional[int] = None,
+) -> bytes:
+    """One NDJSON match line (newline included): ``json.dumps`` of
+    :func:`match_json` for the same fields, byte for byte.
+
+    The one match-line formatter: the server's feed sends it and
+    ``repro link --stream`` prints it, so the two feeds cannot drift.
+    """
+    shard = "" if shard_id is None else ', "shard": %d' % shard_id
+    line = _MATCH_LINE % (
+        left_index, right_index, round(similarity, 4), mode, step, shard
+    )
+    return line.encode("ascii")
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,7 +137,8 @@ class StreamedMatch:
         return (self.left_index, self.right_index)
 
     def to_json(self) -> Dict[str, object]:
-        """The match as the NDJSON wire mapping (see :func:`match_json`)."""
+        """The match as the NDJSON wire mapping (:func:`match_json`);
+        :func:`match_line` writes the same match as its line."""
         event = self.event
         return match_json(
             self.left_index,

@@ -9,9 +9,12 @@ here, next to the builder they feed, so the payload schema and the
   canonical payload (defaults filled in, unknown keys rejected).  The
   canonical form is what a job store persists, so a restarted server
   rebuilds *exactly* the job that was submitted.
-* :func:`build_job` — compile a canonical payload into a runnable
+* :func:`build_job` — compile a payload into a runnable
   :class:`~repro.jobs.handle.JobHandle` through the fluent builder (every
-  builder validation applies; nothing is re-implemented here).
+  builder validation applies; nothing is re-implemented here);
+  :func:`build_canonical_job` does the same for a payload that
+  :func:`normalize_payload` already returned, without normalising it
+  again.
 * :func:`encode_shard_outcome` / :func:`decode_shard_outcome` — the codec
   for persisted :class:`~repro.runtime.sharding.ShardOutcome` records: the
   shard's match columns (:class:`~repro.runtime.shard_result.ShardResult`,
@@ -64,6 +67,7 @@ __all__ = [
     "PayloadError",
     "normalize_payload",
     "build_job",
+    "build_canonical_job",
     "encode_shard_outcome",
     "decode_shard_outcome",
 ]
@@ -307,7 +311,16 @@ def build_job(payload: Mapping) -> JobHandle:
     normalisation is idempotent.  Every error, the builder's included,
     surfaces as :class:`PayloadError`.
     """
-    canonical = normalize_payload(payload)
+    return build_canonical_job(normalize_payload(payload))
+
+
+def build_canonical_job(canonical: Mapping) -> JobHandle:
+    """:func:`build_job` for a mapping :func:`normalize_payload` returned.
+
+    Skips the second normalisation (a shape check and copy of every
+    inline row) that :func:`build_job` would make; the caller guarantees
+    ``canonical`` is normalised.
+    """
     left = _load_side(canonical, "left")
     right = _load_side(canonical, "right")
     job = LinkageJob.between(left, right)

@@ -1,19 +1,22 @@
-"""Zero-copy shard handoff: columnar record blocks over shared memory.
+"""Zero-copy shard handoff: join-key blocks over shared memory.
 
-The process backend used to pickle every shard's full record payload into
-its worker — and gram-replicated plans multiplied that cost by the
-replication factor, because each replica shard carried its own *copy* of
-the records.  This module replaces the payload with a compile-once
-representation:
+A shard's engine reads one attribute of a record: the exact operator
+hashes its join key, the approximate one tokenises it into q-grams.  So
+only the keys cross the process boundary; the records stay in the parent,
+in the :class:`~repro.runtime.sharding.ShardPlan`, and the parent rebuilds
+match events and output records from them (see
+:mod:`repro.runtime.shard_result`).
 
-* :class:`SideBlock` — one side's record set encoded **once** into flat
-  columnar buffers: a contiguous ``payload`` byte string holding every
-  cell's value bytes, an ``array('Q')`` offset table (one entry per cell
-  plus a terminator) and an ``array('B')`` type-tag table.  Cells are laid
-  out column-major (cell ``col * row_count + row``).  Decoding row ``r``
-  walks one offset/tag pair per column and rebuilds the record through
-  :meth:`~repro.engine.tuples.Record.from_trusted` — no per-row dicts, no
-  re-validation.
+* :class:`SideBlock` — one side's join keys, encoded **once** per plan
+  exactly as the tuple store normalises them (``None`` → ``""``,
+  otherwise ``str``): a contiguous UTF-8 ``payload`` plus an
+  ``array('Q')`` offset table (one entry per row plus a terminator),
+  both built in C (``b"".join``, :func:`itertools.accumulate`).  Keys
+  encode and decode through ``surrogatepass``, so every ``str`` — a
+  lone surrogate included — round-trips exactly.  Row
+  ``r`` decodes to a one-column :class:`~repro.engine.tuples.Record`
+  named by the join attribute, through
+  :meth:`~repro.engine.tuples.Record.from_trusted`.
 * :func:`publish_block` — copies a :class:`SideBlock` (plus every shard's
   row-index array, so replication stays *indices*, never copies) into a
   single :class:`multiprocessing.shared_memory.SharedMemory` segment and
@@ -21,18 +24,13 @@ representation:
   only thing a worker ever receives on the wire.
 * :meth:`BlockDescriptor.attach` — maps the segment back in a worker and
   exposes the same :class:`SideBlock` interface over plain
-  ``memoryview``s: attaching copies nothing; individual cell values are
-  materialised lazily as the shard's join consumes them.
+  ``memoryview``\\ s: attaching copies nothing; keys are decoded lazily
+  as the shard's join consumes them.
 
-Value encoding is exact, not lossy: ``None``/``True``/``False`` are pure
-tags, ``str`` is UTF-8, ``int`` is ASCII decimal (arbitrary precision),
-``float`` is the IEEE-754 little-endian bit pattern — so decoded records
-are ``==`` to (and hash identically to) the originals, which is what keeps
-the shared-memory path bit-identical to the pickle path.  Values of any
-other type (or of subclasses of the supported types, which would decode to
-the base type and break equality) make the side *unencodable*:
-:meth:`SideBlock.encode` returns ``None`` and the plan falls back to the
-classic pickle handoff.
+The pickle handoff ships the same keys as a list, so a worker sees one
+input shape either way: one-column records of join keys.  A plan uses
+pickle only when asked to, or when the platform lacks ``shared_memory``;
+a run whose segment allocation fails falls back to it too.
 
 Lifecycle: a :class:`SideBlock` is ordinary process memory owned by the
 :class:`~repro.runtime.sharding.ShardPlan`.  Shared-memory segments — the
@@ -46,9 +44,9 @@ smoke) can assert :func:`live_block_count` returns to zero.
 from __future__ import annotations
 
 import secrets
-import struct
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, repeat
+from typing import Dict, List, Sequence, Tuple
 
 from repro.engine.tuples import Record, Schema
 
@@ -64,6 +62,7 @@ __all__ = [
     "CancelFlag",
     "PublishedBlock",
     "SideBlock",
+    "key_schema",
     "live_block_count",
     "live_block_names",
     "publish_block",
@@ -73,20 +72,10 @@ __all__ = [
 
 #: The shard-handoff modes accepted by ``ShardPlan.build`` and everything
 #: layered above it (``run_sharded``, the jobs builder, ``repro link``).
-#: ``auto`` uses columnar blocks when both sides encode and falls back to
-#: pickle otherwise; the explicit modes force one representation (and
-#: ``shared-memory`` raises on unencodable inputs rather than silently
-#: shipping pickles).
+#: ``auto`` and ``shared-memory`` publish key blocks when the platform
+#: has ``shared_memory`` and fall back to pickle otherwise; ``pickle``
+#: never encodes.
 HANDOFF_MODES = ("auto", "pickle", "shared-memory")
-
-_TAG_NONE = 0
-_TAG_STR = 1
-_TAG_INT = 2
-_TAG_FLOAT = 3
-_TAG_TRUE = 4
-_TAG_FALSE = 5
-
-_FLOAT_STRUCT = struct.Struct("<d")
 
 #: Set by tests to simulate a platform without ``shared_memory``.
 _FORCE_UNAVAILABLE = False
@@ -97,138 +86,63 @@ def shared_memory_available() -> bool:
     return _shared_memory is not None and not _FORCE_UNAVAILABLE
 
 
-class _Unencodable(Exception):
-    """Internal signal: a cell value has no columnar encoding."""
+#: Key bytes are UTF-8 with lone surrogates passed through, the same
+#: bytes the partitioners hash, so any ``str`` round-trips.
+_ERRORS = "surrogatepass"
+
+
+def key_schema(schema: Schema, attribute: str) -> Schema:
+    """The one-column schema a worker reads ``schema``'s join keys under."""
+    return Schema((attribute,), name=schema.name)
 
 
 class SideBlock:
-    """One side's records as flat columnar buffers.
+    """One side's join keys as a UTF-8 payload plus an offset table.
 
-    ``payload``/``offsets``/``tags`` may be the owning ``bytes``/``array``
-    objects (built by :meth:`encode`) or borrowed ``memoryview``s over a
+    ``payload``/``offsets`` may be the owning ``bytes``/``array`` objects
+    (built by :meth:`encode`) or borrowed ``memoryview``\\ s over a
     shared-memory segment (built by :meth:`BlockDescriptor.attach`); the
     decode path is identical for both.
     """
 
-    __slots__ = ("schema", "row_count", "payload", "offsets", "tags", "stream_name")
+    __slots__ = ("schema", "row_count", "payload", "offsets")
 
-    def __init__(
-        self,
-        schema: Schema,
-        row_count: int,
-        payload,
-        offsets,
-        tags,
-        stream_name: str = "",
-    ) -> None:
+    def __init__(self, schema: Schema, row_count: int, payload, offsets) -> None:
         self.schema = schema
         self.row_count = row_count
         self.payload = payload
         self.offsets = offsets
-        self.tags = tags
-        self.stream_name = stream_name
-
-    @property
-    def column_count(self) -> int:
-        return len(self.schema)
 
     @property
     def payload_size(self) -> int:
         return len(self.payload)
 
     @classmethod
-    def encode(
-        cls, schema: Schema, records: Sequence[Record], stream_name: str = ""
-    ) -> Optional["SideBlock"]:
-        """Encode ``records`` columnar, or return ``None`` if any cell
-        holds a value outside the encodable set (exactly ``None``, ``bool``,
-        ``int``, ``float``, ``str`` — subclasses excluded)."""
-        row_count = len(records)
-        column_count = len(schema)
-        payload = bytearray()
-        offsets = array("Q", bytes(8 * (row_count * column_count + 1)))
-        tags = array("B", bytes(row_count * column_count))
-        cell = 0
-        try:
-            for col in range(column_count):
-                for record in records:
-                    value = record.value_at(col)
-                    if value is None:
-                        tag = _TAG_NONE
-                    else:
-                        kind = type(value)
-                        if kind is str:
-                            payload += value.encode("utf-8")
-                            tag = _TAG_STR
-                        elif kind is bool:
-                            tag = _TAG_TRUE if value else _TAG_FALSE
-                        elif kind is int:
-                            payload += b"%d" % value
-                            tag = _TAG_INT
-                        elif kind is float:
-                            payload += _FLOAT_STRUCT.pack(value)
-                            tag = _TAG_FLOAT
-                        else:
-                            raise _Unencodable
-                    tags[cell] = tag
-                    cell += 1
-                    offsets[cell] = len(payload)
-        except (_Unencodable, UnicodeEncodeError):
-            return None
-        return cls(
-            schema,
-            row_count,
-            bytes(payload),
-            offsets,
-            tags,
-            stream_name=stream_name,
-        )
+    def encode(cls, schema: Schema, keys: Sequence[str]) -> "SideBlock":
+        """Encode the ``str`` ``keys`` under the one-column ``schema``."""
+        encoded = list(map(str.encode, keys, repeat("utf-8"), repeat(_ERRORS)))
+        offsets = array("Q", accumulate(map(len, encoded), initial=0))
+        return cls(schema, len(encoded), b"".join(encoded), offsets)
 
     def record(self, row: int) -> Record:
-        """Decode row ``row`` into a :class:`Record` (fresh value tuple)."""
-        n = self.row_count
-        payload = self.payload
+        """Row ``row`` as a one-column :class:`Record` holding its key."""
         offsets = self.offsets
-        tags = self.tags
-        values: List[object] = []
-        append = values.append
-        for cell in range(row, n * self.column_count + row, n):
-            tag = tags[cell]
-            if tag == _TAG_STR:
-                append(str(payload[offsets[cell] : offsets[cell + 1]], "utf-8"))
-            elif tag == _TAG_NONE:
-                append(None)
-            elif tag == _TAG_INT:
-                append(int(bytes(payload[offsets[cell] : offsets[cell + 1]])))
-            elif tag == _TAG_FLOAT:
-                append(_FLOAT_STRUCT.unpack_from(payload, offsets[cell])[0])
-            elif tag == _TAG_TRUE:
-                append(True)
-            else:
-                append(False)
-        return Record.from_trusted(self.schema, tuple(values))
-
-    def records(self, rows: Sequence[int]) -> List[Record]:
-        """Decode a batch of row indices (repeats allowed)."""
-        record = self.record
-        return [record(row) for row in rows]
+        key = str(self.payload[offsets[row] : offsets[row + 1]], "utf-8", _ERRORS)
+        return Record.from_trusted(self.schema, (key,))
 
     def __repr__(self) -> str:
-        return (
-            f"<SideBlock rows={self.row_count} cols={self.column_count} "
-            f"payload={self.payload_size}B>"
-        )
+        return f"<SideBlock rows={self.row_count} payload={self.payload_size}B>"
 
 
 class BlockDescriptor:
-    """The picklable handle a worker receives instead of record payloads.
+    """The picklable handle a worker receives instead of its shard's keys.
 
     Carries the shared-memory segment *name* plus the integers needed to
     re-derive the segment's region layout (see :func:`_region_layout`):
-    row/column counts, payload size and the per-shard row-array extents.
-    Everything heavy — cell bytes, offset/tag tables, the shard row-index
+    the row count, payload size and the per-shard row-array extents.
+    Everything heavy — key bytes, the offset table, the shard row-index
     arrays themselves — lives in the segment.  A descriptor pickles to a
-    few hundred bytes regardless of how many records the plan holds, which
+    few hundred bytes regardless of how many rows the plan holds, which
     is what makes retry resubmission O(descriptor).
     """
 
@@ -236,7 +150,6 @@ class BlockDescriptor:
         "name",
         "schema_attributes",
         "schema_name",
-        "stream_name",
         "row_count",
         "payload_size",
         "shard_extents",
@@ -247,7 +160,6 @@ class BlockDescriptor:
         name: str,
         schema_attributes: Tuple[str, ...],
         schema_name: str,
-        stream_name: str,
         row_count: int,
         payload_size: int,
         shard_extents: Tuple[int, ...],
@@ -255,7 +167,6 @@ class BlockDescriptor:
         self.name = name
         self.schema_attributes = schema_attributes
         self.schema_name = schema_name
-        self.stream_name = stream_name
         self.row_count = row_count
         self.payload_size = payload_size
         self.shard_extents = shard_extents
@@ -267,10 +178,6 @@ class BlockDescriptor:
     def __setstate__(self, state) -> None:
         for slot, value in state.items():
             setattr(self, slot, value)
-
-    @property
-    def column_count(self) -> int:
-        return len(self.schema_attributes)
 
     def attach(self) -> "AttachedBlock":
         """Map the segment and return a zero-copy view over it."""
@@ -292,27 +199,19 @@ class BlockDescriptor:
 
 
 def _region_layout(
-    row_count: int,
-    column_count: int,
-    payload_size: int,
-    shard_extents: Sequence[int],
-) -> Tuple[int, int, int, int, int]:
-    """Byte offsets of the segment regions, plus the total size.
+    row_count: int, payload_size: int, shard_extents: Sequence[int]
+) -> Tuple[int, int, int]:
+    """Byte offsets of the shard-row and payload regions, plus the total.
 
-    Layout: ``[offsets 'Q'][shard rows 'Q'][tags 'B'][payload]`` — the
-    8-byte-aligned regions first so the memoryview casts in
-    :class:`AttachedBlock` are always aligned.
+    Layout: ``[offsets 'Q'][shard rows 'Q'][payload]`` — the 8-byte
+    regions first so the memoryview casts in :class:`AttachedBlock` are
+    always aligned; the offsets region starts the segment.
     """
-    offsets_at = 0
-    offsets_bytes = 8 * (row_count * column_count + 1)
-    rows_at = offsets_at + offsets_bytes
-    rows_bytes = 8 * sum(shard_extents)
-    tags_at = rows_at + rows_bytes
-    tags_bytes = row_count * column_count
-    payload_at = tags_at + tags_bytes
+    rows_at = 8 * (row_count + 1)
+    payload_at = rows_at + 8 * sum(shard_extents)
     # shared_memory rejects size=0; keep at least one byte.
     total = max(payload_at + payload_size, 1)
-    return offsets_at, rows_at, tags_at, payload_at, total
+    return rows_at, payload_at, total
 
 
 class AttachedBlock:
@@ -328,13 +227,9 @@ class AttachedBlock:
     def __init__(self, descriptor: BlockDescriptor, segment) -> None:
         self._segment = segment
         self._views: List[memoryview] = []
-        layout = _region_layout(
-            descriptor.row_count,
-            descriptor.column_count,
-            descriptor.payload_size,
-            descriptor.shard_extents,
+        rows_at, payload_at, _ = _region_layout(
+            descriptor.row_count, descriptor.payload_size, descriptor.shard_extents
         )
-        offsets_at, rows_at, tags_at, payload_at, _ = layout
         buf = segment.buf
 
         def region(start: int, stop: int) -> memoryview:
@@ -342,21 +237,12 @@ class AttachedBlock:
             self._views.append(view)
             return view
 
-        offsets = region(offsets_at, rows_at).cast("Q")
+        offsets = region(0, rows_at).cast("Q")
         self._views.append(offsets)
-        tags = region(tags_at, payload_at).cast("B")
-        self._views.append(tags)
         payload = region(payload_at, payload_at + descriptor.payload_size)
         schema = Schema(descriptor.schema_attributes, name=descriptor.schema_name)
-        self.block = SideBlock(
-            schema,
-            descriptor.row_count,
-            payload,
-            offsets,
-            tags,
-            stream_name=descriptor.stream_name,
-        )
-        rows_all = region(rows_at, tags_at).cast("Q")
+        self.block = SideBlock(schema, descriptor.row_count, payload, offsets)
+        rows_all = region(rows_at, payload_at).cast("Q")
         self._views.append(rows_all)
         self._shard_rows: List[memoryview] = []
         cursor = 0
@@ -378,7 +264,6 @@ class AttachedBlock:
         self._closed = True
         self.block.payload = b""
         self.block.offsets = ()
-        self.block.tags = ()
         self._shard_rows = []
         for view in reversed(self._views):
             view.release()
@@ -419,7 +304,6 @@ def build_descriptor(
         name=name,
         schema_attributes=block.schema.attributes,
         schema_name=block.schema.name,
-        stream_name=block.stream_name,
         row_count=block.row_count,
         payload_size=block.payload_size,
         shard_extents=tuple(len(rows) for rows in shard_rows),
@@ -439,22 +323,19 @@ def publish_block(
     if not shared_memory_available():
         raise RuntimeError("shared_memory is unavailable; cannot publish")
     extents = tuple(len(rows) for rows in shard_rows)
-    offsets_at, rows_at, tags_at, payload_at, total = _region_layout(
-        block.row_count, block.column_count, block.payload_size, extents
+    rows_at, payload_at, total = _region_layout(
+        block.row_count, block.payload_size, extents
     )
     name = f"repro-blk-{secrets.token_hex(6)}"
     segment = _shared_memory.SharedMemory(name=name, create=True, size=total)
     try:
         buf = segment.buf
-        offsets_bytes = block.offsets.tobytes()
-        buf[offsets_at : offsets_at + len(offsets_bytes)] = offsets_bytes
+        buf[:rows_at] = block.offsets.tobytes()
         cursor = rows_at
         for rows in shard_rows:
             rows_bytes = array("Q", rows).tobytes()
             buf[cursor : cursor + len(rows_bytes)] = rows_bytes
             cursor += len(rows_bytes)
-        tags_bytes = block.tags.tobytes()
-        buf[tags_at : tags_at + len(tags_bytes)] = tags_bytes
         buf[payload_at : payload_at + block.payload_size] = block.payload
     except BaseException:
         segment.close()

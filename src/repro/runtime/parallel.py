@@ -11,9 +11,10 @@
 bit-deterministic reference, whose shard events reach an
 :class:`AggregatedEventBus` live, tagged via :class:`ShardEvent`.  On the
 ``"process"`` backend they run on a :class:`~repro.runtime.pool.WorkerPool`
-from a pickled :class:`_ShardTask`, each side shipped as a shared-memory
-:class:`~repro.runtime.handoff.BlockDescriptor` (the zero-copy handoff)
-or as its shard's records.
+from a pickled :class:`_ShardTask` that carries each side's join keys
+only — as a shared-memory :class:`~repro.runtime.handoff.BlockDescriptor`
+(the zero-copy handoff) or as its shard's key list — so the worker joins
+one-column key records while the parent keeps the records.
 
 Both reduce a shard session's result to match columns
 (:class:`~repro.runtime.shard_result.ShardResult`) bound to the plan's
@@ -73,7 +74,7 @@ from repro.runtime.failures import (
     create_failure_policy,
 )
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedFaultError
-from repro.runtime.handoff import AttachedBlock, BlockDescriptor, CancelFlag
+from repro.runtime.handoff import AttachedBlock, BlockDescriptor, CancelFlag, key_schema
 from repro.runtime.pool import WorkerPool, shared_pool
 from repro.runtime.session import AdaptiveJoinResult, JoinSession
 from repro.runtime.shard_result import ShardResult
@@ -82,6 +83,7 @@ from repro.runtime.sharding import (
     PublishedPlanBlocks,
     ShardedJoinResult,
     ShardOutcome,
+    ShardInput,
     ShardPlan,
 )
 
@@ -358,9 +360,6 @@ class FailureContext:
             message=error.message or str(error),
             batches=error.batches,
             timed_out=isinstance(error, ShardTimeoutError),
-            # len(shard input), not len(.records): under the zero-copy
-            # handoff the record list is decoded lazily, and accounting a
-            # failure must not force a full shard decode.
             left_records=len(self.plan.left_shards[shard_id]),
             right_records=len(self.plan.right_shards[shard_id]),
         )
@@ -373,10 +372,29 @@ class FailureContext:
 
 @dataclass
 class ShardInputPayload:
-    """One side's shard records, shipped to a worker process (pickle handoff)."""
+    """One side's shard join keys, shipped to a worker process (pickle
+    handoff): ``keys[i]`` is the normalised key of the shard's ``i``-th
+    record, read under the one-column ``schema``."""
 
     schema: Schema
-    records: List[Record]
+    keys: List[str]
+
+    @classmethod
+    def of(
+        cls, shard: ShardInput, attribute: str, side_keys: Sequence[str]
+    ) -> "ShardInputPayload":
+        """The keys of ``shard``'s records on ``attribute``, sliced from
+        the plan's ``side_keys`` by the shard's origins."""
+        return cls(
+            key_schema(shard.schema, attribute),
+            [side_keys[origin] for origin in shard.origins],
+        )
+
+    def stream(self, name: str) -> ListStream:
+        """The keys as a stream of one-column records."""
+        schema = self.schema
+        records = [Record.from_trusted(schema, (key,)) for key in self.keys]
+        return ListStream(schema, records, name=name)
 
 
 @dataclass
@@ -385,7 +403,7 @@ class _ShardTask:
 
     Each side is a :class:`~repro.runtime.handoff.BlockDescriptor` (the
     zero-copy handoff: O(descriptor) bytes, retries included) or a
-    :class:`ShardInputPayload` of the shard's records (pickle handoff).
+    :class:`ShardInputPayload` of the shard's join keys (pickle handoff).
     The worker enforces the timeout and injected ``faults``, and checks
     the named ``cancel_flag`` (sleeping ``batch_delay`` seconds, a testing
     hook) after every ``max_batch``-step engine batch.
@@ -420,8 +438,8 @@ def _shard_task(
 ) -> _ShardTask:
     """The one task factory: first attempts, retries and size estimates.
 
-    With ``descriptors`` (the plan's published side blocks) both sides
-    ship as descriptors; without, as their shard's record payloads.
+    With ``descriptors`` (the plan's published key blocks) both sides
+    ship as descriptors; without, as their shard's key lists.
     """
     left_input = plan.left_shards[shard_id]
     right_input = plan.right_shards[shard_id]
@@ -430,8 +448,10 @@ def _shard_task(
     if descriptors is not None:
         left, right = descriptors
     else:
-        left = ShardInputPayload(left_input.schema, left_input.records)
-        right = ShardInputPayload(right_input.schema, right_input.records)
+        left = ShardInputPayload.of(left_input, plan.attribute.left, plan.left_keys)
+        right = ShardInputPayload.of(
+            right_input, plan.attribute.right, plan.right_keys
+        )
     return _ShardTask(
         shard_id=shard_id,
         attribute=plan.attribute,
@@ -455,8 +475,9 @@ def _run_shard_task(task: _ShardTask) -> Tuple[int, ShardResult, float]:
     Through :func:`_run_attempt` on the real clock (an injected one cannot
     cross the process boundary); failures come back as picklable
     :class:`ShardExecutionError`\\ s for the shard driver's policy.  Attachments
-    are closed on every path.  Only match columns (:class:`ShardResult`)
-    go back: the parent already holds the shard's records in its plan.
+    are closed on every path.  The session joins one-column key records,
+    and only match columns (:class:`ShardResult`) go back: the parent
+    holds the shard's records, and its output schema, in its plan.
     """
     started = time.perf_counter()
     attachments: List[AttachedBlock] = []
@@ -471,14 +492,14 @@ def _run_shard_task(task: _ShardTask) -> Tuple[int, ShardResult, float]:
         ):
             if isinstance(payload, BlockDescriptor):
                 # Zero-copy: stream the shard's rows as views over the
-                # mapped buffers; cell values are materialised lazily as
-                # the join consumes them.
+                # mapped buffers; keys are decoded lazily as the join
+                # consumes them.
                 attached = payload.attach()
                 attachments.append(attached)
                 rows = attached.shard_rows(task.shard_id)
                 streams.append(RowSliceStream(attached.block, rows, name=name))
             else:
-                streams.append(ListStream(payload.schema, payload.records, name=name))
+                streams.append(payload.stream(name))
         left, right = streams
         fault = (
             task.faults.action_for(task.shard_id, task.attempt)
@@ -664,12 +685,6 @@ def execute_shards(
             poll = _CANCEL_POLL_SECONDS if cancel is not None else None
             _ensure_picklable(config, "the run configuration (RunConfig)")
             published, flag = shared_memory(plan)
-            if published is None:
-                for shard_id in range(plan.shard_count):
-                    _ensure_picklable(
-                        _shard_task(plan, config, shard_id, 1, None),
-                        f"shard {shard_id}'s input records",
-                    )
             descriptors = published.descriptors if published is not None else None
 
             def submit(shard_id: int, attempt: int) -> Future:
@@ -908,8 +923,8 @@ def estimate_shard_payload_bytes(
 
     Builds, per shard, the task :func:`_shard_task` would submit for
     ``attempt`` under the plan's resolved handoff (descriptors with
-    placeholder segment names, no segment allocated; or full record
-    payloads) and measures ``len(pickle.dumps(task))`` — the bench's
+    placeholder segment names, no segment allocated; or the shard's key
+    lists) and measures ``len(pickle.dumps(task))`` — the bench's
     ``payload_bytes_per_shard``.
     """
     config = config or RunConfig()

@@ -100,8 +100,7 @@ class JoinSession:
     ----------
     left, right:
         The two inputs: tables, streams, or any ``.stream()``-bearing
-        source (e.g. a shard input, whose block-backed form reads
-        zero-copy from shared columnar buffers).
+        source (e.g. a shard input).
     attribute:
         Join attribute name (same on both sides) or a
         :class:`~repro.joins.base.JoinAttribute`.
@@ -134,10 +133,9 @@ class JoinSession:
         self.bus = bus if bus is not None else EventBus()
 
         # Normalise both inputs to record streams once, up front: tables
-        # wrap in a TableStream, shard inputs contribute their stream view
-        # (for block-backed shards a zero-copy RowSliceStream over the
-        # shared columnar buffers), streams pass through.  Sizing, parent
-        # size resolution and the engine all observe the same objects.
+        # wrap in a TableStream, shard inputs contribute their stream view,
+        # streams pass through.  Sizing, parent size resolution and the
+        # engine all observe the same objects.
         left = as_stream(left)
         right = as_stream(right)
 

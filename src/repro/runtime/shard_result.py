@@ -18,10 +18,11 @@ one entry per match, in emission order,
   exact value match, variant evidence, and the final Sec. 3.3
   ``matched_exactly`` flag of both tuples,
 
-plus the session's counters, trace, final state, output schema and
-``cancelled`` flag as they are.  A pool worker and the serial backend
-both reduce a session result with :meth:`ShardResult.from_session`; the
-pool pickles it, the job store base64-wraps the same pickle
+plus the session's counters, trace, final state, output schema (the
+plan's once bound) and ``cancelled`` flag as they are.  A pool worker
+and the serial backend both reduce a session result with
+:meth:`ShardResult.from_session`; the pool pickles it, the job store
+base64-wraps the same pickle
 (:func:`repro.jobs.serialization.encode_shard_outcome`), and pairs,
 counts, dedup and the NDJSON feed read the columns directly.
 
@@ -176,16 +177,25 @@ class ShardResult:
 
     # -- events, rebuilt on demand ---------------------------------------------------
 
-    def bind(self, left_input, right_input, attribute: JoinAttribute) -> "ShardResult":
+    def bind(
+        self,
+        left_input,
+        right_input,
+        attribute: JoinAttribute,
+        output_schema: Schema,
+    ) -> "ShardResult":
         """Name the shard inputs :attr:`matches` is rebuilt from.
 
         ``left_input`` / ``right_input`` are the plan's
         :class:`~repro.runtime.sharding.ShardInput`\\ s (anything whose
         ``records[i]`` is the shard's ``i``-th record in arrival order);
-        their records are read only when events are asked for.  Returns
-        ``self``.
+        their records are read only when events are asked for.
+        ``output_schema`` (the plan's) replaces the session's: a worker
+        process joined one-column key records, so only the parent knows
+        the full output schema.  Returns ``self``.
         """
         self._sources = (left_input, right_input, attribute)
+        self.output_schema = output_schema
         self._matches = None
         return self
 

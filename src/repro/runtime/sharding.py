@@ -69,8 +69,10 @@ from __future__ import annotations
 
 import math
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.core.cost_model import CostModel
@@ -80,7 +82,6 @@ from repro.engine.streams import (
     InputLike,
     ListStream,
     RecordStream,
-    RowSliceStream,
     as_stream,
 )
 from repro.engine.tuples import Record, Schema
@@ -93,6 +94,7 @@ from repro.runtime.handoff import (
     PublishedBlock,
     SideBlock,
     build_descriptor,
+    key_schema,
     publish_block,
     shared_memory_available,
 )
@@ -206,9 +208,10 @@ def stable_value_shard(value: str, shard_count: int) -> int:
     fallback — equal values land together across both, by construction.
     Uses CRC-32 rather than Python's ``hash`` so assignments are stable
     across processes and runs (``PYTHONHASHSEED`` does not leak into
-    shard layouts).
+    shard layouts).  Lone surrogates hash through ``surrogatepass``; every
+    other string's bytes are its plain UTF-8.
     """
-    return zlib.crc32(value.encode("utf-8")) % shard_count
+    return zlib.crc32(value.encode("utf-8", "surrogatepass")) % shard_count
 
 
 class HashPartitioner(Partitioner):
@@ -300,10 +303,16 @@ class PrefixGramPartitioner(Partitioner):
         self._interner = GramInterner(q=q, padded=padded)
         # Gram id → CRC-32 of the gram string.  Shard-count-free, so one
         # partitioner instance can serve plans of different widths.
-        self._gram_crc: Dict[int, int] = {}
-        #: Gram id → dense rank in the corpus rarest-first order; filled
-        #: by :meth:`prepare` (per plan).
-        self._rank: Dict[int, int] = {}
+        self._gram_crc: List[int] = []
+        #: Gram id → dense rank in the corpus rarest-first order, grams
+        #: outside the corpus ranked last (``_unseen``); filled by
+        #: :meth:`prepare` (per plan) and extended as grams are interned.
+        self._rank: List[int] = []
+        self._unseen = 0
+        #: Key → owning shards at the prepared width: routing is a pure
+        #: function of the key, so repeated keys route once.
+        self._owners: Dict[str, Tuple[int, ...]] = {}
+        self._owners_width = 0
         self._prepared = False
 
     @classmethod
@@ -342,17 +351,28 @@ class PrefixGramPartitioner(Partitioner):
         shard_count: int,
     ) -> None:
         """Rank every corpus gram rarest-first (ties by gram string)."""
-        frequency: Dict[int, int] = {}
-        intern_value = self._interner.intern_value
-        for keys in (left_keys, right_keys):
-            for key in keys:
-                for gram_id in intern_value(key):
-                    frequency[gram_id] = frequency.get(gram_id, 0) + 1
-        gram = self._interner.gram
-        ordered = sorted(
-            frequency, key=lambda gram_id: (frequency[gram_id], gram(gram_id))
+        interner = self._interner
+        frequency = Counter(
+            chain.from_iterable(
+                map(interner.intern_value, chain(left_keys, right_keys))
+            )
         )
-        self._rank = {gram_id: rank for rank, gram_id in enumerate(ordered)}
+        # (frequency, gram) is unique per gram, so the tuples sort
+        # without a key function into exactly the rarest-first order.
+        ordered = sorted(
+            zip(
+                map(frequency.__getitem__, frequency),
+                map(interner.gram, frequency),
+                frequency,
+            )
+        )
+        self._unseen = len(ordered)
+        rank = [self._unseen] * len(interner)
+        for position, (_, _, gram_id) in enumerate(ordered):
+            rank[gram_id] = position
+        self._rank = rank
+        self._owners = {}
+        self._owners_width = shard_count
         self._prepared = True
 
     def prefix_length(self, gram_count: int) -> int:
@@ -371,37 +391,42 @@ class PrefixGramPartitioner(Partitioner):
     def assign_many(
         self, side: JoinSide, ordinal: int, value: str, shard_count: int
     ) -> Tuple[int, ...]:
+        memo = self._owners if shard_count == self._owners_width else None
+        if memo is not None:
+            owners = memo.get(value)
+            if owners is not None:
+                return owners
         gram_ids = self._interner.intern_value(value)
         if not gram_ids:
             # Gram-free values can only equi-match: hash co-partitioning
             # is exactly sufficient (and avoids pointless replication).
-            return (stable_value_shard(value, shard_count),)
-        if self._prepared:
-            prefix = self.prefix_length(len(gram_ids))
-            if prefix < len(gram_ids):
-                rank = self._rank
-                # Grams outside the prepared corpus cannot occur during a
-                # plan build; rank them last (stably) for direct callers.
-                unseen = len(rank)
-                gram_ids = sorted(
-                    gram_ids, key=lambda gram_id: rank.get(gram_id, unseen)
-                )[:prefix]
-        return self._owning_shards(gram_ids, shard_count)
+            owners = (stable_value_shard(value, shard_count),)
+        else:
+            self._cover_interned()
+            if self._prepared:
+                prefix = self.prefix_length(len(gram_ids))
+                if prefix < len(gram_ids):
+                    # Grams outside the prepared corpus cannot occur during
+                    # a plan build; they rank last (stably) for direct callers.
+                    gram_ids = sorted(gram_ids, key=self._rank.__getitem__)[:prefix]
+            crc = self._gram_crc
+            owners = tuple(sorted({crc[gram_id] % shard_count for gram_id in gram_ids}))
+        if memo is not None:
+            memo[value] = owners
+        return owners
 
-    def _owning_shards(
-        self, gram_ids: Sequence[int], shard_count: int
-    ) -> Tuple[int, ...]:
-        """The sorted distinct shards owning the given gram buckets."""
-        gram = self._interner.gram
-        gram_crc = self._gram_crc
-        owners = set()
-        for gram_id in gram_ids:
-            crc = gram_crc.get(gram_id)
-            if crc is None:
-                crc = zlib.crc32(gram(gram_id).encode("utf-8"))
-                gram_crc[gram_id] = crc
-            owners.add(crc % shard_count)
-        return tuple(sorted(owners))
+    def _cover_interned(self) -> None:
+        """Extend the CRC and rank lists over every gram interned so far."""
+        interned = len(self._interner)
+        crc = self._gram_crc
+        if len(crc) < interned:
+            gram = self._interner.gram
+            crc.extend(
+                zlib.crc32(gram(gram_id).encode("utf-8", "surrogatepass"))
+                for gram_id in range(len(crc), interned)
+            )
+        if len(self._rank) < interned:
+            self._rank.extend([self._unseen] * (interned - len(self._rank)))
 
 
 #: The partitioners by name — a closed table: ``hash`` for equi-match
@@ -438,28 +463,19 @@ def available_partitioners() -> Tuple[str, ...]:
 
 
 class ShardInput:
-    """One shard's slice of one side: row identities plus their storage.
+    """One shard's slice of one side: its records and their origins.
 
-    Two storage modes, one interface:
-
-    *Record-backed* (the classic pickle handoff): ``records`` holds the
-    shard's materialised record list, one entry per origin (replication
-    copies references).
-    *Block-backed* (the zero-copy handoff): the shard holds only its
-    ``origins`` row-index array over the side's shared
-    :class:`~repro.runtime.handoff.SideBlock` — replication is repeated
-    indices, and :attr:`records` is decoded lazily (then cached) for the
-    few consumers that genuinely need record objects (e.g. the pickle
-    fallback when shared memory cannot be published).
-
-    In both modes ``origins[i]`` is the position of the shard's ``i``-th
-    record in the original input's arrival order — the global ordinal
-    merged results report.  Block-backed shards exploit that the block's
-    row order *is* the arrival order, so the origin array doubles as the
-    row-index array.
+    ``records`` holds the shard's records, one entry per origin
+    (replication copies references, never records); ``origins[i]`` is the
+    position of the shard's ``i``-th record in the original input's
+    arrival order — the global ordinal merged results report.  In-process
+    (serial) sessions stream these records, and the parent rebuilds
+    events and output records from them whatever the backend; a worker
+    process receives only the shard's join keys (see
+    :mod:`repro.runtime.handoff`).
     """
 
-    __slots__ = ("schema", "origins", "name", "block", "_records")
+    __slots__ = ("schema", "records", "origins", "name")
 
     def __init__(
         self,
@@ -467,41 +483,25 @@ class ShardInput:
         records: Optional[List[Record]] = None,
         origins: Optional[List[int]] = None,
         name: str = "",
-        block: Optional[SideBlock] = None,
     ) -> None:
         self.schema = schema
+        self.records = records if records is not None else []
         self.origins = origins if origins is not None else []
         self.name = name
-        self.block = block
-        if records is None and block is None:
-            records = []
-        self._records = records
-
-    @property
-    def records(self) -> List[Record]:
-        """The shard's records (decoded from the block on first access)."""
-        if self._records is None:
-            self._records = self.block.records(self.origins)
-        return self._records
 
     def stream(self) -> RecordStream:
         """A fresh stream over this shard input (streams are single-use).
 
-        May be called any number of times: the backing store (record list
-        or columnar block) is immutable, so every call replays the
-        identical sequence.  This replayability is a *contract* — shard
-        retry (:mod:`repro.runtime.failures`) and job resume re-run
-        shards through it and rely on the re-run being bit-identical.
+        May be called any number of times: the record list is immutable,
+        so every call replays the identical sequence.  This replayability
+        is a *contract* — shard retry (:mod:`repro.runtime.failures`) and
+        job resume re-run shards through it and rely on the re-run being
+        bit-identical.
         """
-        if self.block is not None:
-            return RowSliceStream(self.block, self.origins, name=self.name)
-        return ListStream(self.schema, self._records, name=self.name)
+        return ListStream(self.schema, self.records, name=self.name)
 
     def __len__(self) -> int:
-        if self.origins:
-            return len(self.origins)
-        # Hand-built record-backed inputs may omit the origin map.
-        return len(self._records) if self._records is not None else 0
+        return len(self.records)
 
 
 class ShardPlan:
@@ -510,7 +510,8 @@ class ShardPlan:
     Build one with :meth:`build`; hand it to
     :class:`~repro.runtime.parallel.ParallelExecutor`.  The plan owns the
     materialised shard records (not live streams), so one plan can be
-    executed any number of times and shipped to worker processes —
+    executed any number of times, its join keys shipped to worker
+    processes on each run —
     :meth:`shard_streams` replays a shard's inputs identically on every
     call, the contract shard retry and :meth:`JobHandle.resume`-style
     partial re-execution are built on (see :meth:`ShardInput.stream`).
@@ -537,6 +538,8 @@ class ShardPlan:
         partitioner: Partitioner,
         left_shards: List[ShardInput],
         right_shards: List[ShardInput],
+        left_keys: Sequence[str],
+        right_keys: Sequence[str],
         left_input_size: Optional[int] = None,
         right_input_size: Optional[int] = None,
         handoff: str = "pickle",
@@ -552,13 +555,18 @@ class ShardPlan:
         self.partitioner = partitioner
         self.left_shards = left_shards
         self.right_shards = right_shards
+        #: Each side's join keys in arrival order (``left_keys[o]`` is the
+        #: key of input record ``o``): what a pickle-handoff task slices
+        #: by its shard's origins.
+        self.left_keys = left_keys
+        self.right_keys = right_keys
         #: The *resolved* handoff representation: ``"shared-memory"``
-        #: exactly when the plan carries columnar side blocks, else
+        #: exactly when the plan carries join-key blocks, else
         #: ``"pickle"`` (``"auto"`` never survives :meth:`build`).
         self.handoff = handoff
-        #: The per-side columnar encodings (``None`` under pickle
-        #: handoff).  Plain process memory owned by the plan — shared
-        #: memory segments are published per process-backend run, see
+        #: The per-side join-key blocks (``None`` under pickle handoff).
+        #: Plain process memory owned by the plan — shared memory
+        #: segments are published per process-backend run, see
         #: :meth:`publish_blocks`.
         self.left_block = left_block
         self.right_block = right_block
@@ -596,19 +604,20 @@ class ShardPlan:
         padding / ``θ``) in lock-step with the engine — the recall guarantee
         depends on it.  ``run_sharded`` does this automatically.
 
-        ``handoff`` selects the shard-input representation (see
-        :mod:`repro.runtime.handoff`): ``"pickle"`` materialises per-shard
-        record lists (the classic path); ``"auto"`` and
-        ``"shared-memory"`` encode each side **once** into a columnar
-        :class:`~repro.runtime.handoff.SideBlock` and give every shard
-        only a row-index array over it — replication becomes repeated
-        indices.  Both block modes fall back to ``"pickle"`` when a side
-        holds values outside the encodable set or the platform lacks
-        ``multiprocessing.shared_memory``; the plan's :attr:`handoff`
-        records what was actually resolved, so callers that *require*
-        zero-copy can check it.  The representation never changes
-        results: both backends produce bit-identical matches,
-        emission order and counters under either handoff.
+        ``handoff`` selects how a worker process receives its shard's
+        join keys (see :mod:`repro.runtime.handoff`); every shard keeps
+        its records in the plan either way.  ``"pickle"`` ships each
+        shard's keys in its task; ``"auto"`` and ``"shared-memory"``
+        encode each side's keys **once** into a
+        :class:`~repro.runtime.handoff.SideBlock` that shards address by
+        row index — replication becomes repeated indices.  Both block
+        modes fall back to ``"pickle"`` when the platform lacks
+        ``multiprocessing.shared_memory``;
+        the plan's :attr:`handoff` records what was actually resolved,
+        so callers that *require* zero-copy can check it.  The
+        representation never changes results: both backends produce
+        bit-identical matches, emission order and counters under either
+        handoff.
         """
         if shard_count < 1:
             raise ValueError(f"shard_count must be at least 1, got {shard_count}")
@@ -634,15 +643,15 @@ class ShardPlan:
         # Collect-then-route (left fully, then right, preserving the
         # arrival order and the exactly-once pull contract) so that (a)
         # corpus-statistics partitioners can observe both sides before
-        # the first routing decision and (b) each side can be encoded
-        # once into a columnar block.
+        # the first routing decision and (b) each side's keys can be
+        # encoded once into a block.
         left_records = _collect_records(left_stream)
         right_records = _collect_records(right_stream)
         left_keys = [
-            _join_key(record.value_at(left_position)) for record in left_records
+            join_key(record.value_at(left_position)) for record in left_records
         ]
         right_keys = [
-            _join_key(record.value_at(right_position)) for record in right_records
+            join_key(record.value_at(right_position)) for record in right_records
         ]
         partitioner.prepare(left_keys, right_keys, shard_count)
         left_rows = _route_side(
@@ -654,28 +663,23 @@ class ShardPlan:
         left_block = right_block = None
         if handoff != "pickle" and shared_memory_available():
             left_block = SideBlock.encode(
-                left_stream.schema, left_records, stream_name=left_stream.name
+                key_schema(left_stream.schema, attribute.left), left_keys
             )
-            if left_block is not None:
-                right_block = SideBlock.encode(
-                    right_stream.schema,
-                    right_records,
-                    stream_name=right_stream.name,
-                )
-            if right_block is None:
-                left_block = None
+            right_block = SideBlock.encode(
+                key_schema(right_stream.schema, attribute.right), right_keys
+            )
         resolved = "shared-memory" if left_block is not None else "pickle"
-        left_shards = _shard_inputs(
-            left_stream, left_records, left_rows, left_block, shard_count
-        )
+        left_shards = _shard_inputs(left_stream, left_records, left_rows, shard_count)
         right_shards = _shard_inputs(
-            right_stream, right_records, right_rows, right_block, shard_count
+            right_stream, right_records, right_rows, shard_count
         )
         return cls(
             attribute,
             partitioner,
             left_shards,
             right_shards,
+            left_keys,
+            right_keys,
             left_input_size=len(left_records),
             right_input_size=len(right_records),
             handoff=resolved,
@@ -709,15 +713,18 @@ class ShardPlan:
             right_total / self.right_input_size if self.right_input_size else 1.0,
         )
 
-    def shard_streams(self, shard_id: int) -> Tuple[RecordStream, RecordStream]:
-        """Fresh (left, right) streams for one shard (replayable at will).
+    @cached_property
+    def output_schema(self) -> Schema:
+        """Schema of the joined output records: both sides' full schemas,
+        concatenated as a session over the shard streams would."""
+        return self.left_shards[0].schema.concat(
+            self.right_shards[0].schema, name="join"
+        )
 
-        Record-backed shards replay a :class:`ListStream`; block-backed
-        shards replay a :class:`~repro.engine.streams.RowSliceStream`
-        over the plan's side blocks — this is how in-process readers
-        (supervised serial attempts, sharded streaming) read the
-        zero-copy representation without any shipping at all.
-        """
+    def shard_streams(self, shard_id: int) -> Tuple[RecordStream, RecordStream]:
+        """Fresh (left, right) streams over one shard's records (replayable
+        at will) — what in-process readers (serial attempts, sharded
+        streaming) run on, whatever the handoff."""
         return (
             self.left_shards[shard_id].stream(),
             self.right_shards[shard_id].stream(),
@@ -773,7 +780,7 @@ class ShardPlan:
         (position ``i`` of ``shard_ids`` ↔ sub-plan shard ``i``) before
         merging with the shards that already completed.  Shard inputs are
         shared by reference (materialised buffers, never copied) and so
-        are the columnar side blocks — a resumed zero-copy run re-encodes
+        are the key blocks — a resumed zero-copy run re-encodes
         nothing, it only re-publishes the retained blocks — and the
         original input sizes are carried over so replication factors and
         recall accounting stay relative to the *full* inputs.
@@ -792,6 +799,8 @@ class ShardPlan:
             self.partitioner,
             [self.left_shards[shard_id] for shard_id in ids],
             [self.right_shards[shard_id] for shard_id in ids],
+            self.left_keys,
+            self.right_keys,
             left_input_size=self.left_input_size,
             right_input_size=self.right_input_size,
             handoff=self.handoff,
@@ -829,7 +838,7 @@ def _distinct_origin_count(shards: Sequence[ShardInput]) -> int:
     return len({origin for shard in shards for origin in shard.origins})
 
 
-def _join_key(value) -> str:
+def join_key(value) -> str:
     """Same normalisation the join's tuple store applies (None → "")."""
     return "" if value is None else str(value)
 
@@ -904,24 +913,15 @@ def _shard_inputs(
     stream: RecordStream,
     records: List[Record],
     rows: List[List[int]],
-    block: Optional[SideBlock],
     shard_count: int,
 ) -> List[ShardInput]:
-    """Materialise one side's :class:`ShardInput` list from its routing.
-
-    With a block, every shard holds only its row-index array (the
-    zero-copy representation); without one, per-shard record lists are
-    materialised exactly as the classic pickle path always did.
-    """
+    """Materialise one side's :class:`ShardInput` list from its routing."""
     return [
         ShardInput(
             schema=stream.schema,
-            records=(
-                None if block is not None else [records[row] for row in shard_rows]
-            ),
+            records=list(map(records.__getitem__, shard_rows)),
             origins=shard_rows,
             name=f"{stream.name}[shard {shard_id}/{shard_count}]",
-            block=block,
         )
         for shard_id, shard_rows in enumerate(rows)
     ]
@@ -1007,7 +1007,7 @@ class ShardOutcome:
         """The outcome of ``plan``'s shard ``shard_id``, bound to its inputs."""
         left_input = plan.left_shards[shard_id]
         right_input = plan.right_shards[shard_id]
-        result.bind(left_input, right_input, plan.attribute)
+        result.bind(left_input, right_input, plan.attribute, plan.output_schema)
         return cls(
             shard_id=shard_id,
             result=result,
@@ -1207,7 +1207,8 @@ class ShardedJoinResult:
 
     @property
     def output_schema(self) -> Schema:
-        """Schema of the joined output records (identical in every shard)."""
+        """Schema of the joined output records (the plan's, bound to every
+        shard result by :meth:`ShardOutcome.of`)."""
         if not self.shards:
             raise ValueError(
                 "no shard completed (the run was cancelled before any shard "

@@ -104,8 +104,14 @@ from typing import (
     Union,
 )
 
-from repro.jobs.handle import DEFAULT_STREAM_BATCH, JobHandle
-from repro.jobs.serialization import PayloadError, build_job, normalize_payload
+from repro.jobs.builder import JobSpec
+from repro.jobs.handle import DEFAULT_STREAM_BATCH, JobHandle, match_line
+from repro.jobs.serialization import (
+    PayloadError,
+    build_canonical_job,
+    build_job,
+    normalize_payload,
+)
 from repro.runtime.collectors import ProgressSnapshot
 from repro.runtime.handoff import CancelFlag
 from repro.runtime.parallel import _run_shard_task, _shard_task, shared_memory
@@ -118,7 +124,7 @@ from repro.runtime.sharding import (
     ShardPlan,
 )
 from repro.server.store import JobStore
-from repro.server.wire import job_status_body, match_line, spec_echo
+from repro.server.wire import job_status_body, spec_echo
 
 __all__ = [
     "JobScheduler",
@@ -216,6 +222,16 @@ class _Job:
     def open(self) -> bool:
         """Still counts against the admission queue depth."""
         return not self.finalized
+
+
+def _shard_driven(spec: JobSpec) -> bool:
+    """Whether the scheduler dispatches ``spec``'s shards itself: adaptive
+    jobs with no failure policy or fault plan of their own."""
+    return (
+        spec.strategy == "adaptive"
+        and spec.failure_policy is None
+        and spec.fault_plan is None
+    )
 
 
 def _feed_lines(outcome: ShardOutcome, tag_shards: bool) -> _FeedLines:
@@ -362,7 +378,10 @@ class JobScheduler:
         invalid payload and :class:`QueueFull` past the depth cap.
         """
         canonical = normalize_payload(payload)
-        handle = build_job(canonical)
+        handle = build_canonical_job(canonical)
+        # The plan routes and encodes both inputs: build it before taking
+        # the lock every worker thread's fold and dispatch waits on.
+        plan = handle.spec.shard_plan() if _shard_driven(handle.spec) else None
         with self._cond:
             if self._stopping:
                 raise QueueFull("the server is shutting down")
@@ -374,7 +393,7 @@ class JobScheduler:
                     f"completes"
                 )
             job_id = f"job-{self._next_seq}"
-            job = self._admit(job_id, handle, canonical)
+            job = self._admit(job_id, handle, canonical, plan)
             self._counters["jobs_submitted"] += 1
             # Persist the admission before any worker can possibly write
             # a shard record for it: replay drops shard lines that
@@ -384,20 +403,24 @@ class JobScheduler:
         return job.job_id
 
     def _admit(
-        self, job_id: str, handle: JobHandle, canonical: Mapping[str, object]
+        self,
+        job_id: str,
+        handle: JobHandle,
+        canonical: Mapping[str, object],
+        plan: Optional[ShardPlan],
     ) -> _Job:
-        """Register a built handle under the lock and enqueue its work."""
+        """Register a built handle under the lock and enqueue its work.
+
+        ``plan`` is the handle's shard plan, built by the caller before
+        it took the lock; a shard-driven job (:func:`_shard_driven`)
+        needs it, other jobs ignore it.
+        """
         spec = handle.spec
-        shard_driven = (
-            spec.strategy == "adaptive"
-            and spec.failure_policy is None
-            and spec.fault_plan is None
-        )
         job = _Job(
             job_id=job_id,
             seq=self._next_seq,
             priority=int(canonical.get("priority", 1)),
-            mode="shard" if shard_driven else "whole",
+            mode="shard" if _shard_driven(spec) else "whole",
             spec=spec_echo(canonical),
             streamable=spec.strategy == "adaptive",
             handle=handle,
@@ -405,8 +428,8 @@ class JobScheduler:
         handle._pool = self._pool
         self._next_seq += 1
         if job.mode == "shard":
-            job.plan = spec.shard_plan()
-            sizes = job.plan.shard_sizes()
+            job.plan = plan
+            sizes = plan.shard_sizes()
             for shard_id, (left_size, right_size) in enumerate(sizes):
                 job.costs[shard_id] = float(max(left_size * right_size, 1))
             job.pending = list(range(job.plan.shard_count))
@@ -454,13 +477,14 @@ class JobScheduler:
                         self._next_seq = max(self._next_seq, seq + 1)
                 continue
             spec = handle.spec
+            # Built outside the lock, as on submit.
+            plan = spec.shard_plan() if spec.strategy == "adaptive" else None
             with self._cond:
                 if seq is not None:
                     self._next_seq = max(self._next_seq, seq)
-                job = self._admit(stored.job_id, handle, stored.payload)
+                job = self._admit(stored.job_id, handle, stored.payload, plan)
                 job.pending.clear()
-                if spec.strategy == "adaptive":
-                    plan = job.plan or spec.shard_plan()
+                if plan is not None:
                     job.plan = plan
                     outcomes = [
                         stored.outcomes[shard_id]

@@ -1,9 +1,8 @@
 """The server's JSON wire formats, in one place.
 
 Every byte the HTTP layer emits is produced here or delegated to a
-format owned by a lower layer — :func:`~repro.jobs.handle.match_json`
-for match lines (the mapping behind :meth:`StreamedMatch.to_json`, so
-byte-identical to ``repro link --stream``),
+format owned by a lower layer — :func:`~repro.jobs.handle.match_line`
+for match lines (``repro link --stream`` prints them too),
 :meth:`ProgressSnapshot.to_json` for progress, and
 :meth:`ShardedJoinResult.describe_json` (via ``LinkageResult.statistics``)
 for result statistics — so the CLI and the server can never drift apart.
@@ -11,38 +10,16 @@ for result statistics — so the CLI and the server can never drift apart.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Mapping, Optional
 
-from repro.jobs.handle import match_json
 from repro.runtime.collectors import ProgressSnapshot
 
 __all__ = [
     "error_body",
     "job_status_body",
-    "match_line",
     "render_metrics",
     "spec_echo",
 ]
-
-
-def match_line(
-    left_index: int,
-    right_index: int,
-    similarity: float,
-    mode: str,
-    step: int,
-    shard_id: Optional[int] = None,
-) -> bytes:
-    """One NDJSON line (newline included) for one match's fields.
-
-    ``json.dumps`` over :func:`~repro.jobs.handle.match_json` — exactly
-    what the CLI ``--stream`` path prints, so the two feeds are
-    byte-identical.  The scheduler calls it with a shard's match columns.
-    """
-    mapping = match_json(left_index, right_index, similarity, mode, step, shard_id)
-    return (json.dumps(mapping) + "\n").encode("utf-8")
-
 
 def error_body(message: str) -> Dict[str, object]:
     """The uniform error payload (every non-2xx JSON body)."""

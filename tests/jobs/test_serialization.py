@@ -22,6 +22,17 @@ def _inline(table):
     }
 
 
+def _payload_of(dataset, **extra):
+    payload = {
+        "left": _inline(dataset.parent),
+        "right": _inline(dataset.child),
+        "attribute": "location",
+        "thresholds": {"delta_adapt": 25, "window_size": 25},
+    }
+    payload.update(extra)
+    return payload
+
+
 def _payload(atlas, accidents, **extra):
     payload = {
         "left": _inline(atlas),
@@ -421,6 +432,37 @@ class TestOutcomeCodec:
         assert bound.left_origins == outcome.left_origins
         assert bound.matched_pairs() == outcome.matched_pairs()
         assert bound.result.matches == outcome.result.matches
+
+    def test_carried_output_schema_never_reaches_the_result(self, small_dataset):
+        """A line carries its session's output schema: the full one for
+        lines written before workers joined key records, a one-column one
+        for a worker's unbound result.  Bound to the plan, both give the
+        plan's schema and the same output records."""
+        import dataclasses
+
+        from repro.engine.tuples import Schema
+
+        payload = _payload_of(small_dataset, shards=2, backend="process")
+        handle = build_job(payload)
+        reference = handle.run()
+        plan = handle.spec.shard_plan()
+        restored = []
+        for carried in (plan.output_schema, Schema(["location"], name="keys")):
+            outcomes = [
+                decode_shard_outcome(encode_shard_outcome(dataclasses.replace(
+                    outcome, result=dataclasses.replace(
+                        outcome.result, output_schema=carried
+                    ),
+                )))
+                for outcome in handle.shard_outcomes
+            ]
+            rebuilt = build_job(payload)
+            rebuilt.restore(rebuilt.spec.shard_plan(), outcomes)
+            restored.append(rebuilt.result())
+        for result in restored:
+            assert result.statistics["result_size"] == reference.pair_count
+            assert result.records == reference.records
+            assert result.records[0].schema == plan.output_schema
 
     def test_decode_rejects_garbage(self):
         import base64

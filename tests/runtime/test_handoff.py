@@ -1,17 +1,17 @@
 """Unit tests for the shared-memory columnar handoff layer.
 
-What is pinned here (ISSUE 8 / ARCHITECTURE.md "Shard handoff"):
+What is pinned here (ARCHITECTURE.md "Shard handoff"):
 
-- **Bit-exact encode/decode** — every encodable Python value (``None``,
+- **Exact key encode/decode** — every join-attribute value (``None``,
   ``bool``, arbitrary-precision ``int``, ``float`` including the IEEE
-  edge cases, ``str`` including astral unicode) round-trips through the
-  columnar block with its exact type and value, so block-decoded
-  :class:`Record` objects are indistinguishable from the originals.
-- **Clean fallback** — any value outside the encodable set (objects,
-  containers, ``int``/``str`` subclasses, lone surrogates) makes
-  ``SideBlock.encode`` return ``None``, and a plan built over such
-  records resolves to the pickle handoff; ditto when ``shared_memory``
-  itself is unavailable.
+  edge cases, ``str`` including astral unicode, any object) reaches the
+  block as the key the tuple store would normalise it to, and decodes to
+  a one-column :class:`Record` holding exactly that key.
+- **Every key encodes** — keys pass through ``surrogatepass``, so a
+  lone surrogate round-trips like any other ``str`` and a plan over
+  such a key keeps the shared-memory handoff; only a platform without
+  ``shared_memory`` falls back to pickle.  Non-join columns never reach
+  the block, whatever they hold.
 - **O(descriptor) tasks** — a :class:`BlockDescriptor` pickles to a few
   hundred bytes independent of the row count, and the process backend's
   per-shard task payload under the shared-memory handoff is bounded by
@@ -20,14 +20,13 @@ What is pinned here (ISSUE 8 / ARCHITECTURE.md "Shard handoff"):
 - **Segment lifecycle** — publish/attach/release round-trips the data,
   the live-block registry observes every segment, release is idempotent.
 - **One task factory** — ``_shard_task`` ships descriptors on both sides
-  or each shard's own records, a retry differs only in its attempt, and
+  or each shard's own keys, a retry differs only in its attempt, and
   the worker runs either kind to the same shard result.
 - **Prefix-gram partitioning** — the ``gram-prefix`` partitioner
   replicates strictly less than full gram replication, degrades to it
   when unprepared, and refuses configs whose θ disagrees.
 """
 
-import math
 import pickle
 import zlib
 
@@ -35,6 +34,7 @@ import pytest
 
 from repro.core.state_machine import JoinState
 from repro.core.thresholds import Thresholds
+from repro.engine.streams import RowSliceStream
 from repro.engine.table import Table
 from repro.engine.tuples import Record, Schema
 from repro.joins.base import JoinSide
@@ -45,6 +45,7 @@ from repro.runtime.handoff import (
     BlockDescriptor,
     SideBlock,
     build_descriptor,
+    key_schema,
     live_block_count,
     live_block_names,
     publish_block,
@@ -62,16 +63,16 @@ from repro.runtime.sharding import (
     PrefixGramPartitioner,
     ShardOutcome,
     ShardPlan,
+    join_key,
 )
 
 SCHEMA = Schema(["row_id", "value"], name="handoff_fixture")
+KEYS = key_schema(SCHEMA, "value")
 
 
-def _records(values):
-    return [
-        Record(SCHEMA, {"row_id": index, "value": value})
-        for index, value in enumerate(values)
-    ]
+def _block(values):
+    """The key block of ``values`` as the join column of ``SCHEMA``."""
+    return SideBlock.encode(KEYS, [join_key(value) for value in values])
 
 
 def _table(values, name="left"):
@@ -106,43 +107,35 @@ class TestColumnarRoundTrip:
     ]
 
     def test_every_edge_value_round_trips_bit_exact(self):
-        records = _records(self.EDGE_VALUES)
-        block = SideBlock.encode(SCHEMA, records, stream_name="edges")
+        block = _block(self.EDGE_VALUES)
         assert block is not None
-        assert block.row_count == len(records)
-        for row, original in enumerate(records):
+        assert block.row_count == len(self.EDGE_VALUES)
+        assert KEYS.attributes == ("value",) and KEYS.name == SCHEMA.name
+        for row, value in enumerate(self.EDGE_VALUES):
             decoded = block.record(row)
-            assert decoded.schema is SCHEMA
-            for col in range(len(SCHEMA)):
-                want, got = original.value_at(col), decoded.value_at(col)
-                # Exact type, not just equality: True != 1 here, and the
-                # float edge cases compare by bit pattern.
-                assert type(want) is type(got)
-                if isinstance(want, float):
-                    assert math.copysign(1.0, want) == math.copysign(1.0, got)
-                    assert (want == got) or (
-                        math.isnan(want) and math.isnan(got)
-                    )
-                else:
-                    assert want == got
+            assert decoded.schema is KEYS
+            # The key the tuple store would normalise the value to.
+            want = "" if value is None else str(value)
+            assert type(decoded.value_at(0)) is str
+            assert decoded.value_at(0) == want
 
     def test_decoded_records_equal_and_hash_like_originals(self):
-        records = _records(["a", "bb", None, 42])
-        block = SideBlock.encode(SCHEMA, records)
-        for row, original in enumerate(records):
+        keys = ["a", "bb", "", "42"]
+        block = SideBlock.encode(KEYS, keys)
+        for row, key in enumerate(keys):
             decoded = block.record(row)
+            original = Record.from_values(KEYS, [key])
             assert decoded == original
             assert hash(decoded) == hash(original)
 
     def test_records_batch_supports_repeated_rows(self):
         """Gram replication = repeated indices into the same block."""
-        records = _records(["x", "y"])
-        block = SideBlock.encode(SCHEMA, records)
-        decoded = block.records([1, 0, 1, 1])
+        block = SideBlock.encode(KEYS, ["x", "y"])
+        decoded = RowSliceStream(block, [1, 0, 1, 1]).next_records(8)
         assert [r["value"] for r in decoded] == ["y", "x", "y", "y"]
 
     def test_empty_side_encodes(self):
-        block = SideBlock.encode(SCHEMA, [])
+        block = SideBlock.encode(KEYS, [])
         assert block is not None and block.row_count == 0
 
 
@@ -161,32 +154,71 @@ class TestEncodeFallback:
         ids=["object", "tuple", "list", "dict", "bytes", "int-subclass",
              "str-subclass"],
     )
-    def test_unencodable_value_returns_none(self, value):
-        assert SideBlock.encode(SCHEMA, _records(["ok", value])) is None
+    def test_any_join_value_encodes_as_its_key(self, value):
+        block = _block(["ok", value])
+        assert block is not None
+        assert block.record(1).value_at(0) == str(value)
 
-    def test_lone_surrogate_returns_none(self):
-        assert SideBlock.encode(SCHEMA, _records(["bad \ud800"])) is None
+    def test_lone_surrogate_round_trips(self):
+        keys = ["bad \ud800", "\udc80", "pair \ud83d\ude00", "astral \U0001f600"]
+        block = SideBlock.encode(KEYS, keys)
+        assert [block.record(row).value_at(0) for row in range(4)] == keys
+        # The block holds the bytes the partitioners hash.
+        assert block.payload == "".join(keys).encode("utf-8", "surrogatepass")
 
-    def test_plan_falls_back_to_pickle_on_unencodable_records(self):
-        left = _table(["GENOVA", "MILANO"])
+    def test_plan_publishes_surrogate_keys_and_any_other_column(self):
         schema = Schema(["row_id", "location"], name="odd")
+        left = _table(["GENOVA", "MILANO"])
+        # A tuple in a non-join column never reaches the block, and a
+        # join key holding a lone surrogate encodes like any other.
         right = Table(
             schema,
             [Record(schema, {"row_id": 0, "location": "GENOVA"}),
-             Record(schema, {"row_id": 1, "location": "MILANO"})],
-            name="right",
-        )
-        # Smuggle an unencodable value into a non-join column.
-        right = Table(
-            schema,
-            list(right.records)
-            + [Record(schema, {"row_id": (2, 2), "location": "ROMA"})],
+             Record(schema, {"row_id": (2, 2), "location": "ROMA"}),
+             Record(schema, {"row_id": 3, "location": "bad \ud800"})],
             name="right",
         )
         plan = ShardPlan.build(left, right, "location", 2,
                                handoff="shared-memory")
-        assert plan.handoff == "pickle"
-        assert plan.left_block is None and plan.right_block is None
+        assert plan.handoff == "shared-memory"
+        assert plan.right_block.schema.attributes == ("location",)
+        published = plan.publish_blocks()
+        try:
+            attached = published.right.descriptor.attach()
+            try:
+                keys = [attached.block.record(row).value_at(0)
+                        for row in range(attached.block.row_count)]
+            finally:
+                attached.close()
+        finally:
+            published.release()
+        assert keys == ["GENOVA", "ROMA", "bad \ud800"]
+
+    @pytest.mark.parametrize("handoff", ["pickle", "shared-memory"])
+    def test_surrogate_keys_route_and_run_on_every_backend(self, handoff):
+        """A lone surrogate (JSON allows one as an escape) routes under
+        both partitioners and joins like any other key, whichever way
+        it crosses to a worker."""
+        left = _table(["GENOVA", "bad \ud800", "ROMA"])
+        right = _table(["bad \ud800", "GENOVA", "MILANO"], "right")
+        config = RunConfig.from_thresholds(
+            Thresholds(delta_adapt=5, window_size=5),
+            policy="fixed",
+            initial_state=JoinState.LEX_REX,
+        )
+        for partitioner in ("hash", "gram-prefix"):
+            serial = run_sharded(
+                left, right, "location", config, shards=2,
+                partitioner=partitioner, handoff=handoff,
+            )
+            process = run_sharded(
+                left, right, "location", config, shards=2,
+                partitioner=partitioner, backend="process", handoff=handoff,
+            )
+            assert serial.handoff == process.handoff == handoff
+            assert serial.pair_set() == {(0, 1), (1, 0)}
+            assert process.matched_pairs() == serial.matched_pairs()
+            assert process.output_records() == serial.output_records()
 
     def test_plan_falls_back_when_shared_memory_unavailable(self, monkeypatch):
         monkeypatch.setattr(handoff_module, "_FORCE_UNAVAILABLE", True)
@@ -308,7 +340,7 @@ class TestShardTaskFactory:
             for event in result.matches
         ]
 
-    def test_pickle_plan_ships_each_shards_records(self):
+    def test_pickle_plan_ships_each_shards_keys(self):
         plan = self._plan("pickle")
         for shard_id in range(plan.shard_count):
             task = _shard_task(plan, self.CONFIG, shard_id, 1, None)
@@ -318,8 +350,8 @@ class TestShardTaskFactory:
                 (task.right, task.right_name, plan.right_shards[shard_id]),
             ):
                 assert isinstance(payload, ShardInputPayload)
-                assert payload.schema is shard.schema
-                assert payload.records == shard.records
+                assert payload.schema == key_schema(shard.schema, "location")
+                assert payload.keys == [r["location"] for r in shard.records]
                 assert name == shard.name
 
     def test_descriptors_ship_on_both_sides_and_retries_only_bump_attempt(self):
@@ -374,8 +406,7 @@ class TestShardTaskFactory:
 )
 class TestSegmentLifecycle:
     def test_publish_attach_read_release(self):
-        records = _records(["alpha", None, 42, 2.5])
-        block = SideBlock.encode(SCHEMA, records, stream_name="lifecycle")
+        block = _block(["alpha", None, 42, 2.5])
         shard_rows = [[0, 2], [1, 3, 3]]
         assert live_block_count() == 0
         published = publish_block(block, shard_rows)
@@ -386,9 +417,11 @@ class TestSegmentLifecycle:
             try:
                 assert list(attached.shard_rows(0)) == [0, 2]
                 assert list(attached.shard_rows(1)) == [1, 3, 3]
-                decoded = attached.block.records(attached.shard_rows(1))
-                assert [r["value"] for r in decoded] == [None, 2.5, 2.5]
-                assert decoded[0] == records[1]
+                decoded = RowSliceStream(
+                    attached.block, attached.shard_rows(1)
+                ).next_records(8)
+                assert [r["value"] for r in decoded] == ["", "2.5", "2.5"]
+                assert decoded[0] == block.record(1)
             finally:
                 attached.close()
                 attached.close()  # idempotent
@@ -402,12 +435,12 @@ class TestSegmentLifecycle:
             published.descriptor.attach()  # repro-lint: disable=RL004
 
     def test_unpublished_descriptor_has_placeholder_name(self):
-        block = SideBlock.encode(SCHEMA, _records(["a"]))
+        block = _block(["a"])
         descriptor = build_descriptor(block, [[0]])
         assert descriptor.name == "<unpublished>"
 
     def test_empty_shards_publishable(self):
-        block = SideBlock.encode(SCHEMA, [])
+        block = SideBlock.encode(KEYS, [])
         published = publish_block(block, [[], []])
         try:
             attached = published.descriptor.attach()

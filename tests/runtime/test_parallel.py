@@ -182,17 +182,38 @@ class TestProcessBackend:
         assert other.counters.as_dict() == serial.counters.as_dict()
         assert other.trace.summary() == serial.trace.summary()
 
-    def test_process_backend_rejects_unpicklable_records(self):
-        records = [Record.from_values(SCHEMA, [0, "a"])]
-        poisoned = [Record(SCHEMA, {"row_id": 0, "location": lambda: None})]
+    @pytest.mark.parametrize("handoff", ["pickle", "shared-memory"])
+    def test_process_backend_runs_unpicklable_records_like_serial(self, handoff):
+        """Only join keys cross the process boundary, so records no
+        pickle can carry run on the process backend exactly as serially."""
+
+        def poison():
+            return None
+
+        left = [
+            Record(SCHEMA, {"row_id": poison, "location": "a"}),
+            Record(SCHEMA, {"row_id": 1, "location": poison}),
+        ]
+        right = [
+            Record.from_values(SCHEMA, [0, "a"]),
+            Record(SCHEMA, {"row_id": poison, "location": poison}),
+        ]
         plan = ShardPlan.build(
-            ListStream(SCHEMA, poisoned),
-            ListStream(SCHEMA, records),
+            ListStream(SCHEMA, left),
+            ListStream(SCHEMA, right),
             "location",
-            1,
+            2,
+            handoff=handoff,
         )
-        with pytest.raises(ValueError, match="not picklable"):
-            ParallelExecutor(backend="process").run(plan, RunConfig())
+        assert plan.handoff == handoff
+        config = RunConfig(policy="fixed")
+        serial = ParallelExecutor().run(plan, config)
+        process = ParallelExecutor(backend="process").run(plan, config)
+        assert serial.pair_set() == {(0, 0), (1, 1)}
+        assert process.matched_pairs() == serial.matched_pairs()
+        assert process.counters.as_dict() == serial.counters.as_dict()
+        assert process.output_records() == serial.output_records()
+        assert live_block_count() == 0
 
     def test_ensure_picklable_names_the_offender(self):
         with pytest.raises(ValueError, match="the run configuration"):

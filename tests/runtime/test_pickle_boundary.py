@@ -37,7 +37,7 @@ from repro.devtools.pickle_boundary import (
 )
 from repro.core.state_machine import JoinState
 from repro.core.trace import ExecutionTrace
-from repro.engine.tuples import Record, Schema
+from repro.engine.tuples import Schema
 from repro.joins.base import JoinAttribute, OperationCounters
 from repro.runtime.config import RunConfig
 from repro.runtime.errors import (
@@ -57,19 +57,17 @@ SCHEMA = Schema(["row_id", "location"], name="audit_rows")
 
 
 def _payload() -> ShardInputPayload:
-    records = [
-        Record.from_values(SCHEMA, [index, value])
-        for index, value in enumerate(["LIG GE GENOVA", "PIE TO TORINO"])
-    ]
-    return ShardInputPayload(schema=SCHEMA, records=records)
+    return ShardInputPayload(
+        schema=Schema(["location"], name="audit_rows"),
+        keys=["LIG GE GENOVA", "PIE TO TORINO"],
+    )
 
 
 def _descriptor(name: str) -> BlockDescriptor:
     return BlockDescriptor(
         name=name,
-        schema_attributes=("row_id", "location"),
+        schema_attributes=("location",),
         schema_name="audit_rows",
-        stream_name="left",
         row_count=4,
         payload_size=128,
         shard_extents=(2, 2),
@@ -135,7 +133,7 @@ def _build_instances():
         # A worker's return: match columns plus counters and trace.
         ("repro.runtime.shard_result", "ShardResult"): _shard_result(),
         # Both side-payload kinds in one task: a shared-memory descriptor
-        # on the left, shipped records on the right.
+        # on the left, shipped keys on the right.
         ("repro.runtime.parallel", "_ShardTask"): _ShardTask(
             shard_id=0,
             attribute=JoinAttribute("location", "location"),
@@ -218,15 +216,12 @@ class TestInProcessRoundTrip:
         assert type(clone) is type(original)
         assert _state(clone) == _state(original)
 
-    def test_shard_task_payload_records_survive(self):
+    def test_shard_task_payload_keys_survive(self):
         task = INSTANCES[("repro.runtime.parallel", "_ShardTask")]
         clone = pickle.loads(pickle.dumps(task))
         assert clone.left.name == "left_seg"
-        assert clone.right.schema.attributes == SCHEMA.attributes
-        assert [r["location"] for r in clone.right.records] == [
-            "LIG GE GENOVA",
-            "PIE TO TORINO",
-        ]
+        assert clone.right.schema.attributes == ("location",)
+        assert clone.right.keys == ["LIG GE GENOVA", "PIE TO TORINO"]
 
     def test_timeout_error_args_match_constructor(self):
         # The re-raise across a process pool calls type(err)(*err.args); the

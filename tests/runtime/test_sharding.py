@@ -1,5 +1,6 @@
 """Tests for partitioners, shard plans and mergeable shard results."""
 
+import dataclasses
 import zlib
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.state_machine import JoinState
 from repro.core.thresholds import Thresholds
 from repro.core.trace import ExecutionTrace, merge_traces
+from repro.datagen.testcases import STANDARD_TEST_CASES, generate_test_case
 from repro.engine.streams import GeneratorStream, IteratorStream, ListStream
 from repro.engine.tuples import Record, Schema
 from repro.joins.base import JoinAttribute, JoinSide, OperationCounters
@@ -512,6 +514,87 @@ class TestReplicatedShardPlan:
                 shard_count=2,
                 partitioner=Stutter(),
             )
+
+
+class _LoopPrefixGramPartitioner(PrefixGramPartitioner):
+    """The gram-prefix routing as first written, kept as the reference:
+    per-gram frequency and CRC dictionaries and a ``lambda`` sort key."""
+
+    def prepare(self, left_keys, right_keys, shard_count):
+        frequency = {}
+        for keys in (left_keys, right_keys):
+            for key in keys:
+                for gram_id in self._interner.intern_value(key):
+                    frequency[gram_id] = frequency.get(gram_id, 0) + 1
+        gram = self._interner.gram
+        ordered = sorted(
+            frequency, key=lambda gram_id: (frequency[gram_id], gram(gram_id))
+        )
+        self._loop_rank = {gram_id: rank for rank, gram_id in enumerate(ordered)}
+        self._prepared = True
+
+    def assign_many(self, side, ordinal, value, shard_count):
+        gram_ids = self._interner.intern_value(value)
+        if not gram_ids:
+            return (zlib.crc32(value.encode("utf-8")) % shard_count,)
+        if self._prepared:
+            prefix = self.prefix_length(len(gram_ids))
+            if prefix < len(gram_ids):
+                rank = self._loop_rank
+                unseen = len(rank)
+                gram_ids = sorted(
+                    gram_ids, key=lambda gram_id: rank.get(gram_id, unseen)
+                )[:prefix]
+        gram = self._interner.gram
+        return tuple(sorted({
+            zlib.crc32(gram(gram_id).encode("utf-8")) % shard_count
+            for gram_id in gram_ids
+        }))
+
+
+class TestPrefixGramRoutingReference:
+    """The list-ranked, memoised routing equals the loop reference."""
+
+    @pytest.mark.parametrize("shards", [4, 7])
+    def test_seed_42_sharded_workload_rows_identical(self, shards):
+        # The dataset of the seed-42 `sharded_approx_16k` benchmark op.
+        case = dataclasses.replace(
+            STANDARD_TEST_CASES["uniform_child"], seed=42 * 1000 + 30
+        )
+        dataset = generate_test_case(case, 8_000, 8_000)
+        config = RunConfig()
+        plans = [
+            ShardPlan.build(
+                dataset.parent, dataset.child, "location", shards,
+                partitioner, config=config, handoff="pickle",
+            )
+            for partitioner in (
+                PrefixGramPartitioner.from_config(config),
+                _LoopPrefixGramPartitioner.from_config(config),
+            )
+        ]
+        fast, loop = plans
+        for side in ("left_shards", "right_shards"):
+            assert [shard.origins for shard in getattr(fast, side)] == [
+                shard.origins for shard in getattr(loop, side)
+            ]
+        assert fast.replication_factors()[0] > 1.0
+
+    def test_direct_calls_agree_before_and_after_prepare(self):
+        values = ["GENOVA", "MILANO CENTRO", "xy", "", "GENOVA", "ROMA EUR"]
+        fast, loop = PrefixGramPartitioner(), _LoopPrefixGramPartitioner()
+        # Unprepared, every gram owns a replica.
+        assert [fast.assign_many(JoinSide.LEFT, 0, v, 4) for v in values] == [
+            loop.assign_many(JoinSide.LEFT, 0, v, 4) for v in values
+        ]
+        fast.prepare(values[:3], values[3:], 4)
+        loop.prepare(values[:3], values[3:], 4)
+        # Values outside the prepared corpus rank their new grams last.
+        probes = values + ["TORINO AURORA", "GENOVA PORTO"]
+        for width in (4, 3):
+            assert [fast.assign_many(JoinSide.RIGHT, 0, v, width) for v in probes] == [
+                loop.assign_many(JoinSide.RIGHT, 0, v, width) for v in probes
+            ]
 
 
 class TestMergeCounters:

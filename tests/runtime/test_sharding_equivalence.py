@@ -439,6 +439,13 @@ class TestHandoffEquivalence:
         assert result.matched_pairs() == reference.matched_pairs()
         assert result.counters.as_dict() == reference.counters.as_dict()
         assert result.trace.summary() == reference.trace.summary()
+        # Workers join one-column key records; the records and the output
+        # schema the caller reads are still the inputs' own.
+        assert result.output_schema == reference.output_schema
+        assert result.output_schema.attributes == (
+            dataset.parent.schema.concat(dataset.child.schema).attributes
+        )
+        assert result.output_records() == reference.output_records()
 
     def test_serial_runs_bit_identical_across_handoffs(self, dataset):
         config = _config()

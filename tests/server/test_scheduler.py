@@ -79,6 +79,54 @@ class TestAdmission:
         assert scheduler.job_ids() == ids
         scheduler.shutdown()
 
+    def test_plan_is_built_outside_the_lock(self, small_payload, monkeypatch):
+        """Admission builds the shard plan before taking the lock that
+        every worker thread's fold and dispatch waits on."""
+        from repro.jobs.builder import JobSpec
+
+        scheduler = JobScheduler(autostart=False)
+        free = []
+        build = JobSpec.shard_plan
+
+        def probe():
+            # From another thread, so a re-entrant lock cannot fool it.
+            acquired = scheduler._cond.acquire(blocking=False)
+            if acquired:
+                scheduler._cond.release()
+            free.append(acquired)
+
+        def probed(spec):
+            thread = threading.Thread(target=probe)
+            thread.start()
+            thread.join(10)
+            assert not thread.is_alive()
+            return build(spec)
+
+        monkeypatch.setattr(JobSpec, "shard_plan", probed)
+        try:
+            scheduler.submit(small_payload)
+        finally:
+            scheduler.shutdown()
+        assert free == [True]
+
+    def test_submit_normalises_the_payload_once(self, tiny_payload, monkeypatch):
+        from repro.jobs import serialization
+
+        sides = []
+        normalize_side = serialization._normalize_side
+
+        def counted(payload, side):
+            sides.append(side)
+            return normalize_side(payload, side)
+
+        monkeypatch.setattr(serialization, "_normalize_side", counted)
+        scheduler = JobScheduler(autostart=False)
+        try:
+            scheduler.submit(tiny_payload)
+        finally:
+            scheduler.shutdown()
+        assert sides == ["left", "right"]
+
     def test_queued_state_before_start(self, tiny_payload):
         scheduler = JobScheduler(autostart=False)
         job_id = scheduler.submit(tiny_payload)

@@ -1,10 +1,18 @@
 """Tests for the server's wire formats."""
 
 import json
+import random
+
+import pytest
 
 from repro.jobs import StreamedMatch
+from repro.jobs.handle import match_json, match_line
 from repro.joins.base import JoinMode, JoinSide, MatchEvent
-from repro.server.wire import error_body, job_status_body, match_line, render_metrics
+from repro.server.wire import (
+    error_body,
+    job_status_body,
+    render_metrics,
+)
 
 
 class _FakeTuple:
@@ -43,6 +51,45 @@ class TestMatchLine:
         line = match_line(3, 9, 0.91234, "approximate", 7)
         assert line == (json.dumps(match.to_json()) + "\n").encode("utf-8")
         assert "shard" not in json.loads(line)
+
+    @pytest.mark.parametrize(
+        "similarity", [1.0, 0.85, 1 / 3, 0.99995, 0.0, 0.123456789, 1]
+    )
+    @pytest.mark.parametrize("shard_id", [None, 0, 7])
+    @pytest.mark.parametrize("mode", ["exact", "approximate"])
+    def test_template_is_json_dumps_of_match_json(self, similarity, shard_id, mode):
+        """The template writes exactly ``json.dumps(match_json(...))``:
+        0.99995 rounds up to 1.0, 1/3 keeps four places, an int similarity
+        stays an int, and ordinals past 2**32 print in full."""
+        for left, right, step in ((0, 0, 0), (12, 3, 41), (2**33 + 5, 2**40, 2**35)):
+            fields = (left, right, similarity, mode, step, shard_id)
+            want = json.dumps(match_json(*fields)) + "\n"
+            assert match_line(*fields) == want.encode("utf-8")
+
+    def test_template_matches_json_dumps_on_random_fields(self):
+        rng = random.Random(42)
+        for _ in range(5000):
+            fields = (
+                rng.randrange(2**40),
+                rng.randrange(2**40),
+                rng.choice((rng.random(), round(rng.random(), 5), 1.0)),
+                rng.choice(("exact", "approximate")),
+                rng.randrange(2**40),
+                rng.choice((None, rng.randrange(64))),
+            )
+            want = json.dumps(match_json(*fields)) + "\n"
+            assert match_line(*fields) == want.encode("utf-8")
+
+    def test_large_ordinals_and_rounding_read_back(self):
+        line = match_line(2**33, 1, 0.99995, "approximate", 2**34, 7)
+        assert json.loads(line) == {
+            "left_index": 2**33,
+            "right_index": 1,
+            "similarity": 1.0,
+            "mode": "approximate",
+            "step": 2**34,
+            "shard": 7,
+        }
 
 
 class TestBodies:
