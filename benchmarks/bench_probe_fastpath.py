@@ -77,9 +77,10 @@ def bench_probe_path(
 
         The combined total (indexing + first probe pass) is reported for
         trajectory continuity, the probe phase on its own as the best of
-        two identical passes — the second runs with warm probe-plan
-        caches, so the figure reflects steady-state probing and suppresses
-        load noise (the naive reference gets the same two-pass treatment).
+        two identical passes, which suppresses load noise (the naive
+        reference gets the same two-pass treatment).  Both passes build
+        every probe plan afresh; only the interner's value cache (each
+        probe value's gram ids and bitset) is warm in the second.
         """
         side = SideState(JoinSide.LEFT, "value")
         for record in records:

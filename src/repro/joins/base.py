@@ -44,10 +44,6 @@ from repro.engine.tuples import Record, Schema
 from repro.joins.fastpath import GramInterner, jaccard_length_bounds
 from repro.similarity.setsim import jaccard_from_shared
 
-#: Upper bound on cached frequency-ordered probe plans per side; the cache
-#: is cleared wholesale when it fills (plans are cheap to rebuild).
-_PLAN_CACHE_LIMIT = 8192
-
 #: Filtered approximate probes observed before the length filter's
 #: usefulness is judged (see ``SideState._note_filter_outcome``).
 LENGTH_FILTER_SAMPLE_PROBES = 64
@@ -301,11 +297,6 @@ class SideState:
         # Distinct-gram count per ordinal (dense, append-ordered with the
         # catch-up) — the length filter reads this in the hot loop.
         self._gram_counts: array = array("i")
-        # Frequency-ordered probe plans: value → (index stamp, ordered ids,
-        # their bucket lengths, probe bitset).  A plan is valid while the
-        # q-gram index has not grown since it was built (the stamp is the
-        # synced-tuple count at build time).
-        self._plan_cache: Dict[str, Tuple[int, List[int], array, int]] = {}
         # Attribute position, resolved once per schema identity.
         self._attr_schema: Optional[Schema] = None
         self._attr_position = 0
@@ -400,13 +391,6 @@ class SideState:
         """
         return self.catch_up_for(probing_mode)()
 
-    def gram_frequency(self, gram: str) -> int:
-        """Number of indexed tuples containing ``gram`` (bucket length)."""
-        gram_id = self.interner.lookup(gram)
-        if gram_id is None:
-            return 0
-        return len(self._qgram_index.get(gram_id, ()))
-
     def _probe_plan(self, value: str) -> Tuple[List[int], array, int]:
         """The probe plan for ``value``: ``(ordered ids, lengths, bitset)``.
 
@@ -416,13 +400,8 @@ class SideState:
         ``lengths`` are those bucket lengths, in the same order, read from
         the index once so that the probe never looks a bucket up just to
         measure it.  The bitset is the interner's, which the verification
-        loop ANDs candidates against.  Plans are cached per value and reused
-        while the q-gram index has not absorbed new tuples.
+        loop ANDs candidates against.
         """
-        stamp = self._qgram_synced
-        cached = self._plan_cache.get(value)
-        if cached is not None and cached[0] == stamp:
-            return cached[1], cached[2], cached[3]
         gram_ids, probe_bits = self.interner.entry(value)
         buckets = map(self._qgram_index.get, gram_ids, repeat(()))
         lengths = list(map(len, buckets))
@@ -430,12 +409,7 @@ class SideState:
         order = sorted(range(len(lengths)), key=lengths.__getitem__)
         ordered = [gram_ids[position] for position in order]
         lengths.sort()
-        # Unboxed: a cached plan holds no int object per bucket length.
-        ordered_lengths = array("i", lengths)
-        if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
-            self._plan_cache.clear()
-        self._plan_cache[value] = (stamp, ordered, ordered_lengths, probe_bits)
-        return ordered, ordered_lengths, probe_bits
+        return ordered, array("i", lengths), probe_bits
 
     # -- probing ---------------------------------------------------------------
 
@@ -618,16 +592,6 @@ class SideState:
         return self._length_filter_disabled
 
     # -- introspection -------------------------------------------------------------
-
-    @property
-    def exact_index_size(self) -> int:
-        """Number of distinct values currently in the exact index."""
-        return len(self._exact_index)
-
-    @property
-    def qgram_index_size(self) -> int:
-        """Number of distinct q-grams currently in the q-gram index."""
-        return len(self._qgram_index)
 
     def average_exact_bucket_length(self) -> float:
         """``B_ex`` of Table 1: average value-bucket length."""

@@ -11,7 +11,8 @@ make it fast while keeping the operator semantics of Sec. 2.2 intact:
   hash table becomes ``int → array('i')`` and the hot candidate-counting
   loop hashes small ints instead of strings.  The interner also caches the
   tokenisation of whole values (value → gram ids and their bitset), which
-  turns repeated probes/insertions of the same value into a dictionary hit.
+  turns repeated probes/insertions of the same value into a dictionary hit;
+  that cache holds at most ``_VALUE_CACHE_LIMIT`` values.
 * :func:`distinct_qgrams` — the *deterministic* distinct-gram ordering used
   throughout the fast path.  ``qgram_set`` returns a ``frozenset`` whose
   iteration order depends on the process hash seed; the probe pipeline
@@ -26,8 +27,8 @@ make it fast while keeping the operator semantics of Sec. 2.2 intact:
   when the probe verifies Jaccard.
 * :class:`NaiveQGramProber` — the pre-refactor (seed) probe pipeline kept
   verbatim as a reference: string-keyed buckets, per-probe re-sorting
-  through a Python key function, no interning, no length filter, no plan
-  cache.  The equivalence property test asserts that the fast path returns
+  through a Python key function, no interning, no length filter.  The
+  equivalence property test asserts that the fast path returns
   the same match sets and identical :class:`OperationCounters`, and
   ``benchmarks/bench_probe_fastpath.py`` measures the fast path against it.
 
@@ -43,6 +44,10 @@ import math
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.similarity.qgrams import qgrams
+
+#: Values whose tokenisation a :class:`GramInterner` keeps; the cache is
+#: cleared wholesale when it fills (values re-intern cheaply, ids are stable).
+_VALUE_CACHE_LIMIT = 65536
 
 
 def distinct_qgrams(text: str, q: int = 3, padded: bool = True) -> List[str]:
@@ -84,11 +89,12 @@ class GramInterner:
     :class:`~repro.joins.engine.SymmetricJoinEngine`, so a value interned
     when it was stored on one side is a cache hit when it later probes the
     other side.  Ids are assigned in first-intern order and never reused.
+    The value cache holds at most ``_VALUE_CACHE_LIMIT`` values.
     """
 
-    __slots__ = ("q", "padded", "_ids", "_grams", "_value_cache", "_value_cache_limit")
+    __slots__ = ("q", "padded", "_ids", "_grams", "_value_cache")
 
-    def __init__(self, q: int = 3, padded: bool = True, value_cache_limit: int = 65536) -> None:
+    def __init__(self, q: int = 3, padded: bool = True) -> None:
         if q <= 0:
             raise ValueError(f"q must be positive, got {q}")
         self.q = q
@@ -96,7 +102,6 @@ class GramInterner:
         self._ids: Dict[str, int] = {}
         self._grams: List[str] = []
         self._value_cache: Dict[str, Tuple[Tuple[int, ...], Optional[int]]] = {}
-        self._value_cache_limit = value_cache_limit
 
     def __len__(self) -> int:
         return len(self._grams)
@@ -109,10 +114,6 @@ class GramInterner:
             self._ids[gram] = gid
             self._grams.append(gram)
         return gid
-
-    def lookup(self, gram: str) -> Optional[int]:
-        """Return the id of ``gram`` without interning, or ``None`` if unseen."""
-        return self._ids.get(gram)
 
     def gram(self, gram_id: int) -> str:
         """Reverse lookup: the gram string behind ``gram_id``."""
@@ -155,7 +156,7 @@ class GramInterner:
                 intern(gram) if gram_id is None else gram_id
                 for gram, gram_id in zip(grams, ids)
             )
-        if len(self._value_cache) >= self._value_cache_limit:
+        if len(self._value_cache) >= _VALUE_CACHE_LIMIT:
             self._value_cache.clear()
         self._value_cache[value] = (ids, None)
         return ids

@@ -102,8 +102,9 @@ class TestBitsetMatchesNaive:
 
     def test_probe_plans_survive_vocabulary_growth(self):
         # Probes repeat across rounds while the interner grows past 4096
-        # grams: cached probe bitsets stay valid (ids are never reused) and
-        # stale orderings are rebuilt, so every round matches the seed.
+        # grams: the interner's cached probe bitsets stay valid (ids are
+        # never reused) and each probe orders its grams against the index
+        # as it stands, so every round matches the seed.
         alphabet = string.ascii_letters + string.digits
         stored = _values(600, seed=31, alphabet=alphabet, length=40)
         probes = stored[:25] + _values(25, seed=32, alphabet=alphabet, length=40)

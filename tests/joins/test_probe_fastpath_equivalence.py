@@ -1,8 +1,8 @@
 """Randomized equivalence tests: fast-path probe vs. the naive seed probe.
 
 The fast-path probe pipeline (interned grams, bitset verification, length
-filter, cached probe plans) must be *observably indistinguishable* from the
-pre-refactor implementation kept in
+filter, frequency-ordered probe plans) must be *observably
+indistinguishable* from the pre-refactor implementation kept in
 :class:`repro.joins.fastpath.NaiveQGramProber`:
 
 * with the length filter disabled, the match lists (ordinals, similarities
@@ -27,10 +27,12 @@ gram to scan, and probes whose extension gram has an empty bucket.
 import math
 import random
 import string
+from array import array
 
 import pytest
 
 from repro.engine.tuples import Record, Schema
+from repro.joins import fastpath
 from repro.joins.base import JoinSide, SideState
 from repro.joins.fastpath import (
     GramInterner,
@@ -199,23 +201,29 @@ class TestFastPathBuildingBlocks:
         interner = GramInterner(q=3)
         ids = [interner.intern(g) for g in ("abc", "bcd", "abc", "cde")]
         assert ids == [0, 1, 0, 2]
-        assert interner.gram(1) == "bcd"
-        assert interner.lookup("cde") == 2
-        assert interner.lookup("zzz") is None
+        assert [interner.gram(i) for i in range(3)] == ["abc", "bcd", "cde"]
+        assert interner.intern("cde") == 2  # seen: no fresh id
         assert len(interner) == 3
+        assert interner.intern("zzz") == 3  # unseen: the next dense id
+        assert len(interner) == 4
 
     def test_intern_value_is_cached_and_deterministic(self):
         interner = GramInterner(q=3)
         first = interner.intern_value("GENOVA")
-        assert first == interner.intern_value("GENOVA")
+        assert interner.intern_value("GENOVA") is first  # cache hit
+        # Same ids as interning each gram in first-occurrence order on a
+        # fresh interner.
+        fresh = GramInterner(q=3)
         assert list(first) == [
-            interner.lookup(g) for g in distinct_qgrams("GENOVA", q=3)
+            fresh.intern(g) for g in distinct_qgrams("GENOVA", q=3)
         ]
 
-    def test_interner_value_cache_bounded(self):
-        interner = GramInterner(q=2, value_cache_limit=4)
+    def test_interner_value_cache_bounded(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "_VALUE_CACHE_LIMIT", 4)
+        interner = GramInterner(q=2)
         values = [f"VALUE {i}" for i in range(10)]
         ids = [interner.intern_value(v) for v in values]
+        assert len(interner._value_cache) <= 4
         # Ids survive cache eviction: re-interning yields the same ids.
         assert [interner.intern_value(v) for v in values] == ids
 
@@ -245,13 +253,15 @@ class TestFastPathBuildingBlocks:
         lo, hi = jaccard_length_bounds(17, 0.85, verify_jaccard=True)
         assert hi >= 20
 
-    def test_probe_plan_cached_until_index_grows(self):
+    def test_probe_plan_tracks_the_index(self):
         side = SideState(JoinSide.LEFT, "value", q=3)
         for row_id, value in enumerate(["GENOVA", "MILANO"]):
             side.add(Record(SCHEMA, {"row_id": row_id, "value": value}))
         side.catch_up_qgram()
         ordered, lengths, bits = side._probe_plan("GENOVA")
-        assert side._probe_plan("GENOVA")[0] is ordered  # cache hit
+        assert isinstance(ordered, list) and isinstance(lengths, array)
+        assert lengths.typecode == "i" and len(lengths) == len(ordered)
+        assert sorted(ordered) == sorted(side.interner.entry("GENOVA")[0])
         # Ids in ascending bucket length, each with its bucket's length;
         # the bitset is the interner's cached one.
         assert list(lengths) == sorted(lengths)
@@ -260,7 +270,6 @@ class TestFastPathBuildingBlocks:
         side.add(Record(SCHEMA, {"row_id": 2, "value": "GENOVA"}))
         side.catch_up_qgram()
         ordered_two, lengths_two, bits_two = side._probe_plan("GENOVA")
-        assert ordered_two is not ordered  # stamp invalidated the plan
         assert sorted(ordered_two) == sorted(ordered)  # same grams
         assert list(lengths_two) == [length + 1 for length in lengths]
         assert bits_two is bits

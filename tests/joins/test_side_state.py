@@ -1,5 +1,7 @@
 """Tests for the per-side state of the symmetric joins (SideState)."""
 
+import random
+
 import pytest
 
 from repro.engine.tuples import Record, Schema
@@ -87,9 +89,12 @@ class TestIndexMaintenance:
             side.add(record(i, value))
         side.catch_up_exact()
         side.catch_up_qgram()
-        assert side.exact_index_size == 2
+        # Two distinct values over three tuples.
         assert side.average_exact_bucket_length() == pytest.approx(1.5)
-        assert side.qgram_index_size > 0
+        # "GENOVA"'s grams sit in the two GENOVA tuples' buckets, and
+        # MILANO shares none of them.
+        _, lengths, _ = side._probe_plan("GENOVA")
+        assert list(lengths) == [2] * len(lengths)
         assert side.average_qgram_bucket_length() >= 1.0
 
     def test_gram_frequency(self):
@@ -97,8 +102,12 @@ class TestIndexMaintenance:
         side.add(record(1, "AAA"))
         side.add(record(2, "AAA"))
         side.catch_up_qgram()
-        assert side.gram_frequency("AAA") == 2
-        assert side.gram_frequency("ZZZ") == 0
+        # Every gram of "AAA" is in both tuples; "ZZZ" shares none.
+        _, lengths, _ = side._probe_plan("AAA")
+        assert len(lengths) > 0 and set(lengths) == {2}
+        assert side.average_qgram_bucket_length() == pytest.approx(2.0)
+        _, lengths, _ = side._probe_plan("ZZZ")
+        assert len(lengths) > 0 and set(lengths) == {0}
 
 
 class TestExactProbe:
@@ -210,3 +219,47 @@ class TestQgramProbe:
         loose = side.probe_qgram("LOM MI MILANO", 0.55)
         assert len(loose) >= len(strict)
         assert len(strict) >= 1
+
+    def test_probing_leaves_the_side_unchanged(self):
+        # A probe reads the index and the interner; it keeps nothing per
+        # probe value.  Over a two-letter alphabet every gram the probes
+        # have is interned by the stored values, so the shared interner
+        # does not grow either.
+        rng = random.Random(46)
+
+        def ab_value(shortest):
+            length = rng.randint(shortest, 12)
+            return "".join(rng.choice("AB") for _ in range(length))
+
+        side = make_side()
+        for i in range(300):
+            side.add(record(i, ab_value(6)))
+        side.catch_up_qgram()
+        probes = set()
+        while len(probes) < 200:
+            probes.add(ab_value(8))
+        probes = sorted(probes)
+        # Probe counters and the length filter's self-profiling are the
+        # only state a probe may advance.
+        moving = {
+            "counters",
+            "_length_filter_disabled",
+            "_filter_probes",
+            "_filter_scanned",
+            "_filter_rejected",
+        }
+
+        def shape():
+            return {
+                name: len(value) if hasattr(value, "__len__") else value
+                for name, value in vars(side).items()
+                if name not in moving
+            }
+
+        before = shape()
+        first = [side.probe_qgram(value, 0.6) for value in probes]
+        assert shape() == before
+        second = [side.probe_qgram(value, 0.6) for value in probes]
+        assert shape() == before
+        assert second == first
+        assert any(first)
